@@ -35,9 +35,10 @@
 //! the same offered rate.
 //!
 //! `--smoke` runs one small crashing fleet and asserts that at least
-//! one victim migrates and finishes on a different instance — wired
-//! into `scripts/check.sh` as `fleet-chaos-smoke`. `--gray-smoke` does
-//! the same for the gray tier (`scripts/check.sh gray-smoke`).
+//! one victim migrates and finishes on a different instance and that
+//! no request is left stranded on a member — wired into
+//! `scripts/check.sh` as `fleet-chaos-smoke`. `--gray-smoke` does the
+//! same for the gray tier (`scripts/check.sh gray-smoke`).
 
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
@@ -173,6 +174,17 @@ fn assert_invariants(label: &str, report: &FleetReport) {
     );
 }
 
+/// With failover on, no request may end its run stranded on a member
+/// — closed as shed at run end because nothing would ever run it. The
+/// books close either way, so only this count shows it.
+fn assert_nothing_stranded(label: &str, report: &FleetReport) {
+    assert_eq!(
+        report.failover.stranded, 0,
+        "{label}: requests were stranded on a member: {:?}",
+        report.failover
+    );
+}
+
 fn row_json(p: &ChaosPoint, report: &FleetReport) -> serde_json::Value {
     serde_json::json!({
         "size": p.size, "intensity": p.intensity, "arm": p.arm(),
@@ -239,6 +251,7 @@ fn smoke() {
     };
     let one = run_point(&tb, &p);
     assert_invariants("chaos-smoke", &one);
+    assert_nothing_stranded("chaos-smoke", &one);
     assert!(
         one.failover.migrated_finished >= 1,
         "no victim migrated off a dead member and finished elsewhere: {:?}",
@@ -441,6 +454,7 @@ fn gray_smoke() {
     };
     let one = run_gray_point(&tb, &p);
     assert_invariants("gray-smoke", &one);
+    assert_nothing_stranded("gray-smoke", &one);
     assert!(
         one.health.gray_trips >= 1,
         "gray windows must trip the breaker: {:?}",

@@ -5,13 +5,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use estimator::GuardQuery;
 use gpusim::{CtxId, GroupId};
-use kvcache::KvPool;
+use kvcache::{Block, KvPool};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, FaultKind, RecoveryClass, ReqId,
-    Scheduler, ServeCtx, SloSpec,
+    computed_in_batch, kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, FaultKind,
+    RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::{SimDuration, SimTime};
 
@@ -494,16 +494,33 @@ impl MuxWise {
             self.waiting = sorted.into();
         }
         let mut reqs = Vec::new();
+        let mut batch_blocks: Vec<Vec<Block>> = Vec::new();
         let mut new_total = 0u64;
-        while let Some(&id) = self.waiting.front() {
+        // Position of the next candidate: requests skipped below stay
+        // queued ahead of it, so the earliest of them heads the next
+        // batch.
+        let mut pos = 0;
+        while let Some(&id) = self.waiting.get(pos) {
             if reqs.len() >= 32 {
                 break;
             }
             let spec = ctx.request(id).clone();
-            let blocks = spec
-                .content
-                .blocks(self.table.as_ref().expect("table").block_size());
-            let reused = self.table.as_ref().expect("table").peek_prefix(&blocks);
+            let table = self.table.as_ref().expect("table");
+            let blocks = spec.content.blocks(table.block_size());
+            let cached = table.export_prefix(&blocks);
+            if computed_in_batch(
+                batch_blocks.iter().map(Vec::as_slice),
+                &blocks,
+                cached.len(),
+            ) {
+                // A request already in this batch computes this one's
+                // first uncached block (typically the previous turn of
+                // its session): wait one batch and reuse it instead.
+                self.lifecycle.record_prefix_skip();
+                pos += 1;
+                continue;
+            }
+            let reused = Block::total_tokens(cached);
             let new_tokens = spec.input_tokens() - reused;
             if !reqs.is_empty() && new_total + new_tokens > self.cfg.max_prefill_batch_tokens {
                 break;
@@ -519,7 +536,9 @@ impl MuxWise {
                     && self.prefill.is_none()
                     && self.preempted.is_none()
                 {
-                    self.waiting.pop_front();
+                    // Nothing was admitted, so nothing was skipped:
+                    // `pos` is still the queue head.
+                    self.waiting.remove(pos);
                     ctx.finish_request(id);
                     self.lifecycle.drop_request(id);
                     continue;
@@ -538,9 +557,10 @@ impl MuxWise {
             let seq = SeqState::new(spec.input_tokens() - reused, reused);
             lease.absorb_private(seq.new_tokens);
             new_total += seq.new_tokens;
-            self.waiting.pop_front();
+            self.waiting.remove(pos);
             self.lifecycle.admit(id);
             reqs.push(PrefillReq { id, seq, lease });
+            batch_blocks.push(blocks);
         }
         if reqs.is_empty() {
             return;
@@ -1201,9 +1221,9 @@ impl Scheduler for MuxWise {
 mod tests {
     use super::*;
     use gpusim::{ClusterSpec, GpuSim};
-    use serving::Driver;
+    use serving::{Driver, StepOutcome};
     use simcore::SimRng;
-    use workload::{generate, WorkloadKind};
+    use workload::{generate, ContentSpec, RequestSpec, WorkloadKind};
 
     fn est8b() -> Estimators {
         Estimators::profile(&ModelSpec::llama8b(), &ClusterSpec::dgx_a100(), 8)
@@ -1406,6 +1426,100 @@ mod tests {
             "co-run observations must refine the guard: {} -> {}",
             before,
             engine.guard_cells()
+        );
+    }
+
+    fn turn(id: u64, at_ms: f64, session: u64, tokens: u64, out: u64) -> RequestSpec {
+        RequestSpec {
+            id,
+            arrival: SimTime::from_secs(at_ms * 1e-3),
+            session,
+            turn: 0,
+            content: ContentSpec::single(session, tokens),
+            prior_context: 0,
+            output_tokens: out,
+        }
+    }
+
+    #[test]
+    fn later_turn_waits_for_the_batch_computing_its_prefix() {
+        // Turns 0 and 1 of session 7 arrive together while an unrelated
+        // prefill runs, so both are queued when the next batch forms.
+        // (On an idle engine the first arrival starts a job by itself
+        // before the second is delivered.) They fit one batch, but turn
+        // 1 would recompute every block turn 0 computes: it must sit
+        // that batch out, head the next, and lease turn 0's full blocks.
+        let est = est8b();
+        let cluster = ClusterSpec::dgx_a100();
+        let slo = SloSpec::llama8b();
+        let (prompt, out, new) = (3_000, 4, 500);
+        let mut second = turn(2, 1.0, 7, prompt + out + new, out);
+        second.turn = 1;
+        second.prior_context = prompt + out;
+        let reqs = vec![
+            turn(0, 0.0, 999, 8_000, 2),
+            turn(1, 1.0, 7, prompt, out),
+            second,
+        ];
+        let cfg = MuxWiseConfig::default();
+        assert!(2 * prompt + out + new <= cfg.max_prefill_batch_tokens);
+        let mut engine = MuxWise::new(&ModelSpec::llama8b(), &cluster, 8, slo, est, cfg);
+        let mut inst =
+            Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);
+        // Every prefill job the engine starts: its requests and the
+        // tokens each one's lease matched.
+        let mut jobs: Vec<(u64, Vec<(ReqId, u64)>)> = Vec::new();
+        let mut t = 0.0;
+        loop {
+            t += 0.5e-3;
+            let outcome = inst.step_until(&mut engine, SimTime::from_secs(t));
+            if let Some(job) = &engine.prefill {
+                if jobs.last().map(|(gen, _)| *gen) != Some(job.gen) {
+                    let members = job.reqs.iter().map(|r| (r.id, r.lease.matched_tokens()));
+                    jobs.push((job.gen, members.collect()));
+                }
+            }
+            if outcome == StepOutcome::Idle {
+                break;
+            }
+        }
+        let full_blocks = prompt / 64 * 64;
+        let members: Vec<_> = jobs.into_iter().map(|(_, m)| m).collect();
+        assert_eq!(
+            members,
+            vec![vec![(0, 0)], vec![(1, 0)], vec![(2, full_blocks)]]
+        );
+        assert_eq!(engine.counters().prefix_skips, 1);
+        let (rep, _) = inst.finish(&mut engine);
+        assert_eq!(rep.finished, rep.total);
+    }
+
+    #[test]
+    fn tool_agent_trace_realizes_its_prior_context() {
+        // At 8 req/s consecutive Tool&Agent turns often queue together.
+        // Without the batch rule a later turn re-prefills the previous
+        // turn's prompt, and realized reuse falls well short of the
+        // context the trace carries over.
+        let est = est8b();
+        let (n, rate) = (400, 8.0);
+        let (rep, engine) = run(
+            WorkloadKind::ToolAgent,
+            n,
+            rate,
+            MuxWiseConfig::default(),
+            &est,
+        );
+        assert_eq!(rep.finished, rep.total);
+        assert_eq!(rep.counters.leaked_leases, 0);
+        assert!(rep.counters.prefix_skips > 0);
+        let trace = generate(WorkloadKind::ToolAgent, n, rate, &mut SimRng::seed_from(42));
+        let prior: u64 = trace.iter().map(|r| r.prior_context).sum();
+        let input: u64 = trace.iter().map(|r| r.input_tokens()).sum();
+        let prior_share = prior as f64 / input as f64;
+        let hit = engine.pool_stats().expect("pool exists").hit_rate();
+        assert!(
+            (hit - prior_share).abs() <= 0.02,
+            "pool hit share {hit} vs prior-context share {prior_share}"
         );
     }
 

@@ -82,6 +82,11 @@ pub struct FailoverStats {
     pub migrated_shed: u64,
     /// Crash → re-admission latency samples, seconds.
     pub migration_delay: Summary,
+    /// Requests still unresolved on some member when the fleet drained,
+    /// closed as shed at run end (`Instance::shed_unresolved`) — work
+    /// stranded where nothing would ever run it. Zero whenever failover
+    /// drained every permanently crashed member.
+    pub stranded: u64,
 }
 
 /// One queued migration attempt.

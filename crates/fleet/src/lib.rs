@@ -129,7 +129,7 @@ pub struct FleetReport {
     /// Fleet-wide routing counters.
     pub routing: RoutingStats,
     /// Cross-instance failover outcomes (all-zero when no fail-stop
-    /// fired or failover is disabled).
+    /// fired; only `stranded` can be nonzero when failover is disabled).
     pub failover: FailoverStats,
     /// Hot-prefix replication outcomes (all-zero unless replication is
     /// enabled and a fail-stop is scheduled).
@@ -660,7 +660,7 @@ impl Fleet {
             Self::resolve_hedges(&mut self.members, h, SimTime::MAX);
         }
 
-        let failover_stats = match engine.as_mut() {
+        let mut failover_stats = match engine.as_mut() {
             Some(eng) => {
                 let members = &self.members;
                 eng.finalize(|target, local| members[target].instance.request_finished(local));
@@ -668,12 +668,13 @@ impl Fleet {
             }
             None => FailoverStats::default(),
         };
-        // A permanently crashed member ends its run stalled with
-        // requests still buffered — its watchdog clock froze with the
-        // last event, so deadline sheds never fired. Close the books
-        // explicitly; on resolved runs this is a no-op.
+        // A member can end its run stalled with requests still buffered
+        // — a permanently crashed member no failover drained, say: its
+        // watchdog clock froze with the last event, so deadline sheds
+        // never fired. Close the books explicitly and count what that
+        // closed; on resolved runs this is a no-op.
         for m in &mut self.members {
-            m.instance.shed_unresolved();
+            failover_stats.stranded += m.instance.shed_unresolved();
         }
         // Pairs whose copies both ended without a finish (crashed or
         // shed on both members) are now fully resolved — retire them
@@ -709,7 +710,9 @@ impl Fleet {
     /// member-index order. Reinjected-but-buffered victims are only
     /// drained off permanently crashed members — on a transient crash
     /// the local copy will run again, and draining it would double-run
-    /// the request.
+    /// the request. A permanently crashed member also gives up the
+    /// requests it strands: delivered ones still waiting in its engine
+    /// and arrivals its watchdog is deferring.
     fn drain_ejected(&mut self, eng: &mut FailoverEngine, states: &[HealthState], now: SimTime) {
         let escape_exists = |members: &[FleetMember], idx: usize| {
             members
@@ -721,8 +724,12 @@ impl Fleet {
             if state.admits_traffic() || !escape_exists(&self.members, idx) {
                 continue;
             }
-            let permanent = self.members[idx].instance.permanently_crashed();
-            let victims = self.members[idx].instance.drain_crash_victims(permanent);
+            let m = &mut self.members[idx];
+            let permanent = m.instance.permanently_crashed();
+            let mut victims = m.instance.drain_crash_victims(permanent);
+            if permanent {
+                victims.extend(m.instance.drain_stranded(m.scheduler.as_mut()));
+            }
             if !victims.is_empty() {
                 eng.enqueue_drained(victims, now);
             }
@@ -1218,7 +1225,15 @@ mod tests {
         let report = failover_fleet(1)
             .without_failover()
             .run(&failover_trace(), &mut RoundRobin::new());
-        assert_eq!(report.failover, FailoverStats::default());
+        // Nothing drains or migrates: the victim stays stranded on the
+        // dead member until the books close it as shed at run end.
+        assert_eq!(
+            report.failover,
+            FailoverStats {
+                stranded: report.shed() as u64,
+                ..FailoverStats::default()
+            }
+        );
         assert_eq!(report.finished() + report.shed(), report.total());
         assert!(
             report.shed() >= 1,

@@ -8,11 +8,35 @@
 //! (emit one token per slot, then pull out the slots that finished).
 //! [`DecodeBatch`] owns both loops; the engine keeps only its policy —
 //! what to do with the victims and how to retire a finished slot.
+//! [`computed_in_batch`] is the prefill-side counterpart: the overlap
+//! test an engine applies while forming a prefill batch.
 
 use crate::driver::ServeCtx;
 use crate::lease::{KvLease, LeaseTable};
 use crate::request::ReqId;
+use kvcache::Block;
 use simcore::SimTime;
+
+/// Whether a prompt already admitted to a prefill batch computes the
+/// first uncached block of `blocks`: some `batch` prompt holds that
+/// block, `blocks[cached]`, and every block before it. The candidate
+/// gains nothing by joining that batch — it would recompute KV its
+/// sibling is computing. Left for the next batch, it reuses the blocks
+/// the sibling migrates into the radix tree at prefill completion (the
+/// in-batch prefix check of SGLang's scheduler). A fully cached prompt
+/// has no uncached block and never matches.
+pub fn computed_in_batch<'a>(
+    batch: impl IntoIterator<Item = &'a [Block]>,
+    blocks: &[Block],
+    cached: usize,
+) -> bool {
+    let Some(first_new) = blocks.get(cached) else {
+        return false;
+    };
+    batch
+        .into_iter()
+        .any(|other| other.get(cached) == Some(first_new) && other[..cached] == blocks[..cached])
+}
 
 /// One request in the decode batch.
 #[derive(Debug)]

@@ -311,9 +311,17 @@ impl FaultPlan {
     /// or before `t` — the device it names never comes back, so work
     /// buffered behind it can safely be drained elsewhere.
     pub fn permanent_dead_at(&self, t: SimTime) -> bool {
+        self.first_permanent_start().is_some_and(|s| s <= t)
+    }
+
+    /// When the earliest [`FaultKind::GpuFailStopPermanent`] window
+    /// opens, if the plan has one.
+    pub fn first_permanent_start(&self) -> Option<SimTime> {
         self.windows
             .iter()
-            .any(|w| matches!(w.kind, FaultKind::GpuFailStopPermanent { .. }) && w.start <= t)
+            .filter(|w| matches!(w.kind, FaultKind::GpuFailStopPermanent { .. }))
+            .map(|w| w.start)
+            .min()
     }
 }
 

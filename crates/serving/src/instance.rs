@@ -323,6 +323,41 @@ impl Instance {
         out
     }
 
+    /// Drains the requests a permanent crash strands on this instance,
+    /// for migration like crash victims: delivered requests the engine
+    /// still holds waiting (released through [`Scheduler::on_shed`]) and
+    /// arrivals the watchdog is still deferring (their queued arrival
+    /// event finds them resolved and is skipped). Each is accounted shed
+    /// locally, in id order, with the crash instant — or its arrival, if
+    /// later — as its crash time. Take [`Instance::drain_crash_victims`]
+    /// first: running requests leave as victims, not here. A member
+    /// whose GPUs never die permanently strands nothing, so this returns
+    /// nothing until [`Instance::permanently_crashed`] holds.
+    pub fn drain_stranded(&mut self, scheduler: &mut dyn Scheduler) -> Vec<MigratableVictim> {
+        let Some(crash) = self.faults.first_permanent_start() else {
+            return Vec::new();
+        };
+        if crash > self.ctx.now {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        for id in 0..self.ctx.requests.len() {
+            if self.request_resolved(id)
+                || (self.delivered[id] && !scheduler.on_shed(id, &mut self.ctx))
+            {
+                continue;
+            }
+            self.ctx.metrics.mark_shed(id);
+            let spec = &self.ctx.requests[id];
+            out.push(MigratableVictim {
+                spec: spec.clone(),
+                crash_time: crash.max(spec.arrival),
+                tokens_emitted: self.ctx.metrics.tokens_emitted(id),
+            });
+        }
+        out
+    }
+
     /// Closes the books on a fully drained run: any request still
     /// neither finished nor shed (possible only when work is parked
     /// behind a permanently dead device, or arrivals were deferred past
@@ -468,9 +503,10 @@ impl Instance {
                 };
                 match ev {
                     Event::Arrival(id) => {
-                        // A hedge copy cancelled before delivery never
-                        // reaches the scheduler at all.
-                        if self.ctx.metrics.is_cancelled(id) {
+                        // A hedge copy cancelled before delivery, or a
+                        // deferred arrival drained off a crashed
+                        // instance, never reaches the scheduler at all.
+                        if self.request_resolved(id) {
                             continue;
                         }
                         if let Some(cfg) = self.watchdog {

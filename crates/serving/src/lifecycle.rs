@@ -51,6 +51,10 @@ pub struct EngineCounters {
     /// Arrival deliveries deferred with backoff because a severe fault
     /// window was active (the watchdog's bounded retry path).
     pub fault_retries: u64,
+    /// Waiting requests left out of a prefill batch because a request
+    /// already in it computes their first uncached block
+    /// ([`crate::computed_in_batch`]); each waits for the next batch.
+    pub prefix_skips: u64,
 }
 
 /// A transition that the state machine does not permit.
@@ -174,6 +178,12 @@ impl Lifecycle {
     /// change is reported separately via [`Lifecycle::requeue`]).
     pub fn record_preemption(&mut self) {
         self.counters.preemptions += 1;
+    }
+
+    /// Records a waiting request left out of the prefill batch being
+    /// formed (counter only; the request stays [`Stage::Queued`]).
+    pub fn record_prefix_skip(&mut self) {
+        self.counters.prefix_skips += 1;
     }
 }
 

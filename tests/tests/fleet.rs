@@ -8,16 +8,25 @@
 //! engine, healthy and crashing, and fleet reports must be bit-identical
 //! across thread counts and merge-barrier interleavings.
 
+use std::collections::BTreeSet;
+use std::sync::mpsc;
+
 use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::SoloPredictor;
-use fleet::{Fleet, HedgeConfig, HedgeStats, PathClass, PrefixAffinity, RoundRobin};
-use gpusim::{ClusterSpec, GpuSim};
+use fleet::{
+    Fleet, FleetReport, HealthConfig, HedgeConfig, HedgeStats, PathClass, PrefixAffinity,
+    RoundRobin,
+};
+use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId};
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
 use proptest::prelude::*;
-use serving::{Driver, FaultKind, FaultPlan, Report, Scheduler, SloSpec, WatchdogConfig};
+use serving::{
+    CrashVictim, Driver, EngineCounters, FaultKind, FaultPlan, LeaseTable, Report, ReqId,
+    Scheduler, ServeCtx, SloSpec, WatchdogConfig,
+};
 use simcore::{SimDuration, SimRng, SimTime};
-use workload::{generate, generate_fleet_stream, RequestSpec, WorkloadKind};
+use workload::{generate, generate_fleet_stream, ContentSpec, RequestSpec, WorkloadKind};
 
 fn engine_names() -> [&'static str; 7] {
     [
@@ -255,6 +264,219 @@ fn gray_spike_hedging_closes_books_through_real_engines() {
         "a request fell between the winner and the cancelled loser"
     );
     assert_eq!(one.leaked_leases(), 0, "hedge cancel leaked KV leases");
+}
+
+/// Forwards every callback to the wrapped engine and, after each one,
+/// records which offered requests (trace ids) the member has finished,
+/// whichever copy — primary, hedge or migrated victim — it held. The
+/// record is sent to `out` when the fleet drops the member at run end.
+struct Finishes {
+    inner: Box<dyn Scheduler>,
+    open: Vec<ReqId>,
+    done: Vec<u64>,
+    out: mpsc::Sender<Vec<u64>>,
+}
+
+impl Finishes {
+    fn new(inner: Box<dyn Scheduler>, out: mpsc::Sender<Vec<u64>>) -> Finishes {
+        Finishes {
+            inner,
+            open: Vec::new(),
+            done: Vec::new(),
+            out,
+        }
+    }
+
+    fn sweep(&mut self, ctx: &ServeCtx) {
+        let done = &mut self.done;
+        self.open.retain(|&id| {
+            let finished = ctx.is_finished(id);
+            if finished {
+                done.push(ctx.request(id).id);
+            }
+            !finished
+        });
+    }
+}
+
+impl Drop for Finishes {
+    fn drop(&mut self) {
+        let _ = self.out.send(std::mem::take(&mut self.done));
+    }
+}
+
+impl Scheduler for Finishes {
+    fn on_start(&mut self, ctx: &mut ServeCtx) {
+        self.inner.on_start(ctx);
+    }
+    fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
+        self.open.push(id);
+        self.inner.on_arrival(id, ctx);
+        self.sweep(ctx);
+    }
+    fn on_kernel_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+        self.inner.on_kernel_done(tag, ctx);
+        self.sweep(ctx);
+    }
+    fn on_transfer_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+        self.inner.on_transfer_done(tag, ctx);
+        self.sweep(ctx);
+    }
+    fn on_timer(&mut self, tag: u64, ctx: &mut ServeCtx) {
+        self.inner.on_timer(tag, ctx);
+        self.sweep(ctx);
+    }
+    fn groups(&self) -> Vec<GroupId> {
+        self.inner.groups()
+    }
+    fn streams(&self) -> Vec<(GroupId, CtxId)> {
+        self.inner.streams()
+    }
+    fn counters(&self) -> EngineCounters {
+        self.inner.counters()
+    }
+    fn lease_tables(&self) -> Vec<&LeaseTable> {
+        self.inner.lease_tables()
+    }
+    fn lease_tables_mut(&mut self) -> Vec<&mut LeaseTable> {
+        self.inner.lease_tables_mut()
+    }
+    fn on_fault(&mut self, active: &[FaultKind], ctx: &mut ServeCtx) {
+        self.inner.on_fault(active, ctx);
+    }
+    fn on_shed(&mut self, id: ReqId, ctx: &mut ServeCtx) -> bool {
+        self.inner.on_shed(id, ctx)
+    }
+    fn on_gpu_lost(&mut self, gpu: u32, cancelled: &[u64], ctx: &mut ServeCtx) -> Vec<CrashVictim> {
+        self.inner.on_gpu_lost(gpu, cancelled, ctx)
+    }
+    fn on_gpu_recovered(&mut self, gpu: u32, ctx: &mut ServeCtx) {
+        self.inner.on_gpu_recovered(gpu, ctx);
+        self.sweep(ctx);
+    }
+    fn decode_iter_stats(&self) -> (u64, u64) {
+        self.inner.decode_iter_stats()
+    }
+    fn set_macro_steps(&mut self, on: bool) {
+        self.inner.set_macro_steps(on);
+    }
+}
+
+/// Runs `fleet` on a worker thread; a run that has not returned after
+/// two minutes of wall time fails the test instead of hanging it (the
+/// runaway thread is left behind, it cannot be joined).
+fn run_with_deadline(fleet: Fleet, trace: Vec<RequestSpec>) -> FleetReport {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let _ = tx.send(fleet.run(&trace, &mut RoundRobin::new()));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(report) => {
+            run.join().expect("the run sent its report and exited");
+            report
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("Fleet::run did not return"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(run.join().expect_err("the run panicked"))
+        }
+    }
+}
+
+/// Requests queued on a MuxWise member when its GPU dies for good must
+/// not be stranded there. Member 1 runs a gray window and sheds every
+/// arrival, so each request routed to it while it is degraded is hedged
+/// onto a runner-up and its own copy shed. Member 0 takes one of those
+/// hedges on top of its share of long prompts and crashes permanently
+/// with it and others still queued: each must be drained and finish on
+/// the survivor, and the hedge pair must retire — a pair whose live
+/// copy stays stranded keeps re-arming the hedge check barrier, and
+/// `Fleet::run` never returns.
+#[test]
+fn permanent_crash_strands_no_queued_request() {
+    let cluster = ClusterSpec::dgx_a100();
+    let slo = SloSpec::llama8b();
+    let crash = FaultPlan::single(
+        FaultKind::GpuFailStopPermanent { gpu: 0 },
+        SimTime::from_secs(0.5),
+        SimTime::from_secs(1e9),
+    );
+    let spike = FaultPlan::single(
+        FaultKind::KernelLatencySpike {
+            mult: 20.0,
+            duration: SimDuration::from_secs(100.0),
+        },
+        SimTime::ZERO,
+        SimTime::from_secs(100.0),
+    );
+    let shed_all = WatchdogConfig {
+        queue_depth_cap: 0,
+        ..WatchdogConfig::default()
+    };
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut fleet = Fleet::new()
+        .with_hedging(HedgeConfig::default())
+        .with_health(HealthConfig {
+            gray_eject_after: SimDuration::from_secs(0.3),
+            ..HealthConfig::default()
+        });
+    let members = [
+        ("muxwise", crash, WatchdogConfig::default()),
+        ("chunked", spike, shed_all),
+        ("muxwise", FaultPlan::none(), WatchdogConfig::default()),
+    ];
+    for (i, (name, plan, watchdog)) in members.into_iter().enumerate() {
+        let driver = Driver::new(GpuSim::from_cluster(&cluster), Vec::new(), slo)
+            .with_faults(plan)
+            .with_watchdog(watchdog);
+        let engine = Finishes::new(build(name), done_tx.clone());
+        fleet.push(
+            driver,
+            Box::new(engine),
+            PathClass::SingleNode,
+            format!("{name}#{i}"),
+        );
+    }
+    let trace: Vec<RequestSpec> = (0..24u64)
+        .map(|i| RequestSpec {
+            id: i,
+            arrival: SimTime::from_secs(0.05 * (i + 1) as f64),
+            session: 100 + i,
+            turn: 0,
+            content: ContentSpec::single(100 + i, 30_000),
+            prior_context: 0,
+            output_tokens: 8,
+        })
+        .collect();
+    let offered: BTreeSet<u64> = trace.iter().map(|r| r.id).collect();
+    let report = run_with_deadline(fleet, trace);
+    let hedge = report.hedge;
+    assert_eq!(
+        hedge.launched,
+        hedge.primary_wins + hedge.hedge_wins + hedge.no_winner,
+        "every hedge pair must retire: {hedge:?}"
+    );
+    assert!(
+        hedge.no_winner >= 1,
+        "a hedged copy must have been drained off the crashed member after its twin was shed: {hedge:?}"
+    );
+    let failover = &report.failover;
+    assert!(
+        failover.drained > report.reports[0].recovery.crash_victims,
+        "queued requests must leave the crashed member with its crash victims: {failover:?}"
+    );
+    assert_eq!(failover.migrated, failover.drained, "{failover:?}");
+    assert_eq!(
+        failover.migrated_finished, failover.migrated,
+        "{failover:?}"
+    );
+    assert_eq!(failover.stranded, 0, "{failover:?}");
+    assert_eq!(
+        report.finished() + report.shed() + report.cancelled(),
+        report.total()
+    );
+    assert_eq!(report.leaked_leases(), 0);
+    let done: BTreeSet<u64> = done_rx.try_iter().flatten().collect();
+    assert_eq!(done, offered, "every offered request must finish");
 }
 
 proptest! {
