@@ -624,18 +624,16 @@ impl MuxWise {
             return;
         }
         self.try_apply_partition(ctx);
-        // If the partition is stale (decode mid-iteration holds its
-        // context busy) and prefill would run badly undersized, defer to
-        // the next decode boundary — `launch_decode` re-launches prefill
-        // right after applying the partition.
-        let desired = self.desired_decode_sms(ctx);
-        let current_prefill = self.sm_count - self.decode_sms;
-        let desired_prefill = self.sm_count - desired;
-        if desired != self.decode_sms && current_prefill * 2 < desired_prefill {
-            return;
-        }
         let job = self.prefill.as_ref().expect("checked");
         let batch: Vec<SeqState> = job.reqs.iter().map(|r| r.seq).collect();
+        // If the partition is stale (decode mid-iteration holds its
+        // context busy), the phase may wait for the next decode boundary
+        // — `launch_decode` re-launches prefill right after applying the
+        // partition.
+        let desired = self.desired_decode_sms(ctx);
+        if desired != self.decode_sms && self.defer_to_decode_boundary(desired, &batch, ctx) {
+            return;
+        }
         let remaining = self.model.num_layers - job.layers_done;
         let layers_done = job.layers_done;
         let gen = job.gen;
@@ -671,6 +669,53 @@ impl MuxWise {
             job.layers_inflight = remaining;
             job.layers_done = self.model.num_layers - remaining;
         }
+    }
+
+    /// Whether the current prefill phase should wait for the in-flight
+    /// decode iteration's boundary instead of launching on the stale
+    /// partition, whose decode side differs from `desired`. It waits
+    /// when it would run badly undersized (under half the SMs it is
+    /// due), when decode misses its TBT budget on its current SMs (the
+    /// best fit is larger), or when waiting rescues its earliest
+    /// request's TTFT: the remaining layers miss the deadline on the
+    /// current prefill SMs but meet it on the desired ones after the
+    /// iteration's predicted end.
+    fn defer_to_decode_boundary(&self, desired: u32, batch: &[SeqState], ctx: &ServeCtx) -> bool {
+        if !self.cfg.backend.can_reconfigure() {
+            return false; // static slicing: the boundary changes nothing
+        }
+        let current_prefill = self.sm_count - self.decode_sms;
+        let desired_prefill = self.sm_count - desired;
+        if current_prefill * 2 < desired_prefill {
+            return true;
+        }
+        let (Some(inflight), Some(job)) = (self.decode_inflight, self.prefill.as_ref()) else {
+            return false;
+        };
+        if desired > self.decode_sms {
+            // With prefill present the best fit targets the full TBT
+            // budget, so decode misses it where it is. In fault mode the
+            // largest partition is a precaution, not a predicted miss.
+            return !self.fault_mode;
+        }
+        let now = ctx.now();
+        let deadline = job.earliest_arrival + self.slo.ttft;
+        let frac = (self.model.num_layers - job.layers_done) as f64 / self.model.num_layers as f64;
+        let predictor = &self.est.predictor;
+        let on_current =
+            now + SimDuration::from_secs(predictor.prefill_latency(current_prefill, batch) * frac);
+        if on_current <= deadline {
+            return false;
+        }
+        let t_decode = predictor.decode_latency_agg(
+            self.decode_sms,
+            self.decode.context_sum(),
+            self.decode.len(),
+        );
+        let boundary = (inflight.ready_at + SimDuration::from_secs(t_decode)).max(now);
+        let on_desired = boundary
+            + SimDuration::from_secs(predictor.prefill_latency(desired_prefill, batch) * frac);
+        on_desired <= deadline
     }
 
     fn layers_to_launch(&self, batch: &[SeqState], remaining: u32) -> u32 {
@@ -801,6 +846,10 @@ impl MuxWise {
                 self.decode.push(self.pending_join.remove(0));
             }
             if self.decode.is_empty() {
+                // A prefill phase deferred to this boundary still
+                // launches (after applying the partition it waited
+                // for): nothing else would launch it.
+                self.launch_prefill_layers(ctx);
                 return;
             }
         }
@@ -828,6 +877,7 @@ impl MuxWise {
                 self.lifecycle.requeue(id);
             }
             if self.decode.is_empty() {
+                self.launch_prefill_layers(ctx);
                 return;
             }
         }
@@ -911,8 +961,10 @@ impl MuxWise {
         self.retired_scratch = retired;
         if !self.cfg.query_sync && self.prefill.is_some() {
             // Ablation: block the next decode launch on the prefill
-            // phase's completion (the stall of Fig. 19).
+            // phase's completion (the stall of Fig. 19). A phase deferred
+            // to this boundary must launch now, or both sides wait.
             self.decode_blocked = true;
+            self.launch_prefill_layers(ctx);
             return;
         }
         self.launch_decode(ctx);
@@ -1521,6 +1573,185 @@ mod tests {
             (hit - prior_share).abs() <= 0.02,
             "pool hit share {hit} vs prior-context share {prior_share}"
         );
+    }
+
+    /// What the engine did with a prompt that arrived while decode held
+    /// a partition widened during a pure-decode stretch.
+    #[derive(Debug)]
+    struct LateArrival {
+        /// Decode SMs when the prompt arrived.
+        decode_sms: u32,
+        /// Its prefill phase existed but launched no layer on arrival.
+        deferred: bool,
+        /// Time from arrival to its first layer launch.
+        launch_wait: f64,
+        /// Time from arrival to the next decode launch.
+        boundary_wait: f64,
+        /// Prefill SMs of every step that had its layers in flight.
+        prefill_sms: Vec<u32>,
+        /// Upper bound on its TTFT (the step that saw its first token).
+        ttft: f64,
+    }
+
+    /// Llama-70B on 8×A100: sixteen 1,000-token chat requests arrive at
+    /// t = 0 and decode alone, so the dispatcher widens decode past the
+    /// minimum partition; a `tokens`-token prompt then arrives 14 ms
+    /// before the end of a decode iteration.
+    fn prompt_after_decode_widens(tokens: u64) -> LateArrival {
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama70b();
+        let slo = SloSpec::llama70b();
+        let est = Estimators::profile(&model, &cluster, 8);
+        let late: ReqId = 16;
+        let at = 3.004;
+        let mut reqs: Vec<RequestSpec> = (0..16).map(|i| turn(i, 0.0, i, 1_000, 200)).collect();
+        reqs.push(turn(16, at * 1e3, 99, tokens, 4));
+        let cfg = MuxWiseConfig::default();
+        let mut engine = MuxWise::new(&model, &cluster, 8, slo, est, cfg);
+        let mut inst =
+            Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);
+        let arrival = SimTime::from_secs(at);
+        inst.step_until(&mut engine, arrival);
+        assert!(
+            engine.decode_inflight.is_some(),
+            "decode idle at the arrival"
+        );
+        inst.step_until(&mut engine, arrival + SimDuration::from_nanos(1));
+        let job = engine.prefill.as_ref().expect("the prompt starts a phase");
+        assert_eq!(job.reqs[0].id, late);
+        let mut seen = LateArrival {
+            decode_sms: engine.decode_sms,
+            deferred: job.layers_inflight == 0,
+            launch_wait: f64::NAN,
+            boundary_wait: f64::NAN,
+            prefill_sms: Vec::new(),
+            ttft: f64::NAN,
+        };
+        let iters = engine.decode_iters;
+        let mut t = at;
+        while inst.serve_ctx().tokens_emitted(late) == 0 {
+            if seen.boundary_wait.is_nan() && engine.decode_iters > iters {
+                seen.boundary_wait = t - at;
+            }
+            if let Some(job) = engine.prefill.as_ref().filter(|j| j.layers_inflight > 0) {
+                if seen.launch_wait.is_nan() {
+                    seen.launch_wait = t - at;
+                }
+                debug_assert_eq!(job.reqs[0].id, late);
+                seen.prefill_sms.push(engine.prefill_sms());
+            }
+            t += 0.25e-3;
+            inst.step_until(&mut engine, SimTime::from_secs(t));
+        }
+        seen.ttft = t - at;
+        inst.step_until(&mut engine, SimTime::MAX);
+        let (rep, _) = inst.finish(&mut engine);
+        assert_eq!(rep.finished, rep.total);
+        seen
+    }
+
+    #[test]
+    fn prefill_waits_one_decode_boundary_when_that_rescues_its_ttft() {
+        let sm_count = ClusterSpec::dgx_a100().gpu.sm_count;
+        let est = Estimators::profile(&ModelSpec::llama70b(), &ClusterSpec::dgx_a100(), 8);
+        let tokens = 3_300;
+        let seen = prompt_after_decode_widens(tokens);
+        // Finishing on the stale partition misses the 500 ms target;
+        // the minimum decode partition leaves prefill enough SMs to
+        // meet it after one decode iteration.
+        let batch = [SeqState::new(tokens, 0)];
+        assert!(seen.decode_sms > 16, "decode never widened: {seen:?}");
+        assert!(
+            est.predictor
+                .prefill_latency(sm_count - seen.decode_sms, &batch)
+                > 0.5
+        );
+        assert!(est.predictor.prefill_latency(sm_count - 16, &batch) < 0.45);
+        assert!(seen.deferred, "{seen:?}");
+        assert!(seen.launch_wait > 0.0, "{seen:?}");
+        assert_eq!(seen.launch_wait, seen.boundary_wait, "{seen:?}");
+        assert!(
+            seen.prefill_sms.iter().all(|&s| s == sm_count - 16),
+            "{seen:?}"
+        );
+        assert!(seen.ttft <= 0.5, "{seen:?}");
+    }
+
+    #[test]
+    fn prefill_launches_at_once_when_waiting_cannot_change_its_ttft() {
+        let sm_count = ClusterSpec::dgx_a100().gpu.sm_count;
+        // 1,500 tokens meet 500 ms on either partition; 8,000 miss it
+        // on both.
+        for (tokens, meets) in [(1_500, true), (8_000, false)] {
+            let seen = prompt_after_decode_widens(tokens);
+            assert!(seen.decode_sms > 16, "decode never widened: {seen:?}");
+            assert!(!seen.deferred, "{tokens} tokens: {seen:?}");
+            assert_eq!(seen.launch_wait, 0.0, "{tokens} tokens: {seen:?}");
+            assert_eq!(
+                seen.prefill_sms[0],
+                sm_count - seen.decode_sms,
+                "{tokens} tokens: {seen:?}"
+            );
+            assert_eq!(seen.ttft <= 0.5, meets, "{tokens} tokens: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn decode_widens_at_its_boundary_while_prefill_work_remains() {
+        // Llama-70B on 8×A100: 400 chat requests arrive at once. Prefill
+        // batches run back to back for about 20 s, each one growing the
+        // decode batch, until 16 SMs no longer meet the TBT target. The
+        // next prefill launch must yield one decode boundary so decode
+        // can widen; otherwise decode holds 16 SMs until prefill drains.
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama70b();
+        let slo = SloSpec::llama70b();
+        let est = Estimators::profile(&model, &cluster, 8);
+        let reqs: Vec<RequestSpec> = (0..400).map(|i| turn(i, 0.0, i, 400, 200)).collect();
+        let cfg = MuxWiseConfig::default();
+        let mut engine = MuxWise::new(&model, &cluster, 8, slo, est, cfg);
+        let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).run(&mut engine);
+        assert_eq!(rep.finished, rep.total);
+        let log = engine.partition_log();
+        let (widened, _) = *log
+            .iter()
+            .find(|&&(_, sms)| sms > 16)
+            .expect("decode never widened");
+        // Every request arrived at 0, so the largest TTFT is when the
+        // last prefill phase ended.
+        assert!(
+            widened.as_secs() + 1.0 < rep.ttft.max(),
+            "decode widened at {widened} after prefill drained ({} s): {log:?}",
+            rep.ttft.max()
+        );
+        assert!(
+            rep.tbt.p99() <= slo.tbt.as_secs(),
+            "P99 TBT {}",
+            rep.tbt.p99()
+        );
+    }
+
+    #[test]
+    fn deferred_prefill_relaunches_when_its_boundary_empties_decode() {
+        // Single A100, Llama-8B: a short request decodes alone on a
+        // widened partition while a long prompt arrives. When the
+        // iteration the prompt waits for retires the last decoder, that
+        // empty boundary must still launch the deferred phase.
+        let cluster = ClusterSpec::single_a100();
+        let model = ModelSpec::llama8b();
+        let slo = SloSpec::llama8b();
+        let est = Estimators::profile(&model, &cluster, 1);
+        for k in 0..800 {
+            let second = turn(1, 50.0 + 2.5 * k as f64, 1, 4_000, 4);
+            let reqs = vec![turn(0, 0.0, 0, 500, 20), second];
+            let cfg = MuxWiseConfig::default();
+            let mut engine = MuxWise::new(&model, &cluster, 1, slo, est.clone(), cfg);
+            let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).run(&mut engine);
+            assert_eq!(rep.finished, rep.total, "k = {k}: a request was stranded");
+            assert_eq!(rep.counters.leaked_leases, 0, "k = {k}");
+            let table = engine.table.as_ref().expect("started");
+            assert_eq!(table.outstanding(), 0, "k = {k}: a lease is still held");
+        }
     }
 
     #[test]

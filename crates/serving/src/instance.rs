@@ -75,7 +75,6 @@ pub struct Instance {
     watchdog: Option<WatchdogConfig>,
     // Watchdog bookkeeping (allocated even when disabled — the vecs are
     // cheap and keep the loop branch-light).
-    delivered: Vec<bool>,
     shed_attempted: Vec<bool>,
     defer_count: Vec<u32>,
     /// Delivered-but-tokenless requests watched for deadline shedding,
@@ -157,7 +156,6 @@ impl Instance {
             stalled,
             faults,
             watchdog,
-            delivered: vec![false; n],
             shed_attempted: vec![false; n],
             defer_count: vec![0u32; n],
             watchlist: Vec::new(),
@@ -184,17 +182,18 @@ impl Instance {
         self.ctx.requests.len()
     }
 
-    /// Delivered requests that are neither finished nor shed — the
-    /// router's queue-depth signal.
+    /// Delivered requests that are neither finished, shed nor
+    /// cancelled — the router's queue-depth signal.
     pub fn in_flight(&self) -> usize {
-        (0..self.delivered.len())
-            .filter(|&i| {
-                self.delivered[i]
-                    && !self.ctx.metrics.is_finished(i)
-                    && !self.ctx.metrics.is_shed(i)
-                    && !self.ctx.metrics.is_cancelled(i)
-            })
-            .count()
+        let metrics = &self.ctx.metrics;
+        debug_assert_eq!(
+            metrics.in_flight(),
+            (0..self.ctx.requests.len())
+                .filter(|&i| metrics.is_delivered(i) && !self.request_resolved(i))
+                .count(),
+            "in-flight count drifted from the delivery and resolution marks"
+        );
+        metrics.in_flight()
     }
 
     /// Number of currently fail-stopped GPUs — the router's health
@@ -262,9 +261,7 @@ impl Instance {
     /// (finished, shed, or cancelled) — the hedge engine's
     /// pair-retirement predicate.
     pub fn request_resolved(&self, id: ReqId) -> bool {
-        self.ctx.metrics.is_finished(id)
-            || self.ctx.metrics.is_shed(id)
-            || self.ctx.metrics.is_cancelled(id)
+        self.ctx.metrics.is_resolved(id)
     }
 
     /// Cancels a request: the losing copy of a hedged pair. If the
@@ -343,7 +340,7 @@ impl Instance {
         let mut out = Vec::new();
         for id in 0..self.ctx.requests.len() {
             if self.request_resolved(id)
-                || (self.delivered[id] && !scheduler.on_shed(id, &mut self.ctx))
+                || (self.ctx.metrics.is_delivered(id) && !scheduler.on_shed(id, &mut self.ctx))
             {
                 continue;
             }
@@ -395,7 +392,6 @@ impl Instance {
         self.ctx.queue.push(spec.arrival, Event::Arrival(id));
         self.ctx.metrics.push_request();
         self.ctx.requests.push(spec);
-        self.delivered.push(false);
         self.shed_attempted.push(false);
         self.defer_count.push(0);
         id
@@ -531,7 +527,7 @@ impl Instance {
                             }
                             self.watchlist.push(id);
                         }
-                        self.delivered[id] = true;
+                        self.ctx.metrics.mark_delivered(id);
                         scheduler.on_arrival(id, &mut self.ctx);
                     }
                     Event::Timer(tag) => scheduler.on_timer(tag, &mut self.ctx),
@@ -892,6 +888,25 @@ mod tests {
         assert_eq!(out, StepOutcome::Idle);
         assert_eq!(inst.in_flight(), 0);
         assert_eq!(inst.num_requests(), 1);
+    }
+
+    #[test]
+    fn in_flight_counts_delivered_unresolved_requests() {
+        let reqs = vec![req(0, 0.0, 1), req(1, 0.0, 1), req(2, 0.0, 1)];
+        let mut sched = oneshot();
+        let mut inst = driver(reqs).into_instance(&mut sched);
+        assert_eq!(inst.in_flight(), 0);
+        inst.step_until(&mut sched, SimTime::from_secs(0.005));
+        assert_eq!(inst.in_flight(), 3);
+        // A running copy is detached: cancelled now, finished later.
+        assert_eq!(inst.cancel(&mut sched, 2), CancelOutcome::Detached);
+        assert_eq!(inst.in_flight(), 2);
+        inst.step_until(&mut sched, SimTime::from_secs(0.015));
+        assert_eq!(inst.in_flight(), 1);
+        inst.step_until(&mut sched, SimTime::MAX);
+        assert_eq!(inst.in_flight(), 0);
+        let (rep, _) = inst.finish(&mut sched);
+        assert_eq!((rep.finished, rep.cancelled), (2, 1));
     }
 
     #[test]

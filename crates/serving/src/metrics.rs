@@ -17,6 +17,11 @@ pub struct MetricsRecorder {
     /// class next to `finished` and `shed`, so duplicate copies never
     /// inflate latency summaries or completion rates.
     cancelled: Vec<bool>,
+    /// Requests handed to the scheduler.
+    delivered: Vec<bool>,
+    /// Delivered requests not yet finished, shed or cancelled, kept
+    /// where each of those is recorded.
+    in_flight: usize,
     /// TBT target tracked live for the recovery-time metric; `None`
     /// (the default) skips the tracking entirely.
     tbt_threshold: Option<f64>,
@@ -39,6 +44,8 @@ impl MetricsRecorder {
             total_tokens: 0,
             shed: vec![false; n],
             cancelled: vec![false; n],
+            delivered: vec![false; n],
+            in_flight: 0,
             tbt_threshold: None,
             last_tbt_violation_at: None,
             fin_count: 0,
@@ -55,12 +62,47 @@ impl MetricsRecorder {
         self.runtimes.push(ReqRuntime::new());
         self.shed.push(false);
         self.cancelled.push(false);
+        self.delivered.push(false);
+    }
+
+    /// Records that `req` reached the scheduler.
+    pub(crate) fn mark_delivered(&mut self, req: ReqId) {
+        if !self.delivered[req] && !self.is_resolved(req) {
+            self.in_flight += 1;
+        }
+        self.delivered[req] = true;
+    }
+
+    /// Whether `req` reached the scheduler.
+    pub(crate) fn is_delivered(&self, req: ReqId) -> bool {
+        self.delivered[req]
+    }
+
+    /// Delivered requests that are neither finished, shed nor
+    /// cancelled.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Whether `req` reached a terminal class: finished, shed or
+    /// cancelled.
+    pub(crate) fn is_resolved(&self, req: ReqId) -> bool {
+        self.runtimes[req].finished_at.is_some() || self.shed[req] || self.cancelled[req]
+    }
+
+    /// Called before `req` is marked finished, shed or cancelled: its
+    /// first terminal mark takes a delivered request out of flight.
+    fn settle(&mut self, req: ReqId) {
+        if self.delivered[req] && !self.is_resolved(req) {
+            self.in_flight -= 1;
+        }
     }
 
     /// Marks a request as shed by the overload watchdog. Shed requests
     /// count as `shed` in the report and are excluded from the stability
     /// criterion's denominator.
     pub fn mark_shed(&mut self, req: ReqId) {
+        self.settle(req);
         self.shed[req] = true;
     }
 
@@ -74,6 +116,7 @@ impl MetricsRecorder {
     /// and the finished count, but still admitted — the fleet books
     /// close as `finished + shed + cancelled == admitted`.
     pub fn mark_cancelled(&mut self, req: ReqId) {
+        self.settle(req);
         self.cancelled[req] = true;
     }
 
@@ -131,6 +174,7 @@ impl MetricsRecorder {
     /// kept out of the latency totals — a duplicate's latency says
     /// nothing about the member's health.
     pub fn finish(&mut self, req: ReqId, now: SimTime, arrival: SimTime) {
+        self.settle(req);
         let r = &mut self.runtimes[req];
         r.finished_at = Some(now);
         if self.cancelled.get(req).copied().unwrap_or(false) {

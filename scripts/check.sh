@@ -72,6 +72,8 @@ cargo clippy --all-targets -- -D warnings
 cargo run --release -q -p simlint
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 cargo test -q
+# The benchmark's own tests, including its catalog matching BENCHMARK.json.
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo run --release -q -p bench --bin chaos -- --smoke
 cargo run --release -q -p bench --bin chaos -- --recovery-smoke
 cargo run --release -q -p bench --bin fleet -- --smoke

@@ -127,6 +127,50 @@ fn macro_stepping_is_bit_identical_for_every_engine() {
     }
 }
 
+/// Llama-70B MuxWise widens decode during pure-decode stretches and then
+/// defers prefill launches to decode boundaries, a path the Llama-8B
+/// engines above never reach: macro on == macro off there too, clean
+/// and under crashes.
+#[test]
+fn macro_stepping_is_bit_identical_for_muxwise_on_llama70b() {
+    let cluster = ClusterSpec::dgx_a100();
+    let model = ModelSpec::llama70b();
+    let slo = SloSpec::llama70b();
+    let est = Estimators::profile(&model, &cluster, 8);
+    let plans = [
+        FaultPlan::default(),
+        FaultPlan::generate_with_crashes(0xC4A5, 0.8, 15.0, 8),
+    ];
+    for plan in &plans {
+        let run = |macro_steps: bool| {
+            let cfg = MuxWiseConfig::default();
+            let mut engine = MuxWise::new(&model, &cluster, 8, slo, est.clone(), cfg);
+            engine.set_macro_steps(macro_steps);
+            let mut rng = SimRng::seed_from(0x70B);
+            let reqs = generate(WorkloadKind::Conversation, 40, 1.0, &mut rng);
+            let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo)
+                .with_max_sim_time(SimTime::from_secs(600.0))
+                .with_faults(plan.clone())
+                .with_watchdog(WatchdogConfig::default())
+                .run(&mut engine);
+            (
+                rep,
+                engine.partition_log().to_vec(),
+                engine.decode_iter_stats(),
+            )
+        };
+        let (fast, fast_log, (iters, coalesced)) = run(true);
+        let (slow, slow_log, _) = run(false);
+        assert_eq!(fast, slow, "macro-stepped report diverged from single-step");
+        assert_eq!(fast_log, slow_log, "partition logs diverged");
+        assert!(iters > 0 && coalesced > 0, "fast path never armed");
+        assert!(
+            fast_log.iter().any(|&(_, sms)| sms > 16),
+            "decode never widened: {fast_log:?}"
+        );
+    }
+}
+
 /// Back-to-back runs in one process equal each other exactly: no state
 /// (scratch buffers, slab generations, estimator caches) leaks between
 /// runs through anything process-global.
