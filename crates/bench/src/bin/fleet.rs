@@ -4,7 +4,9 @@
 //! SGLang-PD split-path instances), replays one global session stream
 //! through a router policy, and reports fleet goodput plus
 //! routing-quality columns: prefix-cache hit rate at the router, request
-//! load imbalance, and crash-driven reroutes. The headline grid point is
+//! load imbalance, and crash-driven reroutes. Each row also records the
+//! wall-clock seconds of its fleet run (`wall_s`, `events_per_wall_s`),
+//! the only columns that differ between hosts. The headline grid point is
 //! re-run at several thread counts to demonstrate bit-identical replay
 //! (`identical_results` in `BENCH_fleet.json`).
 //!
@@ -13,6 +15,7 @@
 //! thread-count identity) — wired into `scripts/check.sh` as
 //! `fleet-smoke`.
 
+use bench::sweep::wall_timed;
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
 use fleet::{Fleet, FleetReport, PathClass, PrefixAffinity, RoundRobin, RoutePolicy};
@@ -91,10 +94,13 @@ fn trace_for(size: usize, sessions: usize, rate: f64) -> Vec<RequestSpec> {
     )
 }
 
-fn run_point(tb: &Testbed, p: &FleetPoint) -> FleetReport {
+/// Runs one point and returns its report with the wall-clock seconds of
+/// the fleet run alone (trace generation and fleet set-up excluded).
+fn run_point(tb: &Testbed, p: &FleetPoint) -> (FleetReport, f64) {
     let trace = trace_for(p.size, p.sessions, p.rate);
     let mut policy = make_policy(p.policy);
-    build_fleet(tb, p).run(&trace, policy.as_mut())
+    let fleet = build_fleet(tb, p);
+    wall_timed(|| fleet.run(&trace, policy.as_mut()))
 }
 
 fn assert_invariants(label: &str, report: &FleetReport) {
@@ -106,7 +112,7 @@ fn assert_invariants(label: &str, report: &FleetReport) {
     );
 }
 
-fn row_json(p: &FleetPoint, report: &FleetReport) -> serde_json::Value {
+fn row_json(p: &FleetPoint, report: &FleetReport, wall_s: f64) -> serde_json::Value {
     serde_json::json!({
         "size": p.size, "policy": p.policy, "rate_per_instance": p.rate,
         "requests": report.total(), "finished": report.finished(),
@@ -121,6 +127,10 @@ fn row_json(p: &FleetPoint, report: &FleetReport) -> serde_json::Value {
         "single_routed": report.routing.single_routed,
         "makespan_s": report.makespan_secs(),
         "events": report.total_events(),
+        // Wall-clock cost of the fleet run on the recording host (see
+        // `threads`); not replay-stable, unlike every other column.
+        "wall_s": wall_s,
+        "events_per_wall_s": report.total_events() as f64 / wall_s,
         "crashed_instances": p.crash_every.map_or(0, |k| p.size.div_ceil(k)),
         "threads": p.threads,
         // Fleet failover tier: migrated-victim recovery-class split. A
@@ -140,9 +150,9 @@ fn row_json(p: &FleetPoint, report: &FleetReport) -> serde_json::Value {
     })
 }
 
-fn print_row(p: &FleetPoint, report: &FleetReport) {
+fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64) {
     println!(
-        "{:>5} inst  {:<15} rate {:>4.2}/s  goodput {:>9.0} tok/s  ttft-att {:>5.1}%  hit {:>5.1}%  imbal {:>4.2}  reroutes {:>3}  split {:>4}  shed {:>4}  migr {:>3} ({:>2} cached / {:>2} reprefill)",
+        "{:>5} inst  {:<15} rate {:>4.2}/s  goodput {:>9.0} tok/s  ttft-att {:>5.1}%  hit {:>5.1}%  imbal {:>4.2}  reroutes {:>3}  split {:>4}  shed {:>4}  migr {:>3} ({:>2} cached / {:>2} reprefill)  wall {:>6.2} s",
         p.size,
         p.policy,
         p.rate,
@@ -156,6 +166,7 @@ fn print_row(p: &FleetPoint, report: &FleetReport) {
         report.failover.migrated,
         report.failover.replica_hit,
         report.failover.reprefill,
+        wall_s,
     );
 }
 
@@ -174,9 +185,9 @@ fn smoke() {
             split_every: Some(4),
             threads: 1,
         };
-        let one = run_point(&tb, &p);
+        let (one, _) = run_point(&tb, &p);
         assert_invariants(&format!("smoke/{policy}"), &one);
-        let two = run_point(&tb, &FleetPoint { threads: 2, ..p });
+        let (two, _) = run_point(&tb, &FleetPoint { threads: 2, ..p });
         assert_eq!(
             one, two,
             "smoke/{policy}: thread count changed the fleet report"
@@ -213,10 +224,10 @@ fn main() {
                 split_every: None,
                 threads: bench::sweep::num_threads(),
             };
-            let report = run_point(&tb, &p);
+            let (report, wall) = run_point(&tb, &p);
             assert_invariants(&format!("{size}/{policy}"), &report);
-            print_row(&p, &report);
-            let row = row_json(&p, &report);
+            print_row(&p, &report, wall);
+            let row = row_json(&p, &report, wall);
             save_record("fleet", &row);
             rows.push(row);
         }
@@ -234,10 +245,10 @@ fn main() {
                 split_every: None,
                 threads: bench::sweep::num_threads(),
             };
-            let report = run_point(&tb, &p);
+            let (report, wall) = run_point(&tb, &p);
             assert_invariants(&format!("rate{rate}/{policy}"), &report);
-            print_row(&p, &report);
-            let row = row_json(&p, &report);
+            print_row(&p, &report, wall);
+            let row = row_json(&p, &report, wall);
             save_record("fleet", &row);
             rows.push(row);
         }
@@ -254,14 +265,14 @@ fn main() {
             split_every: None,
             threads: bench::sweep::num_threads(),
         };
-        let report = run_point(&tb, &p);
+        let (report, wall) = run_point(&tb, &p);
         assert_invariants(&format!("crash/{policy}"), &report);
         assert!(
             report.routing.rerouted_on_crash > 0,
             "{policy}: a 10s outage on 2 instances should force reroutes"
         );
-        print_row(&p, &report);
-        let row = row_json(&p, &report);
+        print_row(&p, &report, wall);
+        let row = row_json(&p, &report, wall);
         save_record("fleet", &row);
         rows.push(row);
     }
@@ -277,10 +288,10 @@ fn main() {
             split_every: Some(4),
             threads: bench::sweep::num_threads(),
         };
-        let report = run_point(&tb, &p);
+        let (report, wall) = run_point(&tb, &p);
         assert_invariants("mixed", &report);
-        print_row(&p, &report);
-        let row = row_json(&p, &report);
+        print_row(&p, &report, wall);
+        let row = row_json(&p, &report, wall);
         save_record("fleet", &row);
         rows.push(row);
     }
@@ -297,8 +308,8 @@ fn main() {
         split_every: None,
         threads: 1,
     };
-    let sequential = run_point(&tb, &headline);
-    let threaded = run_point(
+    let (sequential, _) = run_point(&tb, &headline);
+    let (threaded, _) = run_point(
         &tb,
         &FleetPoint {
             threads: 4,

@@ -51,6 +51,16 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Runs `f` and returns its result with the wall-clock seconds it took,
+/// for reporting-only throughput columns; the reading never feeds
+/// simulation state.
+#[allow(clippy::disallowed_methods)]
+pub fn wall_timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// Applies `f` to every item on a scoped worker pool and returns the
 /// results in item order — the parallel equivalent of
 /// `items.iter().map(f).collect()`, bit-identical as long as `f` is a

@@ -14,7 +14,7 @@
 //!
 //! Determinism: drains happen in `(crash_time, id)` order, the queue is
 //! totally ordered by `(due, seq)`, and target picking
-//! ([`pick_migration_target`]) is a strict-`>` argmax over the same
+//! ([`pick_migration_target`]) orders members over the same
 //! [`InstanceSignals`] snapshot the router reads — lowest index wins
 //! ties. Nothing here reads wall clocks or unordered maps.
 
@@ -24,7 +24,7 @@ use serving::{MigratableVictim, ReqId};
 use simcore::stats::Summary;
 use simcore::{SimDuration, SimTime};
 
-use crate::router::InstanceSignals;
+use crate::router::{most_cached_member, InstanceSignals};
 
 /// Fleet-level failover knobs.
 #[derive(Debug, Clone, Copy)]
@@ -99,24 +99,10 @@ struct PendingMigration {
 
 /// Picks a migration target: the routable member holding the most of
 /// the victim's prefix, queue depth breaking ties, lowest index breaking
-/// the rest. Returns `None` when no member is routable.
+/// the rest (`most_cached_member`). Returns `None` when no member is
+/// routable.
 pub fn pick_migration_target(signals: &[InstanceSignals]) -> Option<usize> {
-    let mut best: Option<(usize, u64, usize)> = None;
-    for (idx, s) in signals.iter().enumerate() {
-        if !s.routable() {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((_, hit, depth)) => {
-                s.prefix_hit_tokens > hit || (s.prefix_hit_tokens == hit && s.queue_depth < depth)
-            }
-        };
-        if better {
-            best = Some((idx, s.prefix_hit_tokens, s.queue_depth));
-        }
-    }
-    best.map(|(idx, _, _)| idx)
+    most_cached_member(signals, |_, _| true)
 }
 
 /// The fleet's migration queue plus patrol schedule. Constructed only
@@ -309,6 +295,7 @@ mod tests {
     fn sig(hit: u64, depth: usize, routable: bool) -> InstanceSignals {
         InstanceSignals {
             queue_depth: depth,
+            prefill_backlog_tokens: 0,
             prefix_hit_tokens: hit,
             input_tokens: 1000,
             healthy: routable,

@@ -38,7 +38,7 @@
 use serving::ReqId;
 use simcore::{SimDuration, SimTime};
 
-use crate::router::InstanceSignals;
+use crate::router::{most_cached_member, InstanceSignals};
 
 /// Hedged-dispatch and overload-control knobs.
 #[derive(Debug, Clone, Copy)]
@@ -258,29 +258,13 @@ impl HedgeEngine {
     }
 
     /// Picks the runner-up member for a hedge: the best routable member
-    /// other than the primary, under the queue watermark, by prefix hit
-    /// (desc), then queue depth (asc), then index (asc) — the same
-    /// deterministic ordering the failover target picker uses.
+    /// other than the primary, under the queue watermark, in the
+    /// failover target order (`most_cached_member`: prefix hit desc,
+    /// queue depth asc, index asc).
     pub fn pick_runner_up(&self, signals: &[InstanceSignals], primary: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, s) in signals.iter().enumerate() {
-            if i == primary || !s.routable() || s.queue_depth >= self.cfg.hedge_queue_watermark {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bs, cs) = (&signals[b], s);
-                    cs.prefix_hit_tokens > bs.prefix_hit_tokens
-                        || (cs.prefix_hit_tokens == bs.prefix_hit_tokens
-                            && cs.queue_depth < bs.queue_depth)
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best
+        most_cached_member(signals, |i, s| {
+            i != primary && s.queue_depth < self.cfg.hedge_queue_watermark
+        })
     }
 
     /// Whether ingress shedding applies: the watermark is finite and
@@ -382,6 +366,7 @@ mod tests {
     fn sig(depth: usize, hit: u64, health: HealthState) -> InstanceSignals {
         InstanceSignals {
             queue_depth: depth,
+            prefill_backlog_tokens: 0,
             prefix_hit_tokens: hit,
             input_tokens: 1000,
             healthy: true,

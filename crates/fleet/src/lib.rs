@@ -572,9 +572,13 @@ impl Fleet {
                     Self::resolve_hedges(&mut self.members, h, t);
                 }
             }
-            // Route every arrival at exactly `t`, trace order: signals
-            // are re-read per request so back-to-back arrivals at one
-            // instant see each other's queue-depth effect.
+            // Route every arrival at exactly `t`, trace order, re-reading
+            // signals per request. Same-instant placements do not see
+            // each other: a request admitted at `t` is delivered only
+            // when its member next steps past `t`, so until then it
+            // counts in neither `queue_depth` nor the prefill backlog.
+            // Trace arrivals are continuous, so a failover drain is the
+            // one place several placements share an instant.
             let mut sweep_due = false;
             while i < trace.len() && trace[i].arrival == t {
                 let spec = &trace[i];
@@ -886,6 +890,7 @@ impl Fleet {
             }
             signals.push(InstanceSignals {
                 queue_depth: m.instance.in_flight(),
+                prefill_backlog_tokens: m.instance.prefill_backlog_tokens(),
                 prefix_hit_tokens: hit.min(input_tokens),
                 input_tokens,
                 healthy: m.instance.dead_gpus() == 0,

@@ -2,10 +2,12 @@
 //!
 //! Modeled on the llm-d endpoint-picker (EPP): the router scores every
 //! instance from cheap, non-mutating signals — radix-prefix hit
-//! probability, queue depth, crash/health — and picks deterministically
-//! (strict-`>` comparison, lowest index wins ties). Policies never touch
-//! instance state; they only read the [`InstanceSignals`] snapshot taken
-//! at the merge barrier.
+//! probability, queue depth, prefill backlog, crash/health — and picks
+//! deterministically (strict-`>` comparison, lowest index wins ties).
+//! Policies never touch instance state; they only read the
+//! [`InstanceSignals`] snapshot taken at the merge barrier.
+
+use std::cmp::Reverse;
 
 use workload::RequestSpec;
 
@@ -16,8 +18,13 @@ use crate::PathClass;
 /// instance settled at the merge barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceSignals {
-    /// Delivered-but-unfinished requests on the instance.
+    /// Delivered requests on the instance that are neither finished,
+    /// shed nor cancelled.
     pub queue_depth: usize,
+    /// Prompt tokens of the instance's delivered requests that have
+    /// neither produced a token nor resolved: the prefill queued ahead
+    /// of a new arrival.
+    pub prefill_backlog_tokens: u64,
     /// Input tokens of *this request* already cached in the instance's
     /// radix tree (longest-prefix probe, no stats recorded).
     pub prefix_hit_tokens: u64,
@@ -40,6 +47,23 @@ impl InstanceSignals {
     pub fn routable(&self) -> bool {
         self.healthy && self.health.admits_traffic()
     }
+}
+
+/// The member order for placing a copy of a request the router already
+/// placed once — a migrated crash victim or a hedge duplicate: among
+/// routable members that pass `eligible`, the most prefix-hit tokens,
+/// then the shallowest queue, then the lowest index. Returns `None` when
+/// no member qualifies.
+pub(crate) fn most_cached_member(
+    signals: &[InstanceSignals],
+    eligible: impl Fn(usize, &InstanceSignals) -> bool,
+) -> Option<usize> {
+    signals
+        .iter()
+        .enumerate()
+        .filter(|&(idx, s)| s.routable() && eligible(idx, s))
+        .min_by_key(|(_, s)| (Reverse(s.prefix_hit_tokens), s.queue_depth))
+        .map(|(idx, _)| idx)
 }
 
 /// Where a request goes, and whether health signals overrode the score.
@@ -108,13 +132,19 @@ impl RoutePolicy for RoundRobin {
 }
 
 /// EPP-style scoring: prefer the instance already holding the request's
-/// context, tempered by queue depth, with a per-request
+/// context, tempered by its load, with a per-request
 /// single-node-vs-split path decision.
 ///
-/// Score: `w_prefix · hit_ratio − w_queue · queue_depth − w_degraded ·
-/// [health = Degraded]`, where `hit_ratio = prefix_hit_tokens /
-/// input_tokens`. Candidates are restricted to routable instances
-/// (healthy GPU, breaker admits traffic) of the preferred [`PathClass`]:
+/// Score: `w_prefix · hit_ratio − w_queue · (queue_depth + backlog_ratio)
+/// − w_degraded · [health = Degraded]`, where `hit_ratio =
+/// prefix_hit_tokens / input_tokens` and `backlog_ratio =
+/// prefill_backlog_tokens / input_tokens`. Load is requests in flight
+/// plus the prefill queued ahead in units of this request's prompt:
+/// most in-flight requests are already decoding, so a member with few
+/// of them can still hold a long prefill queue, and each prompt's worth
+/// of it counts as one more queued request. Candidates are restricted
+/// to routable instances (healthy GPU, breaker admits traffic) of the
+/// preferred [`PathClass`]:
 /// [`PathClass::Split`] when even the best cache hit leaves at least
 /// `split_threshold_tokens` of fresh prefill (long prefills benefit from
 /// disaggregation) and a routable split instance exists; otherwise
@@ -126,7 +156,8 @@ impl RoutePolicy for RoundRobin {
 pub struct PrefixAffinity {
     /// Weight of the prefix hit ratio (cache affinity pull).
     pub w_prefix: f64,
-    /// Weight of the queue depth (load-balance push, per request).
+    /// Weight of the load (load-balance push, per queued request or
+    /// prompt's worth of queued prefill).
     pub w_queue: f64,
     /// Score penalty for [`HealthState::Degraded`] members (brownout
     /// still serving, but steer elsewhere while alternatives exist).
@@ -138,8 +169,9 @@ pub struct PrefixAffinity {
 impl Default for PrefixAffinity {
     fn default() -> PrefixAffinity {
         PrefixAffinity {
-            // A full-prefix hit outweighs ~20 queued requests; beyond
-            // that, load balance wins over affinity.
+            // A full-prefix hit outweighs ~20 queued requests or
+            // prompts of queued prefill; beyond that, load balance wins
+            // over affinity.
             w_prefix: 1.0,
             w_queue: 0.05,
             // A degradation window costs a quarter of a full prefix hit:
@@ -181,8 +213,9 @@ impl RoutePolicy for PrefixAffinity {
         let mut best_raw: Option<(usize, f64)> = None;
         for (idx, s) in signals.iter().enumerate() {
             let degraded = u64::from(s.health == HealthState::Degraded);
+            let load = s.queue_depth as f64 + s.prefill_backlog_tokens as f64 / input;
             let score = self.w_prefix * (s.prefix_hit_tokens as f64 / input)
-                - self.w_queue * s.queue_depth as f64
+                - self.w_queue * load
                 - self.w_degraded * degraded as f64;
             if best_raw.is_none_or(|(_, b)| score > b) {
                 best_raw = Some((idx, score));
@@ -219,6 +252,7 @@ mod tests {
     fn sig(hit: u64, depth: usize, healthy: bool, class: PathClass) -> InstanceSignals {
         InstanceSignals {
             queue_depth: depth,
+            prefill_backlog_tokens: 0,
             prefix_hit_tokens: hit,
             input_tokens: 1000,
             healthy,
@@ -338,6 +372,22 @@ mod tests {
         assert_eq!(aff.pick(&s, &swamped).instance, 0);
     }
 
+    /// A member with few requests in flight can still hold a long
+    /// prefill queue: each prompt's worth of it weighs as one more
+    /// queued request, yet a full prefix hit still keeps the turn.
+    #[test]
+    fn affinity_counts_queued_prefill_as_load() {
+        let mut aff = PrefixAffinity::default();
+        let s = spec();
+        let decoding = sig(0, 4, true, PathClass::SingleNode);
+        let mut prefilling = sig(0, 1, true, PathClass::SingleNode);
+        prefilling.prefill_backlog_tokens = 4 * 1000;
+        assert_eq!(aff.pick(&s, &[decoding, prefilling]).instance, 0);
+        prefilling.prefix_hit_tokens = 1000;
+        prefilling.prefill_backlog_tokens = 5 * 1000;
+        assert_eq!(aff.pick(&s, &[decoding, prefilling]).instance, 1);
+    }
+
     #[test]
     fn affinity_reroutes_off_crashed_instance() {
         let mut aff = PrefixAffinity::default();
@@ -359,6 +409,7 @@ mod tests {
         let signals = [
             InstanceSignals {
                 queue_depth: 0,
+                prefill_backlog_tokens: 0,
                 prefix_hit_tokens: 0,
                 input_tokens: 20_000,
                 healthy: true,
@@ -367,6 +418,7 @@ mod tests {
             },
             InstanceSignals {
                 queue_depth: 0,
+                prefill_backlog_tokens: 0,
                 prefix_hit_tokens: 0,
                 input_tokens: 20_000,
                 healthy: true,

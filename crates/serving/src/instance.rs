@@ -196,6 +196,21 @@ impl Instance {
         metrics.in_flight()
     }
 
+    /// Prompt tokens of delivered requests that have neither produced a
+    /// token nor resolved — the router's prefill-backlog signal.
+    pub fn prefill_backlog_tokens(&self) -> u64 {
+        let metrics = &self.ctx.metrics;
+        debug_assert_eq!(
+            metrics.prefill_backlog(),
+            (0..self.ctx.requests.len())
+                .filter(|&i| metrics.awaits_first_token(i))
+                .map(|i| self.ctx.requests[i].input_tokens())
+                .sum::<u64>(),
+            "prefill backlog drifted from the delivery, token and resolution marks"
+        );
+        metrics.prefill_backlog()
+    }
+
     /// Number of currently fail-stopped GPUs — the router's health
     /// signal (0 = healthy).
     pub fn dead_gpus(&self) -> u32 {
@@ -527,7 +542,8 @@ impl Instance {
                             }
                             self.watchlist.push(id);
                         }
-                        self.ctx.metrics.mark_delivered(id);
+                        let prompt = self.ctx.requests[id].input_tokens();
+                        self.ctx.metrics.mark_delivered(id, prompt);
                         scheduler.on_arrival(id, &mut self.ctx);
                     }
                     Event::Timer(tag) => scheduler.on_timer(tag, &mut self.ctx),
@@ -907,6 +923,83 @@ mod tests {
         assert_eq!(inst.in_flight(), 0);
         let (rep, _) = inst.finish(&mut sched);
         assert_eq!((rep.finished, rep.cancelled), (2, 1));
+    }
+
+    /// [`OneShot`] run one request at a time: later arrivals wait, and a
+    /// waiting request can be shed or cancelled.
+    struct Serial {
+        inner: OneShot,
+        waiting: Vec<ReqId>,
+        busy: bool,
+    }
+
+    impl Scheduler for Serial {
+        fn on_start(&mut self, ctx: &mut ServeCtx) {
+            self.inner.on_start(ctx);
+        }
+        fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
+            if self.busy {
+                self.waiting.push(id);
+            } else {
+                self.busy = true;
+                self.inner.on_arrival(id, ctx);
+            }
+        }
+        fn on_kernel_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+            self.inner.on_kernel_done(tag, ctx);
+            self.busy = false;
+            if !self.waiting.is_empty() {
+                let next = self.waiting.remove(0);
+                self.on_arrival(next, ctx);
+            }
+        }
+        fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
+            let pos = self.waiting.iter().position(|&w| w == id);
+            pos.map(|p| self.waiting.remove(p)).is_some()
+        }
+        fn groups(&self) -> Vec<GroupId> {
+            self.inner.groups()
+        }
+    }
+
+    #[test]
+    fn prefill_backlog_counts_tokenless_unresolved_prompts() {
+        // Four 100-token prompts at 0 and one at 16 ms; each runs 10 ms.
+        let mut reqs: Vec<RequestSpec> = (0..4).map(|i| req(i, 0.0, 1)).collect();
+        reqs.push(req(4, 0.016, 1));
+        let cfg = WatchdogConfig {
+            ttft_deadline: SimDuration::from_millis(15.0),
+            ..WatchdogConfig::default()
+        };
+        let gpu = GpuSim::from_cluster(&ClusterSpec::single_a100());
+        let mut sched = Serial {
+            inner: oneshot(),
+            waiting: Vec::new(),
+            busy: false,
+        };
+        let mut inst = Driver::new(gpu, reqs, SloSpec::llama8b())
+            .with_watchdog(cfg)
+            .into_instance(&mut sched);
+        assert_eq!(inst.prefill_backlog_tokens(), 0);
+        // Delivery adds each prompt.
+        inst.step_until(&mut sched, SimTime::from_secs(0.005));
+        assert_eq!(inst.prefill_backlog_tokens(), 400);
+        // A cancel takes its prompt out.
+        assert_eq!(inst.cancel(&mut sched, 1), CancelOutcome::Dropped);
+        assert_eq!(inst.prefill_backlog_tokens(), 300);
+        // So does the first token: request 0 emits at 10 ms, and request
+        // 2 starts but has no token yet.
+        inst.step_until(&mut sched, SimTime::from_secs(0.0105));
+        assert_eq!(inst.prefill_backlog_tokens(), 200);
+        // At 16 ms request 4 is delivered and request 3, still waiting
+        // past its 15 ms deadline, is shed.
+        inst.step_until(&mut sched, SimTime::from_secs(0.0165));
+        assert_eq!(inst.prefill_backlog_tokens(), 200);
+        assert!(inst.serve_ctx().metrics.is_shed(3));
+        inst.step_until(&mut sched, SimTime::MAX);
+        assert_eq!(inst.prefill_backlog_tokens(), 0);
+        let (rep, _) = inst.finish(&mut sched);
+        assert_eq!((rep.finished, rep.cancelled, rep.shed), (3, 1, 1));
     }
 
     #[test]

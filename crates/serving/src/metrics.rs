@@ -22,6 +22,12 @@ pub struct MetricsRecorder {
     /// Delivered requests not yet finished, shed or cancelled, kept
     /// where each of those is recorded.
     in_flight: usize,
+    /// Each request's prompt tokens, recorded at delivery.
+    prompt_tokens: Vec<u64>,
+    /// Prompt tokens of delivered requests that have neither produced a
+    /// token nor resolved, kept where delivery, the first token and
+    /// each resolution are recorded.
+    prefill_backlog: u64,
     /// TBT target tracked live for the recovery-time metric; `None`
     /// (the default) skips the tracking entirely.
     tbt_threshold: Option<f64>,
@@ -46,6 +52,8 @@ impl MetricsRecorder {
             cancelled: vec![false; n],
             delivered: vec![false; n],
             in_flight: 0,
+            prompt_tokens: vec![0; n],
+            prefill_backlog: 0,
             tbt_threshold: None,
             last_tbt_violation_at: None,
             fin_count: 0,
@@ -63,14 +71,18 @@ impl MetricsRecorder {
         self.shed.push(false);
         self.cancelled.push(false);
         self.delivered.push(false);
+        self.prompt_tokens.push(0);
     }
 
-    /// Records that `req` reached the scheduler.
-    pub(crate) fn mark_delivered(&mut self, req: ReqId) {
+    /// Records that `req`, a prompt of `prompt_tokens`, reached the
+    /// scheduler.
+    pub(crate) fn mark_delivered(&mut self, req: ReqId, prompt_tokens: u64) {
         if !self.delivered[req] && !self.is_resolved(req) {
             self.in_flight += 1;
+            self.prefill_backlog += prompt_tokens;
         }
         self.delivered[req] = true;
+        self.prompt_tokens[req] = prompt_tokens;
     }
 
     /// Whether `req` reached the scheduler.
@@ -84,6 +96,29 @@ impl MetricsRecorder {
         self.in_flight
     }
 
+    /// Prompt tokens of delivered requests that have neither produced a
+    /// token nor resolved.
+    pub(crate) fn prefill_backlog(&self) -> u64 {
+        self.prefill_backlog
+    }
+
+    /// Whether `req` counts toward the prefill backlog: delivered,
+    /// tokenless and unresolved.
+    pub(crate) fn awaits_first_token(&self, req: ReqId) -> bool {
+        self.runtimes[req].tokens_emitted == 0 && self.delivered[req] && !self.is_resolved(req)
+    }
+
+    /// Takes `req` out of the prefill backlog if it is still in it; called
+    /// at its first token and at its first terminal mark. Cold: it runs
+    /// about once per request, while [`MetricsRecorder::emit_tokens`]
+    /// runs once per token.
+    #[cold]
+    fn leave_prefill_backlog(&mut self, req: ReqId) {
+        if self.awaits_first_token(req) {
+            self.prefill_backlog -= self.prompt_tokens[req];
+        }
+    }
+
     /// Whether `req` reached a terminal class: finished, shed or
     /// cancelled.
     pub(crate) fn is_resolved(&self, req: ReqId) -> bool {
@@ -91,8 +126,10 @@ impl MetricsRecorder {
     }
 
     /// Called before `req` is marked finished, shed or cancelled: its
-    /// first terminal mark takes a delivered request out of flight.
+    /// first terminal mark takes a delivered request out of flight, and
+    /// out of the prefill backlog if it never produced a token.
     fn settle(&mut self, req: ReqId) {
+        self.leave_prefill_backlog(req);
         if self.delivered[req] && !self.is_resolved(req) {
             self.in_flight -= 1;
         }
@@ -144,6 +181,9 @@ impl MetricsRecorder {
     ///
     /// Panics if `req` is out of range.
     pub fn emit_tokens(&mut self, req: ReqId, now: SimTime, count: u64) {
+        if count > 0 && self.runtimes[req].tokens_emitted == 0 {
+            self.leave_prefill_backlog(req);
+        }
         let r = &mut self.runtimes[req];
         for _ in 0..count {
             match r.last_token_at {
