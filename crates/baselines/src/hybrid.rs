@@ -188,7 +188,9 @@ impl HybridPd {
             let blocks = spec.content.blocks(table.block_size());
             let reused = table.peek_prefix(&blocks);
             let new_tokens = spec.input_tokens() - reused;
-            if !table.try_alloc_private(new_tokens, ctx.now()) {
+            let Some(lease) =
+                table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
+            else {
                 if reqs.is_empty() && self.decode.is_empty() && self.mux_inflight.is_none() {
                     self.waiting.pop_front();
                     ctx.finish_request(id);
@@ -196,8 +198,7 @@ impl HybridPd {
                     continue;
                 }
                 break;
-            }
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
+            };
             if self.crash_protected.remove(&id) {
                 // Re-admitted crash victim: the lease's lock now pins the
                 // prefix, so the advisory protection comes off.
@@ -207,7 +208,6 @@ impl HybridPd {
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
             );
-            lease.absorb_private(seq.new_tokens);
             new_total += seq.new_tokens;
             self.waiting.pop_front();
             self.lifecycle.admit(id);

@@ -33,8 +33,10 @@
 //! request-lifecycle mechanics live in the `serving` substrate. Hold KV
 //! through a [`serving::LeaseTable`] (created in `on_start`, reported via
 //! `Scheduler::lease_tables` so the driver's end-of-run leak detector
-//! covers you): admit with `lease_prefix`/`try_lease_private`, grow with
-//! `absorb_private`, and finish through `release` or `release_and_commit`
+//! covers you): admit a prompt with `try_lease_prompt` sized from
+//! `peek_prefix` (or `try_lease_private` for lock-less slots), grow with
+//! `absorb_private`, and finish through
+//! `release` or `release_and_commit`
 //! — never touch the raw pool lock API. Track stages with a
 //! [`serving::Lifecycle`] (`admit`/`begin_decode`/`requeue`/`finish`/
 //! `drop_request`; illegal orders panic) and return its counters from

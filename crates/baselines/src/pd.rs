@@ -145,29 +145,19 @@ impl SglangPd {
             if !reqs.is_empty() && new_total + new_tokens > self.max_prefill_batch_tokens {
                 break;
             }
-            if !table.try_alloc_private(new_tokens, ctx.now()) {
-                if reqs.is_empty() && self.prefill.is_none() && self.idle_everywhere() {
-                    self.waiting.pop_front();
-                    ctx.finish_request(id);
-                    self.lifecycle.drop_request(id);
-                    continue;
-                }
-                break;
-            }
             // Reserve the decode-instance slot before prefilling; when
             // the decode pool is exhausted, prefill stalls (the
             // OpenThoughts pathology of §4.3).
             let reserved = spec.input_tokens() + 1;
-            if !self
-                .d_table
-                .as_mut()
-                .expect("table")
-                .try_alloc_private(reserved, ctx.now())
-            {
-                self.p_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(new_tokens);
+            let d_table = self.d_table.as_mut().expect("table");
+            let mut lease = None;
+            if d_table.try_alloc_private(reserved, ctx.now()) {
+                lease = table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now());
+                if lease.is_none() {
+                    d_table.free_private(reserved);
+                }
+            }
+            let Some(lease) = lease else {
                 if reqs.is_empty() && self.prefill.is_none() && self.idle_everywhere() {
                     self.waiting.pop_front();
                     ctx.finish_request(id);
@@ -175,9 +165,7 @@ impl SglangPd {
                     continue;
                 }
                 break;
-            }
-            let table = self.p_table.as_mut().expect("table");
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
+            };
             if self.crash_protected.remove(&id) {
                 // Re-admitted crash victim: the lease's lock now pins the
                 // prefix, so the advisory protection comes off.
@@ -187,7 +175,6 @@ impl SglangPd {
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
             );
-            lease.absorb_private(seq.new_tokens);
             new_total += seq.new_tokens;
             self.waiting.pop_front();
             self.lifecycle.admit(id);

@@ -89,15 +89,16 @@ impl Common {
         let blocks = spec.content.blocks(table.block_size());
         let reused = table.peek_prefix(&blocks);
         let new_tokens = spec.input_tokens() - reused;
-        if !table.try_alloc_private(new_tokens, ctx.now()) {
+        let Some(lease) =
+            table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
+        else {
             if self.decode.is_empty() && !self.decode_inflight {
                 self.waiting.pop_front();
                 ctx.finish_request(id);
                 self.lifecycle.drop_request(id);
             }
             return None;
-        }
-        let mut lease = table.lease_prefix(&blocks, ctx.now());
+        };
         if self.crash_protected.remove(&id) {
             // Re-admitted crash victim: the lease's lock now pins the
             // prefix, so the advisory protection comes off.
@@ -109,7 +110,6 @@ impl Common {
             spec.input_tokens() - lease.matched_tokens(),
             lease.matched_tokens(),
         );
-        lease.absorb_private(seq.new_tokens);
         Some(PrefillReq { id, seq, lease })
     }
 

@@ -9,7 +9,7 @@ use bench::sweep::parallel_map;
 use bench::systems::Testbed;
 use bench::{banner, save_record};
 use gpusim::GpuSim;
-use muxwise::{MuxWise, MuxWiseConfig};
+use muxwise::{MuxWise, MuxWiseConfig, Preemption};
 use serving::Driver;
 use simcore::SimRng;
 use workload::{generate_mixed, RequestSpec, WorkloadKind};
@@ -32,8 +32,14 @@ fn main() {
     let trace = mixed_trace(120, 0.5, 0xF20);
 
     let variants = [
-        ("no preemption", MuxWiseConfig::default()),
-        ("with preemption", MuxWiseConfig::with_preemption()),
+        (
+            "no preemption",
+            MuxWiseConfig::with_preemption(Preemption::Off),
+        ),
+        (
+            "with preemption",
+            MuxWiseConfig::with_preemption(Preemption::ShortestFirst),
+        ),
     ];
     let runs = parallel_map(&variants, |(_, cfg)| {
         let mut engine = MuxWise::new(

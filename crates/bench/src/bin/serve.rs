@@ -3,6 +3,9 @@
 //!
 //! `--system` accepts a comma-separated list; the systems run
 //! concurrently on the sweep pool and their rows print in list order.
+//! `muxwise` preempts a prefill phase only to rescue a TTFT and keeps
+//! batches FCFS; `muxwise-preempt` forms batches shortest prompt first
+//! (`Preemption::ShortestFirst`, the Fig. 20 configuration).
 //!
 //! ```sh
 //! cargo run --release -p bench --bin serve -- \

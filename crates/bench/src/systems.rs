@@ -4,7 +4,7 @@ use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::SoloPredictor;
 use gpusim::ClusterSpec;
 use modelspec::{ModelSpec, Parallelism};
-use muxwise::{Estimators, MuxWise, MuxWiseConfig};
+use muxwise::{Estimators, MuxWise, MuxWiseConfig, Preemption};
 use serving::{Scheduler, SloSpec};
 
 /// The systems compared in §4 (plus the §6 related-work variants).
@@ -12,7 +12,9 @@ use serving::{Scheduler, SloSpec};
 pub enum SystemKind {
     /// The paper's contribution.
     MuxWise,
-    /// MuxWise with preemptive scheduling enabled (§4.4.3).
+    /// MuxWise with shortest-first preemptive scheduling
+    /// (`Preemption::ShortestFirst`, §4.4.3); plain [`SystemKind::MuxWise`]
+    /// preempts only to rescue a TTFT, with FCFS batches.
     MuxWisePreempt,
     /// Chunked-prefill in SGLang (SARATHI-Serve methodology).
     Chunked,
@@ -171,7 +173,7 @@ impl Testbed {
                 self.tp,
                 self.slo,
                 self.est.clone(),
-                MuxWiseConfig::with_preemption(),
+                MuxWiseConfig::with_preemption(Preemption::ShortestFirst),
             )),
             SystemKind::Chunked => Box::new(ChunkedPrefill::tuned(
                 &self.model,

@@ -37,19 +37,39 @@ impl PartitionBackend {
     }
 }
 
+/// Layer-boundary preemption of the running prefill phase by a newly
+/// arrived prompt (§3.4.2, Fig. 20). Preemption never nests: a preemptor
+/// runs to completion, and only one phase waits preempted at a time. It
+/// needs [`MuxWiseConfig::layer_wise`]; whole-phase launches never
+/// preempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Preemption {
+    /// Never preempt; batches form first come, first served.
+    Off,
+    /// Preempt only to rescue a TTFT: every request of the running phase
+    /// misses TTFT anyway, the arrival meets it if it starts now, and the
+    /// phase still makes its length-scaled deadline. Batches stay first
+    /// come, first served.
+    #[default]
+    TtftRescue,
+    /// The same preemption check, with batches formed shortest prompt
+    /// first (Fig. 20's preemptive scheduling, which breaks FCFS).
+    ShortestFirst,
+}
+
 /// Feature switches for MuxWise (all on by default; ablations in §4.4
 /// turn them off individually).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MuxWiseConfig {
     /// Layer-wise prefill execution (§3.2.3). Off = launch the whole
-    /// remaining prefill phase as one kernel (Fig. 19 ablation).
+    /// remaining prefill phase as one kernel (Fig. 19 ablation), which
+    /// has no layer boundary to preempt at.
     pub layer_wise: bool,
     /// Query-based synchronization (§3.2.3). Off = decode blocks until an
     /// active prefill batch completes before relaunching (Fig. 19).
     pub query_sync: bool,
-    /// TTFT-aware preemption of long prefills by short ones (§3.4.2,
-    /// Fig. 20). Optional in the paper.
-    pub preemption: bool,
+    /// Layer-boundary preemption of prefill phases (§3.4.2, Fig. 20).
+    pub preemption: Preemption,
     /// Use the contention guard for worst-case partitioning. Off = trust
     /// solo-run predictions alone (risking SLO violations).
     pub contention_guard: bool,
@@ -76,7 +96,7 @@ impl Default for MuxWiseConfig {
         MuxWiseConfig {
             layer_wise: true,
             query_sync: true,
-            preemption: false,
+            preemption: Preemption::TtftRescue,
             contention_guard: true,
             max_decode_batch: 256,
             max_prefill_batch_tokens: 16_384,
@@ -88,10 +108,11 @@ impl Default for MuxWiseConfig {
 }
 
 impl MuxWiseConfig {
-    /// The full system including preemptive scheduling (Fig. 20).
-    pub fn with_preemption() -> MuxWiseConfig {
+    /// The default system with another preemption mode (Fig. 20
+    /// compares [`Preemption::Off`] with [`Preemption::ShortestFirst`]).
+    pub fn with_preemption(preemption: Preemption) -> MuxWiseConfig {
         MuxWiseConfig {
-            preemption: true,
+            preemption,
             ..MuxWiseConfig::default()
         }
     }
@@ -184,7 +205,7 @@ mod tests {
     fn default_config_enables_engine_features() {
         let c = MuxWiseConfig::default();
         assert!(c.layer_wise && c.query_sync && c.contention_guard);
-        assert!(!c.preemption);
+        assert_eq!(c.preemption, Preemption::TtftRescue);
     }
 
     #[test]
@@ -192,7 +213,8 @@ mod tests {
         assert!(!MuxWiseConfig::without_layer_wise().layer_wise);
         let nq = MuxWiseConfig::without_query_sync();
         assert!(!nq.layer_wise && !nq.query_sync);
-        assert!(MuxWiseConfig::with_preemption().preemption);
+        let sf = MuxWiseConfig::with_preemption(Preemption::ShortestFirst);
+        assert_eq!(sf.preemption, Preemption::ShortestFirst);
     }
 
     #[test]

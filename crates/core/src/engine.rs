@@ -15,7 +15,7 @@ use serving::{
 };
 use simcore::{SimDuration, SimTime};
 
-use crate::config::{Estimators, MuxWiseConfig};
+use crate::config::{Estimators, MuxWiseConfig, Preemption};
 
 /// What a kernel-completion tag refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,11 @@ struct PrefillJob {
     reused_sum: u64,
     layers_done: u32,
     layers_inflight: u32,
+    /// First and last arrival among `reqs`: the phase's length-scaled
+    /// deadline runs from the first, and every request misses TTFT once
+    /// the last one does.
     earliest_arrival: SimTime,
+    latest_arrival: SimTime,
     /// Solo estimate of the full phase at admission (for preemption
     /// deadline checks).
     est_full: f64,
@@ -93,7 +97,11 @@ pub struct MuxWise {
     group: Option<GroupId>,
     decode_ctx: Option<CtxId>,
     prefill_ctx: Option<CtxId>,
+    /// SMs each green context holds now. They add up to `sm_count`
+    /// except while one side waits at its boundary to grow into SMs the
+    /// other has just released.
     decode_sms: u32,
+    prefill_sms: u32,
 
     table: Option<LeaseTable>,
     lifecycle: Lifecycle,
@@ -195,6 +203,7 @@ impl MuxWise {
             decode_ctx: None,
             prefill_ctx: None,
             decode_sms: 0,
+            prefill_sms: 0,
             table: None,
             lifecycle: Lifecycle::default(),
             waiting: VecDeque::new(),
@@ -360,40 +369,63 @@ impl MuxWise {
         }
     }
 
-    /// Applies the desired partition when both contexts are idle
-    /// (green-context resize requires an idle stream). Shrinks one side
-    /// before growing the other so SMs are never oversubscribed.
+    /// Moves the green contexts toward the dispatcher's split one side
+    /// at a time. A resize needs an idle stream, so each side changes at
+    /// its own boundary: decode between iterations, prefill between
+    /// layer groups. Shrinks go first, and a side grows only into SMs
+    /// the other no longer holds, so the contexts never oversubscribe.
+    /// MPS-style backends, and any backend in fault mode, move both
+    /// sides at once, while both are idle.
     fn try_apply_partition(&mut self, ctx: &mut ServeCtx) {
         if !self.cfg.backend.can_reconfigure() && !self.partition_log.is_empty() {
             return; // MIG-style static slicing never adapts.
-        }
-        let desired = self.desired_decode_sms(ctx);
-        if desired == self.decode_sms {
-            return;
         }
         let (group, d_ctx, p_ctx) = match (self.group, self.decode_ctx, self.prefill_ctx) {
             (Some(g), Some(d), Some(p)) => (g, d, p),
             _ => return,
         };
-        if !ctx.gpu.is_idle(group, d_ctx) || !ctx.gpu.is_idle(group, p_ctx) {
+        let decode = self.desired_decode_sms(ctx);
+        let prefill = self.sm_count - decode;
+        if decode == self.decode_sms && prefill == self.prefill_sms {
             return;
         }
-        let prefill_sms = self.sm_count - desired;
-        if desired < self.decode_sms {
-            ctx.gpu.resize_context(group, d_ctx, desired);
-            ctx.gpu.resize_context(group, p_ctx, prefill_sms);
-        } else {
-            ctx.gpu.resize_context(group, p_ctx, prefill_sms);
-            ctx.gpu.resize_context(group, d_ctx, desired);
-        }
-        self.decode_sms = desired;
-        self.partition_log.push((ctx.now(), desired));
-        // MPS-style backends pay a process restart per reconfiguration,
-        // stalling all subsequent launches.
+        let d_idle = ctx.gpu.is_idle(group, d_ctx);
+        let p_idle = ctx.gpu.is_idle(group, p_ctx);
+        // Both sides resize together, only while both are idle, where a
+        // one-sided change costs more than it buys. MPS-style backends
+        // pay a process restart per reconfiguration, stalling all
+        // subsequent launches and so both sides anyway. In fault mode
+        // the split is a precaution, not a predicted need, and squeezing
+        // a running prefill phase for it costs TTFT and throughput.
         let stall = self.cfg.backend.reconfig_stall_secs();
-        if stall > 0.0 {
-            let now = ctx.now();
-            self.host_submit(now, SimDuration::from_secs(stall));
+        if (stall > 0.0 || self.fault_mode) && !(d_idle && p_idle) {
+            return;
+        }
+        let old_decode = self.decode_sms;
+        if d_idle && decode < self.decode_sms {
+            ctx.gpu.resize_context(group, d_ctx, decode);
+            self.decode_sms = decode;
+        }
+        if p_idle && prefill < self.prefill_sms {
+            ctx.gpu.resize_context(group, p_ctx, prefill);
+            self.prefill_sms = prefill;
+        }
+        let free = self.sm_count - self.decode_sms - self.prefill_sms;
+        if d_idle && decode > self.decode_sms && free > 0 {
+            self.decode_sms += (decode - self.decode_sms).min(free);
+            ctx.gpu.resize_context(group, d_ctx, self.decode_sms);
+        }
+        let free = self.sm_count - self.decode_sms - self.prefill_sms;
+        if p_idle && prefill > self.prefill_sms && free > 0 {
+            self.prefill_sms += (prefill - self.prefill_sms).min(free);
+            ctx.gpu.resize_context(group, p_ctx, self.prefill_sms);
+        }
+        if self.decode_sms != old_decode {
+            self.partition_log.push((ctx.now(), self.decode_sms));
+            if stall > 0.0 {
+                let now = ctx.now();
+                self.host_submit(now, SimDuration::from_secs(stall));
+            }
         }
     }
 
@@ -409,6 +441,11 @@ impl MuxWise {
         if !self.cfg.backend.can_reconfigure() && !self.partition_log.is_empty() {
             return true; // MIG-style static slicing never resizes
         }
+        debug_assert_eq!(
+            self.decode_sms + self.prefill_sms,
+            self.sm_count,
+            "a quiescent engine holds a settled split"
+        );
         let last = *self.partition_configs.last().expect("non-empty configs");
         if self.fault_mode {
             return self.decode_sms == last;
@@ -465,10 +502,6 @@ impl MuxWise {
         self.macro_valid = true;
     }
 
-    fn prefill_sms(&self) -> u32 {
-        self.sm_count - self.decode_sms
-    }
-
     // ---- prefill side --------------------------------------------------------
 
     /// Admits a batch of waiting requests into a new prefill job (or
@@ -485,7 +518,7 @@ impl MuxWise {
         if self.waiting.is_empty() {
             return;
         }
-        if self.cfg.preemption {
+        if self.cfg.preemption == Preemption::ShortestFirst {
             // Preemptive scheduling breaks FCFS (§4.4.3): short requests
             // jump long ones at batch formation too, so a queued chat
             // turn never waits behind a queue of long-document prefills.
@@ -526,7 +559,9 @@ impl MuxWise {
                 break;
             }
             let table = self.table.as_mut().expect("table");
-            if !table.try_alloc_private(new_tokens, ctx.now()) {
+            let Some(lease) =
+                table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
+            else {
                 // Pool pressure: wait for running requests to release
                 // space — unless nothing is running, in which case the
                 // request can never fit and must be dropped to stay live.
@@ -544,10 +579,9 @@ impl MuxWise {
                     continue;
                 }
                 break;
-            }
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
+            };
             // The lock is taken after the peek; eviction in between can
-            // only shrink the match, which is safe (more recompute).
+            // only shrink the match (more recompute, reserved above).
             let reused = lease.matched_tokens();
             if self.crash_protected.remove(&id) {
                 // Crash victim re-admitted: its prefix is locked by the
@@ -555,7 +589,6 @@ impl MuxWise {
                 table.unprotect_prefix(&blocks);
             }
             let seq = SeqState::new(spec.input_tokens() - reused, reused);
-            lease.absorb_private(seq.new_tokens);
             new_total += seq.new_tokens;
             self.waiting.remove(pos);
             self.lifecycle.admit(id);
@@ -580,15 +613,10 @@ impl MuxWise {
             0
         };
         let batch: Vec<SeqState> = reqs.iter().map(|r| r.seq).collect();
-        let est_full = self
-            .est
-            .predictor
-            .prefill_latency(self.prefill_sms(), &batch);
-        let earliest = reqs
-            .iter()
-            .map(|r| ctx.request(r.id).arrival)
-            .min()
-            .expect("non-empty");
+        let est_full = self.est.predictor.prefill_latency(self.prefill_sms, &batch);
+        let arrivals = reqs.iter().map(|r| ctx.request(r.id).arrival);
+        let earliest = arrivals.clone().min().expect("non-empty");
+        let latest = arrivals.max().expect("non-empty");
         let gen = self.next_gen;
         self.next_gen += 1;
         let (new_sum, reused_sum) = reqs.iter().fold((0, 0), |(n, r), pr| {
@@ -602,6 +630,7 @@ impl MuxWise {
             layers_done: resume,
             layers_inflight: 0,
             earliest_arrival: earliest,
+            latest_arrival: latest,
             est_full,
             is_preemptor: false,
         });
@@ -623,17 +652,11 @@ impl MuxWise {
         if job.layers_inflight > 0 || job.layers_done >= self.model.num_layers {
             return;
         }
+        // Prefill takes the SMs decode released at its last boundary;
+        // any it is still due arrive at the next layer group.
         self.try_apply_partition(ctx);
         let job = self.prefill.as_ref().expect("checked");
         let batch: Vec<SeqState> = job.reqs.iter().map(|r| r.seq).collect();
-        // If the partition is stale (decode mid-iteration holds its
-        // context busy), the phase may wait for the next decode boundary
-        // — `launch_decode` re-launches prefill right after applying the
-        // partition.
-        let desired = self.desired_decode_sms(ctx);
-        if desired != self.decode_sms && self.defer_to_decode_boundary(desired, &batch, ctx) {
-            return;
-        }
         let remaining = self.model.num_layers - job.layers_done;
         let layers_done = job.layers_done;
         let gen = job.gen;
@@ -671,58 +694,11 @@ impl MuxWise {
         }
     }
 
-    /// Whether the current prefill phase should wait for the in-flight
-    /// decode iteration's boundary instead of launching on the stale
-    /// partition, whose decode side differs from `desired`. It waits
-    /// when it would run badly undersized (under half the SMs it is
-    /// due), when decode misses its TBT budget on its current SMs (the
-    /// best fit is larger), or when waiting rescues its earliest
-    /// request's TTFT: the remaining layers miss the deadline on the
-    /// current prefill SMs but meet it on the desired ones after the
-    /// iteration's predicted end.
-    fn defer_to_decode_boundary(&self, desired: u32, batch: &[SeqState], ctx: &ServeCtx) -> bool {
-        if !self.cfg.backend.can_reconfigure() {
-            return false; // static slicing: the boundary changes nothing
-        }
-        let current_prefill = self.sm_count - self.decode_sms;
-        let desired_prefill = self.sm_count - desired;
-        if current_prefill * 2 < desired_prefill {
-            return true;
-        }
-        let (Some(inflight), Some(job)) = (self.decode_inflight, self.prefill.as_ref()) else {
-            return false;
-        };
-        if desired > self.decode_sms {
-            // With prefill present the best fit targets the full TBT
-            // budget, so decode misses it where it is. In fault mode the
-            // largest partition is a precaution, not a predicted miss.
-            return !self.fault_mode;
-        }
-        let now = ctx.now();
-        let deadline = job.earliest_arrival + self.slo.ttft;
-        let frac = (self.model.num_layers - job.layers_done) as f64 / self.model.num_layers as f64;
-        let predictor = &self.est.predictor;
-        let on_current =
-            now + SimDuration::from_secs(predictor.prefill_latency(current_prefill, batch) * frac);
-        if on_current <= deadline {
-            return false;
-        }
-        let t_decode = predictor.decode_latency_agg(
-            self.decode_sms,
-            self.decode.context_sum(),
-            self.decode.len(),
-        );
-        let boundary = (inflight.ready_at + SimDuration::from_secs(t_decode)).max(now);
-        let on_desired = boundary
-            + SimDuration::from_secs(predictor.prefill_latency(desired_prefill, batch) * frac);
-        on_desired <= deadline
-    }
-
     fn layers_to_launch(&self, batch: &[SeqState], remaining: u32) -> u32 {
         let t_p = self
             .est
             .predictor
-            .prefill_latency(self.prefill_sms(), batch)
+            .prefill_latency(self.prefill_sms, batch)
             .max(1e-6);
         if self.decode.is_empty() {
             return remaining;
@@ -764,15 +740,17 @@ impl MuxWise {
                 self.launch_decode(ctx);
             }
             self.try_start_prefill(ctx);
-        } else if complete {
-            // A preempted job's final running layer finished after the
-            // preemptor started; deliver its results too.
-            let job = self.preempted.take().expect("preempted job");
-            self.complete_prefill_job(job, ctx);
-        } else if in_current && job_idle(self.prefill.as_ref()) {
+        } else if in_current {
             self.launch_prefill_layers(ctx);
-        } else if !in_current && job_idle(self.preempted.as_ref()) {
-            // The old job's head drained; the preemptor can now launch.
+        } else {
+            // The preempted job's running head drained the prefill
+            // context. Deliver the job if that was its last layer; either
+            // way the preemptor, which waited for the idle context, can
+            // launch now.
+            if complete {
+                let job = self.preempted.take().expect("preempted job");
+                self.complete_prefill_job(job, ctx);
+            }
             self.launch_prefill_layers(ctx);
         }
     }
@@ -846,10 +824,6 @@ impl MuxWise {
                 self.decode.push(self.pending_join.remove(0));
             }
             if self.decode.is_empty() {
-                // A prefill phase deferred to this boundary still
-                // launches (after applying the partition it waited
-                // for): nothing else would launch it.
-                self.launch_prefill_layers(ctx);
                 return;
             }
         }
@@ -877,7 +851,6 @@ impl MuxWise {
                 self.lifecycle.requeue(id);
             }
             if self.decode.is_empty() {
-                self.launch_prefill_layers(ctx);
                 return;
             }
         }
@@ -889,12 +862,8 @@ impl MuxWise {
             }
             self.coalesced_iters += 1;
         } else {
+            // Decode releases or takes SMs at its own boundary.
             self.try_apply_partition(ctx);
-            // A deferred prefill launch (waiting for this resize) can go
-            // now.
-            if job_idle(self.prefill.as_ref()) {
-                self.launch_prefill_layers(ctx);
-            }
             self.peak_decode_batch = self.peak_decode_batch.max(self.decode.len());
             self.ctx_scratch.clear();
             self.ctx_scratch.extend(self.decode.contexts());
@@ -961,10 +930,8 @@ impl MuxWise {
         self.retired_scratch = retired;
         if !self.cfg.query_sync && self.prefill.is_some() {
             // Ablation: block the next decode launch on the prefill
-            // phase's completion (the stall of Fig. 19). A phase deferred
-            // to this boundary must launch now, or both sides wait.
+            // phase's completion (the stall of Fig. 19).
             self.decode_blocked = true;
-            self.launch_prefill_layers(ctx);
             return;
         }
         self.launch_decode(ctx);
@@ -974,40 +941,56 @@ impl MuxWise {
 
     // ---- preemption -------------------------------------------------------------
 
-    /// §3.4.2: a newly arrived short request may preempt an ultra-long
-    /// active prefill at a layer boundary, provided the preempted batch
-    /// can still make its (length-scaled) TTFT deadline — and preemption
-    /// never nests.
-    fn maybe_preempt(&mut self, id: ReqId, ctx: &mut ServeCtx) {
-        if !self.cfg.preemption || self.preempted.is_some() || self.down {
-            return;
+    /// §3.4.2's layer-boundary preemption, used to rescue TTFT. A new
+    /// arrival preempts the running phase only when every request of the
+    /// phase misses TTFT anyway, the arrival meets it if it starts now,
+    /// and the phase still makes its length-scaled deadline (long
+    /// prompts cannot meet an absolute 500 ms target; the paper judges
+    /// them by TTFT per token, §4.4.3). Preemption never nests, and it
+    /// needs layer-wise launches: a whole-phase kernel has no layer
+    /// boundary to stop at. Returns whether the arrival became the
+    /// preemptor.
+    fn maybe_preempt(&mut self, id: ReqId, ctx: &mut ServeCtx) -> bool {
+        if self.cfg.preemption == Preemption::Off || !self.cfg.layer_wise || self.down {
+            return false;
         }
-        let Some(job) = &self.prefill else { return };
+        let Some(job) = &self.prefill else {
+            return false;
+        };
+        // A preempted phase waits only while its preemptor runs, and a
+        // preemptor is never preempted itself.
         if job.is_preemptor || job.layers_done >= self.model.num_layers {
-            return;
+            return false;
         }
-        let spec = ctx.request(id).clone();
+        let spec = ctx.request(id);
         let table = self.table.as_ref().expect("table");
-        let reused = table.peek_prefix(&spec.content.blocks(table.block_size()));
-        let new_seq = [SeqState::new(spec.input_tokens() - reused, reused)];
-        let psms = self.prefill_sms();
-        let t_new = self.est.predictor.prefill_latency(psms, &new_seq);
+        let blocks = spec.content.blocks(table.block_size());
+        let reused = table.peek_prefix(&blocks);
+        let new_tokens = spec.input_tokens() - reused;
+        // Solo times on the prefill share the phase holds now.
+        let predictor = &self.est.predictor;
+        let psms = self.prefill_sms;
+        let t_new = predictor.prefill_latency(psms, &[SeqState::new(new_tokens, reused)]);
         let batch: Vec<SeqState> = job.reqs.iter().map(|r| r.seq).collect();
         let remaining_frac =
             (self.model.num_layers - job.layers_done) as f64 / self.model.num_layers as f64;
-        let t_remaining = self.est.predictor.prefill_latency(psms, &batch) * remaining_frac;
-        // Short-preempts-long requirement.
-        if t_new > 0.3 * t_remaining {
-            return;
+        let t_remaining = predictor.prefill_latency(psms, &batch) * remaining_frac;
+        let now = ctx.now();
+        let ttft = self.slo.ttft;
+        let phase_misses = now + SimDuration::from_secs(t_remaining) > job.latest_arrival + ttft;
+        let arrival_meets = now + SimDuration::from_secs(t_new) <= spec.arrival + ttft;
+        let deadline = job.earliest_arrival + SimDuration::from_secs(2.0 * job.est_full) + ttft;
+        let phase_keeps_deadline = now + SimDuration::from_secs(t_new + t_remaining) <= deadline;
+        if !(phase_misses && arrival_meets && phase_keeps_deadline) {
+            return false;
         }
-        // Deadline check for the preempted batch: arrival + TTFT slack
-        // scaled to its own size (long prefills cannot meet an absolute
-        // 500 ms target; the paper evaluates TTFT *per token*, §4.4.3).
-        let deadline =
-            job.earliest_arrival + SimDuration::from_secs(2.0 * job.est_full) + self.slo.ttft;
-        let projected = ctx.now() + SimDuration::from_secs(t_new + t_remaining);
-        if projected > deadline {
-            return;
+        let (input_tokens, arrival) = (spec.input_tokens(), spec.arrival);
+        let table = self.table.as_mut().expect("table");
+        let Some(lease) = table.try_lease_prompt(&blocks, input_tokens, new_tokens, now) else {
+            return false;
+        };
+        if self.crash_protected.remove(&id) {
+            table.unprotect_prefix(&blocks);
         }
         // Preempt: drop queued (not-running) layers; the running head
         // finishes (non-preemptive GPU execution).
@@ -1021,26 +1004,15 @@ impl MuxWise {
         }
         let mut job = self.prefill.take().expect("checked");
         job.layers_inflight -= cancelled.len() as u32;
+        debug_assert!(self.preempted.is_none(), "preemption nested");
         self.preempted = Some(job);
         self.lifecycle.record_preemption();
 
-        // Start the preemptor immediately with just this request.
-        let table = self.table.as_mut().expect("table");
-        let blocks = spec.content.blocks(table.block_size());
-        if !table.try_alloc_private(spec.input_tokens() - reused, ctx.now()) {
-            // No space: cancel the preemption attempt.
-            let job = self.preempted.take().expect("just set");
-            self.prefill = Some(job);
-            self.waiting.push_back(id);
-            self.launch_prefill_layers(ctx);
-            return;
-        }
-        let mut lease = table.lease_prefix(&blocks, ctx.now());
+        // Start the preemptor with just this request.
         let seq = SeqState::new(
-            spec.input_tokens() - lease.matched_tokens(),
+            input_tokens - lease.matched_tokens(),
             lease.matched_tokens(),
         );
-        lease.absorb_private(seq.new_tokens);
         self.waiting.retain(|&w| w != id);
         self.lifecycle.admit(id);
         let gen = self.next_gen;
@@ -1053,20 +1025,18 @@ impl MuxWise {
             reqs: vec![PrefillReq { id, seq, lease }],
             layers_done: 0,
             layers_inflight: 0,
-            earliest_arrival: spec.arrival,
+            earliest_arrival: arrival,
+            latest_arrival: arrival,
             est_full,
             is_preemptor: true,
         });
-        // Launch begins once the old head drains (ctx idle check inside).
+        // Launch begins once the old head drains (`on_prefill_layer_done`
+        // launches it otherwise).
         if ctx.gpu.is_idle(group, p_ctx) {
             self.launch_prefill_layers(ctx);
         }
+        true
     }
-}
-
-fn job_idle(job: Option<&PrefillJob>) -> bool {
-    job.map(|j| j.layers_inflight == 0 && j.layers_done < u32::MAX)
-        .unwrap_or(false)
 }
 
 fn job_is_last_layer(done_after: u32, total: u32) -> bool {
@@ -1078,8 +1048,9 @@ impl Scheduler for MuxWise {
         let gpus: Vec<u32> = (0..ctx.gpu.num_gpus()).collect();
         let group = ctx.gpu.create_group(gpus);
         self.decode_sms = self.partition_configs[0];
+        self.prefill_sms = self.sm_count - self.decode_sms;
         let d = ctx.gpu.set_context(group, self.decode_sms);
-        let p = ctx.gpu.set_context(group, self.sm_count - self.decode_sms);
+        let p = ctx.gpu.set_context(group, self.prefill_sms);
         self.group = Some(group);
         self.decode_ctx = Some(d);
         self.prefill_ctx = Some(p);
@@ -1089,14 +1060,8 @@ impl Scheduler for MuxWise {
 
     fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
         self.macro_armed = false;
-        self.maybe_preempt(id, ctx);
-        if self
-            .prefill
-            .as_ref()
-            .map(|j| j.reqs.iter().any(|r| r.id == id))
-            == Some(true)
-        {
-            return; // became the preemptor
+        if self.maybe_preempt(id, ctx) {
+            return;
         }
         if !self.waiting.contains(&id) {
             self.waiting.push_back(id);
@@ -1272,8 +1237,9 @@ impl Scheduler for MuxWise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PartitionBackend;
     use gpusim::{ClusterSpec, GpuSim};
-    use serving::{Driver, StepOutcome};
+    use serving::{Driver, FaultKind, FaultPlan, StepOutcome};
     use simcore::SimRng;
     use workload::{generate, ContentSpec, RequestSpec, WorkloadKind};
 
@@ -1455,7 +1421,7 @@ mod tests {
             8,
             slo,
             est.clone(),
-            MuxWiseConfig::with_preemption(),
+            MuxWiseConfig::with_preemption(Preemption::ShortestFirst),
         );
         let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).run(&mut engine);
         assert_eq!(rep.finished, rep.total);
@@ -1581,14 +1547,11 @@ mod tests {
     struct LateArrival {
         /// Decode SMs when the prompt arrived.
         decode_sms: u32,
-        /// Its prefill phase existed but launched no layer on arrival.
-        deferred: bool,
         /// Time from arrival to its first layer launch.
         launch_wait: f64,
-        /// Time from arrival to the next decode launch.
-        boundary_wait: f64,
-        /// Prefill SMs of every step that had its layers in flight.
-        prefill_sms: Vec<u32>,
+        /// Time since arrival and prefill SMs at each of its layer-group
+        /// launches.
+        groups: Vec<(f64, u32)>,
         /// Upper bound on its TTFT (the step that saw its first token).
         ttft: f64,
     }
@@ -1598,6 +1561,11 @@ mod tests {
     /// minimum partition; a `tokens`-token prompt then arrives 14 ms
     /// before the end of a decode iteration.
     fn prompt_after_decode_widens(tokens: u64) -> LateArrival {
+        late_prompt(tokens, MuxWiseConfig::default(), FaultPlan::none())
+    }
+
+    /// [`prompt_after_decode_widens`] under `cfg` and `faults`.
+    fn late_prompt(tokens: u64, cfg: MuxWiseConfig, faults: FaultPlan) -> LateArrival {
         let cluster = ClusterSpec::dgx_a100();
         let model = ModelSpec::llama70b();
         let slo = SloSpec::llama70b();
@@ -1606,42 +1574,39 @@ mod tests {
         let at = 3.004;
         let mut reqs: Vec<RequestSpec> = (0..16).map(|i| turn(i, 0.0, i, 1_000, 200)).collect();
         reqs.push(turn(16, at * 1e3, 99, tokens, 4));
-        let cfg = MuxWiseConfig::default();
         let mut engine = MuxWise::new(&model, &cluster, 8, slo, est, cfg);
-        let mut inst =
-            Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);
+        let mut inst = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo)
+            .with_faults(faults)
+            .into_instance(&mut engine);
         let arrival = SimTime::from_secs(at);
         inst.step_until(&mut engine, arrival);
         assert!(
             engine.decode_inflight.is_some(),
             "decode idle at the arrival"
         );
-        inst.step_until(&mut engine, arrival + SimDuration::from_nanos(1));
-        let job = engine.prefill.as_ref().expect("the prompt starts a phase");
-        assert_eq!(job.reqs[0].id, late);
         let mut seen = LateArrival {
             decode_sms: engine.decode_sms,
-            deferred: job.layers_inflight == 0,
             launch_wait: f64::NAN,
-            boundary_wait: f64::NAN,
-            prefill_sms: Vec::new(),
+            groups: Vec::new(),
             ttft: f64::NAN,
         };
-        let iters = engine.decode_iters;
+        // Layers launched so far: done plus in flight.
+        let mut launched = 0;
         let mut t = at;
         while inst.serve_ctx().tokens_emitted(late) == 0 {
-            if seen.boundary_wait.is_nan() && engine.decode_iters > iters {
-                seen.boundary_wait = t - at;
-            }
-            if let Some(job) = engine.prefill.as_ref().filter(|j| j.layers_inflight > 0) {
+            t += 0.25e-3;
+            inst.step_until(&mut engine, SimTime::from_secs(t));
+            let Some(job) = engine.prefill.as_ref() else {
+                continue;
+            };
+            assert_eq!(job.reqs[0].id, late);
+            if job.layers_done + job.layers_inflight > launched {
+                launched = job.layers_done + job.layers_inflight;
                 if seen.launch_wait.is_nan() {
                     seen.launch_wait = t - at;
                 }
-                debug_assert_eq!(job.reqs[0].id, late);
-                seen.prefill_sms.push(engine.prefill_sms());
+                seen.groups.push((t - at, engine.prefill_sms));
             }
-            t += 0.25e-3;
-            inst.step_until(&mut engine, SimTime::from_secs(t));
         }
         seen.ttft = t - at;
         inst.step_until(&mut engine, SimTime::MAX);
@@ -1651,27 +1616,26 @@ mod tests {
     }
 
     #[test]
-    fn prefill_waits_one_decode_boundary_when_that_rescues_its_ttft() {
+    fn prefill_launches_at_arrival_and_takes_released_sms_at_its_next_layer_group() {
         let sm_count = ClusterSpec::dgx_a100().gpu.sm_count;
         let est = Estimators::profile(&ModelSpec::llama70b(), &ClusterSpec::dgx_a100(), 8);
         let tokens = 3_300;
         let seen = prompt_after_decode_widens(tokens);
-        // Finishing on the stale partition misses the 500 ms target;
-        // the minimum decode partition leaves prefill enough SMs to
-        // meet it after one decode iteration.
+        // The whole phase on the stale partition misses the 500 ms
+        // target; on the minimum decode partition's complement it meets
+        // it.
         let batch = [SeqState::new(tokens, 0)];
-        assert!(seen.decode_sms > 16, "decode never widened: {seen:?}");
-        assert!(
-            est.predictor
-                .prefill_latency(sm_count - seen.decode_sms, &batch)
-                > 0.5
-        );
+        assert_eq!(seen.decode_sms, 32, "decode never widened: {seen:?}");
+        assert!(est.predictor.prefill_latency(sm_count - 32, &batch) > 0.5);
         assert!(est.predictor.prefill_latency(sm_count - 16, &batch) < 0.45);
-        assert!(seen.deferred, "{seen:?}");
-        assert!(seen.launch_wait > 0.0, "{seen:?}");
-        assert_eq!(seen.launch_wait, seen.boundary_wait, "{seen:?}");
+        // No wait for the decode boundary: the first layer group runs on
+        // the 76 SMs decode left, and decode's next boundary hands back
+        // the rest, which prefill takes at its next group.
+        assert!(seen.launch_wait <= 0.25e-3, "{seen:?}");
+        assert_eq!(seen.groups[0].1, sm_count - 32, "{seen:?}");
+        assert!(seen.groups.len() > 1, "{seen:?}");
         assert!(
-            seen.prefill_sms.iter().all(|&s| s == sm_count - 16),
+            seen.groups[1..].iter().all(|&(_, s)| s == sm_count - 16),
             "{seen:?}"
         );
         assert!(seen.ttft <= 0.5, "{seen:?}");
@@ -1685,10 +1649,9 @@ mod tests {
         for (tokens, meets) in [(1_500, true), (8_000, false)] {
             let seen = prompt_after_decode_widens(tokens);
             assert!(seen.decode_sms > 16, "decode never widened: {seen:?}");
-            assert!(!seen.deferred, "{tokens} tokens: {seen:?}");
-            assert_eq!(seen.launch_wait, 0.0, "{tokens} tokens: {seen:?}");
+            assert!(seen.launch_wait <= 0.25e-3, "{tokens} tokens: {seen:?}");
             assert_eq!(
-                seen.prefill_sms[0],
+                seen.groups[0].1,
                 sm_count - seen.decode_sms,
                 "{tokens} tokens: {seen:?}"
             );
@@ -1697,12 +1660,232 @@ mod tests {
     }
 
     #[test]
+    fn a_running_phase_keeps_its_sms_on_mps_and_in_fault_mode() {
+        let sm_count = ClusterSpec::dgx_a100().gpu.sm_count;
+        // MPS: decode gives SMs back at its boundary, but a one-sided
+        // resize would cost a process restart each time, so the phase
+        // stays on the 76 SMs it launched on.
+        let mps = MuxWiseConfig::with_backend(PartitionBackend::Mps);
+        let seen = late_prompt(3_300, mps, FaultPlan::none());
+        assert_eq!(seen.decode_sms, 32, "decode never widened: {seen:?}");
+        assert!(seen.groups.len() > 1, "{seen:?}");
+        assert!(
+            seen.groups.iter().all(|&(_, s)| s == sm_count - 32),
+            "{seen:?}"
+        );
+        // Fault mode from 300 ms into a 16k-token phase: the dispatcher
+        // reserves the largest decode partition as a precaution, and the
+        // running phase keeps the SMs it holds rather than shrink at its
+        // next layer group.
+        let hbm = FaultKind::HbmDegrade {
+            gpu: 0,
+            bw_fraction: 0.5,
+        };
+        let faults = FaultPlan::single(hbm, SimTime::from_secs(3.304), SimTime::MAX);
+        let seen = late_prompt(16_000, MuxWiseConfig::default(), faults);
+        let held = seen.groups.iter().rev().find(|&&(t, _)| t < 0.3);
+        let (_, held) = *held.expect("no group before the fault");
+        assert_eq!(held, sm_count - 16, "{seen:?}");
+        assert!(seen.groups.iter().any(|&(t, _)| t > 0.3), "{seen:?}");
+        assert!(
+            seen.groups.iter().all(|&(t, s)| t < 0.3 || s == held),
+            "{seen:?}"
+        );
+    }
+
+    /// One preemption scenario's outcome.
+    #[derive(Debug)]
+    struct PreemptRun {
+        preemptions: u64,
+        /// The requests of the phase running when each request arrived.
+        running_at_arrival: Vec<Vec<ReqId>>,
+        /// Each request's TTFT, rounded up to the 1 ms step.
+        ttft: Vec<f64>,
+    }
+
+    /// Llama-70B on 8×A100: prompts of `(arrival ms, tokens)` with two
+    /// output tokens each, run under `cfg` to completion.
+    fn preemption_run(cfg: MuxWiseConfig, prompts: &[(f64, u64)]) -> PreemptRun {
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama70b();
+        let slo = SloSpec::llama70b();
+        let est = Estimators::profile(&model, &cluster, 8);
+        let reqs = prompts
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, tokens))| turn(i as u64, at, i as u64, tokens, 2))
+            .collect();
+        let mut engine = MuxWise::new(&model, &cluster, 8, slo, est, cfg);
+        let mut inst =
+            Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);
+        let arrivals: Vec<f64> = prompts.iter().map(|&(at, _)| at * 1e-3).collect();
+        let mut run = PreemptRun {
+            preemptions: 0,
+            running_at_arrival: Vec::new(),
+            ttft: vec![f64::NAN; prompts.len()],
+        };
+        let mut t: f64 = 0.0;
+        while run.ttft.iter().any(|x| x.is_nan()) {
+            assert!(t < 30.0, "stranded: {run:?}");
+            // Stop exactly at the next arrival (delivered just after it)
+            // to see which phase it meets.
+            let next = arrivals.get(run.running_at_arrival.len());
+            t = match next {
+                Some(&at) if at <= t + 1e-3 => at,
+                _ => t + 1e-3,
+            };
+            inst.step_until(&mut engine, SimTime::from_secs(t));
+            if next == Some(&t) {
+                let running = engine.prefill.as_ref().map(|j| j.reqs.iter().map(|r| r.id));
+                run.running_at_arrival
+                    .push(running.into_iter().flatten().collect());
+            }
+            for (i, ttft) in run.ttft.iter_mut().enumerate() {
+                if ttft.is_nan() && inst.serve_ctx().tokens_emitted(i as ReqId) > 0 {
+                    *ttft = t - arrivals[i];
+                }
+            }
+        }
+        inst.step_until(&mut engine, SimTime::MAX);
+        let (rep, _) = inst.finish(&mut engine);
+        assert_eq!(rep.finished, rep.total);
+        assert_eq!(rep.counters.leaked_leases, 0);
+        run.preemptions = engine.preemptions();
+        run
+    }
+
+    #[test]
+    fn a_prompt_that_can_make_ttft_preempts_a_phase_that_cannot() {
+        // A 16k-token phase needs ~2.3 s solo: it misses 500 ms whatever
+        // happens. A 1k-token prompt arriving 200 ms in meets it if it
+        // starts now, and the phase keeps its length-scaled deadline.
+        let run = preemption_run(MuxWiseConfig::default(), &[(0.0, 16_000), (200.0, 1_000)]);
+        assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+        assert_eq!(run.preemptions, 1, "{run:?}");
+        assert!(run.ttft[1] <= 0.5, "{run:?}");
+        // FCFS without preemption leaves the prompt behind the phase.
+        let off = MuxWiseConfig::with_preemption(Preemption::Off);
+        let run = preemption_run(off, &[(0.0, 16_000), (200.0, 1_000)]);
+        assert_eq!(run.preemptions, 0, "{run:?}");
+        assert!(run.ttft[1] > 2.0, "{run:?}");
+    }
+
+    #[test]
+    fn no_preemption_while_the_running_phase_can_still_make_ttft() {
+        // A 3k-token phase (~0.38 s solo) still makes 500 ms when a
+        // prompt that could preempt it arrives 50 ms in.
+        let run = preemption_run(MuxWiseConfig::default(), &[(0.0, 3_000), (50.0, 1_000)]);
+        assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+        assert_eq!(run.preemptions, 0, "{run:?}");
+        assert!(run.ttft[0] <= 0.5, "{run:?}");
+    }
+
+    #[test]
+    fn a_phase_is_doomed_only_when_its_latest_arrival_misses_ttft() {
+        // Requests 1 and 2 queue behind a 3k-token phase and share the
+        // next batch (~0.26 s solo from ~0.39 s). When request 3 arrives
+        // at 450 ms that batch misses request 1's TTFT but still makes
+        // request 2's: it must not be preempted.
+        let prompts = [(0.0, 3_000), (10.0, 1_000), (350.0, 1_000), (450.0, 500)];
+        let run = preemption_run(MuxWiseConfig::default(), &prompts);
+        assert_eq!(run.running_at_arrival[3], vec![1, 2], "{run:?}");
+        assert_eq!(run.preemptions, 0, "{run:?}");
+        assert!(run.ttft[1] > 0.5 && run.ttft[2] <= 0.5, "{run:?}");
+    }
+
+    #[test]
+    fn no_preemption_past_the_phase_length_scaled_deadline() {
+        // Request 1 (4k tokens, ~0.52 s solo) can never make 500 ms, so
+        // it waits out the 16k-token phase and starts at ~2.3 s, already
+        // past its length-scaled deadline (arrival + 500 ms + twice its
+        // solo time). Request 2 could make TTFT by preempting it, but
+        // that would push the phase further past its deadline.
+        let prompts = [(0.0, 16_000), (10.0, 4_000), (2_500.0, 1_000)];
+        let run = preemption_run(MuxWiseConfig::default(), &prompts);
+        assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+        assert_eq!(run.running_at_arrival[2], vec![1], "{run:?}");
+        assert_eq!(run.preemptions, 0, "{run:?}");
+    }
+
+    #[test]
+    fn a_preemptor_is_never_preempted() {
+        // Request 1 needs just under 500 ms on the 92 prefill SMs, so it
+        // preempts the doomed 16k-token phase at 200 ms; but it first
+        // waits out that phase's running layer, so by 400 ms it misses
+        // TTFT too. Request 2 could rescue its own TTFT by preempting it,
+        // but preemption does not nest.
+        let sm_count = ClusterSpec::dgx_a100().gpu.sm_count;
+        let est = Estimators::profile(&ModelSpec::llama70b(), &ClusterSpec::dgx_a100(), 8);
+        let solo = est
+            .predictor
+            .prefill_latency(sm_count - 16, &[SeqState::new(3_800, 0)]);
+        assert!(solo > 0.48 && solo < 0.5, "{solo}");
+        let prompts = [(0.0, 16_000), (200.0, 3_800), (400.0, 1_000)];
+        let run = preemption_run(MuxWiseConfig::default(), &prompts);
+        assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+        assert_eq!(run.running_at_arrival[2], vec![1], "{run:?}");
+        assert_eq!(run.preemptions, 1, "{run:?}");
+        assert!(run.ttft[1] > 0.5, "{run:?}");
+    }
+
+    #[test]
+    fn whole_phase_launches_never_preempt() {
+        // Without layer-wise execution the 16k-token phase is one kernel
+        // behind a ~10 ms host launch. A 1k-token prompt arriving inside
+        // that window, or while the kernel runs, passes the TTFT check,
+        // but there is no layer boundary to stop at: cancelling the
+        // queued kernel would drop the phase, and waiting for the running
+        // one rescues nothing.
+        for cfg in [
+            MuxWiseConfig::without_layer_wise(),
+            MuxWiseConfig::without_query_sync(),
+        ] {
+            assert_eq!(cfg.preemption, Preemption::TtftRescue);
+            let prompts = [(0.0, 16_000), (5.0, 1_000), (200.0, 1_000)];
+            let run = preemption_run(cfg, &prompts);
+            assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+            assert_eq!(run.running_at_arrival[2], vec![0], "{run:?}");
+            assert_eq!(run.preemptions, 0, "{run:?}");
+        }
+    }
+
+    #[test]
+    fn a_preemptor_launches_when_the_preempted_head_is_the_last_layer() {
+        // Find when the 16k-token phase runs its last layer alone, then
+        // let a short prompt arrive then: the phase is delivered when
+        // that layer ends, and the preemptor must launch right after.
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama70b();
+        let slo = SloSpec::llama70b();
+        let est = Estimators::profile(&model, &cluster, 8);
+        let mut engine = MuxWise::new(&model, &cluster, 8, slo, est, MuxWiseConfig::default());
+        let reqs = vec![turn(0, 0.0, 0, 16_000, 2)];
+        let mut inst =
+            Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);
+        let mut t = 0.0;
+        while engine
+            .prefill
+            .as_ref()
+            .is_none_or(|j| j.layers_done + 1 < model.num_layers)
+        {
+            t += 1e-3;
+            inst.step_until(&mut engine, SimTime::from_secs(t));
+        }
+        let at_ms = t * 1e3 + 1.0;
+        let run = preemption_run(MuxWiseConfig::default(), &[(0.0, 16_000), (at_ms, 1_000)]);
+        assert_eq!(run.running_at_arrival[1], vec![0], "{run:?}");
+        assert_eq!(run.preemptions, 1, "{run:?}");
+        assert!(run.ttft[1] <= 0.5, "{run:?}");
+    }
+
+    #[test]
     fn decode_widens_at_its_boundary_while_prefill_work_remains() {
         // Llama-70B on 8×A100: 400 chat requests arrive at once. Prefill
         // batches run back to back for about 20 s, each one growing the
-        // decode batch, until 16 SMs no longer meet the TBT target. The
-        // next prefill launch must yield one decode boundary so decode
-        // can widen; otherwise decode holds 16 SMs until prefill drains.
+        // decode batch, until 16 SMs no longer meet the TBT target.
+        // Prefill must give SMs up at its next layer group so decode can
+        // widen at its boundary; otherwise decode holds 16 SMs until
+        // prefill drains.
         let cluster = ClusterSpec::dgx_a100();
         let model = ModelSpec::llama70b();
         let slo = SloSpec::llama70b();
@@ -1732,11 +1915,12 @@ mod tests {
     }
 
     #[test]
-    fn deferred_prefill_relaunches_when_its_boundary_empties_decode() {
+    fn prefill_arriving_as_the_last_decoder_retires_is_never_stranded() {
         // Single A100, Llama-8B: a short request decodes alone on a
-        // widened partition while a long prompt arrives. When the
-        // iteration the prompt waits for retires the last decoder, that
-        // empty boundary must still launch the deferred phase.
+        // widened partition while a long prompt arrives, at every 2.5 ms
+        // offset across its decode. Decode's last boundary launches no
+        // iteration, so the phase must get its SMs from its own layer
+        // launches.
         let cluster = ClusterSpec::single_a100();
         let model = ModelSpec::llama8b();
         let slo = SloSpec::llama8b();

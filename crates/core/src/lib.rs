@@ -22,11 +22,14 @@
 //!    guard's max observed slowdown
 //!    ([`estimator::ContentionGuard`]), refined online after every
 //!    co-run iteration.
-//! 3. **SLO-aware dispatcher** — on every decode-iteration and
-//!    prefill-chunk boundary, reserves the smallest SM partition meeting
-//!    the TBT target, gives prefill the rest, and optionally lets short
-//!    prefills preempt ultra-long ones at layer granularity when the
-//!    preempted batch can still meet its own TTFT (non-recursive).
+//! 3. **SLO-aware dispatcher** — reserves the smallest SM partition
+//!    meeting the TBT target and gives prefill the rest, applying the
+//!    split one side at a time: decode at its iteration boundaries,
+//!    prefill at its layer-group boundaries. By default
+//!    ([`Preemption::TtftRescue`]) a new prompt preempts the running
+//!    prefill phase at a layer boundary when every request of that phase
+//!    misses TTFT anyway, the prompt meets it if it starts now, and the
+//!    phase still makes its own length-scaled deadline (non-recursive).
 //!
 //! # Examples
 //!
@@ -53,5 +56,5 @@
 pub mod config;
 pub mod engine;
 
-pub use config::{Estimators, MuxWiseConfig, PartitionBackend};
+pub use config::{Estimators, MuxWiseConfig, PartitionBackend, Preemption};
 pub use engine::MuxWise;

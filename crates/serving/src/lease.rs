@@ -44,8 +44,7 @@ impl KvLease {
     /// Attributes `tokens` of already-reserved private pool space to this
     /// lease (the engine allocated them via
     /// [`LeaseTable::try_alloc_private`] — e.g. batch-wide decode growth
-    /// split one token per slot, or a prefill allocation sized before the
-    /// prefix lock was taken).
+    /// split one token per slot, or a prefill chunk's new tokens).
     pub fn absorb_private(&mut self, tokens: u64) {
         self.private += tokens;
     }
@@ -169,6 +168,42 @@ impl LeaseTable {
         KvLease { lock, private: 0 }
     }
 
+    /// Admits a prompt to prefill: reserves the `new_tokens` of private
+    /// space its uncached suffix needs, sized by the caller as
+    /// `input_tokens` minus [`LeaseTable::peek_prefix`] of its `blocks`,
+    /// and locks the cached prefix into a lease holding that space.
+    ///
+    /// The reservation's own LRU eviction can remove part of the peeked
+    /// prefix before the lock is taken. The shortfall is reserved too, so
+    /// the lease holds exactly the private tokens its request will
+    /// compute. When the pool cannot fit the prompt, nothing stays held
+    /// and the result is `None`.
+    pub fn try_lease_prompt(
+        &mut self,
+        blocks: &[Block],
+        input_tokens: u64,
+        new_tokens: u64,
+        now: SimTime,
+    ) -> Option<KvLease> {
+        debug_assert_eq!(
+            new_tokens,
+            input_tokens - self.peek_prefix(blocks),
+            "new_tokens must be sized from the current peek"
+        );
+        if !self.pool.try_alloc_private(new_tokens, now) {
+            return None;
+        }
+        let mut lease = self.lease_prefix(blocks, now);
+        lease.private = new_tokens;
+        let need = input_tokens - lease.matched_tokens();
+        if need > new_tokens && !self.pool.try_alloc_private(need - new_tokens, now) {
+            self.release(lease);
+            return None;
+        }
+        lease.private = need;
+        Some(lease)
+    }
+
     /// Opens a lock-less lease over `tokens` of **already reserved**
     /// private space (disaggregated decode slots hold no radix lock —
     /// their context lives entirely in private pool space that was
@@ -267,6 +302,45 @@ mod tests {
         lease.absorb_private(100);
         assert_eq!(table.outstanding(), 1);
         table.release(lease);
+        assert_eq!(table.outstanding(), 0);
+        assert_eq!(table.pool().private_tokens(), 0);
+        table.pool().check_invariants();
+    }
+
+    #[test]
+    fn try_lease_prompt_covers_a_prefix_evicted_by_its_own_reservation() {
+        // A full pool of unlocked cache whose least recently used entry
+        // is the peeked 640-token prefix: the reservation sized from the
+        // peek evicts six of its ten blocks.
+        let mut table = LeaseTable::new(1_024, 64);
+        let prompt = Block::sequence(1, 1_000, 64);
+        table.insert(&prompt[..10], t(0.0));
+        table.insert(&Block::sequence(2, 384, 64), t(1.0));
+        let peeked = table.peek_prefix(&prompt);
+        assert_eq!(peeked, 640);
+        let lease = table
+            .try_lease_prompt(&prompt, 1_000, 1_000 - peeked, t(2.0))
+            .expect("room for the shortfall");
+        assert_eq!(lease.matched_tokens(), 256);
+        assert_eq!(lease.private_tokens(), 1_000 - 256);
+        assert_eq!(table.pool().private_tokens(), 1_000 - 256);
+        table.release(lease);
+        assert_eq!(table.pool().private_tokens(), 0);
+        table.pool().check_invariants();
+    }
+
+    #[test]
+    fn try_lease_prompt_returns_everything_when_the_shortfall_does_not_fit() {
+        // Every unlocked token is the peeked prefix itself: the shortfall
+        // has nowhere to go, so the admission is undone.
+        let mut table = LeaseTable::new(1_024, 64);
+        let prompt = Block::sequence(1, 1_100, 64);
+        table.insert(&prompt[..16], t(0.0));
+        let peeked = table.peek_prefix(&prompt);
+        assert_eq!(peeked, 1_024);
+        assert!(table
+            .try_lease_prompt(&prompt, 1_100, 1_100 - peeked, t(1.0))
+            .is_none());
         assert_eq!(table.outstanding(), 0);
         assert_eq!(table.pool().private_tokens(), 0);
         table.pool().check_invariants();

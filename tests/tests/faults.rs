@@ -161,6 +161,41 @@ fn muxwise_recovers_from_moderate_faults() {
     );
 }
 
+/// Prefill admission sizes a request's private reservation from an
+/// unlocked prefix peek; the reservation's own LRU eviction can then take
+/// part of that prefix before the lease locks it. In a pool shrunk to
+/// 0.5 % that happens at once, and each engine listed here used to lease
+/// more private tokens than it reserved (a `private underflow` panic in
+/// debug builds, a silently overcommitted pool in release). Each request
+/// count is the smallest that failed.
+#[test]
+fn admission_reserves_what_its_lease_holds_when_the_peeked_prefix_is_evicted() {
+    let cluster = ClusterSpec::dgx_a100();
+    let slo = SloSpec::llama8b();
+    let plan = FaultPlan::single(
+        FaultKind::KvShrink { fraction: 0.995 },
+        SimTime::from_secs(1e-3),
+        SimTime::MAX,
+    );
+    for (name, mut engine) in engines() {
+        let n = match name {
+            "muxwise" => 4,
+            "windserve" | "temporal" => 33,
+            _ => continue,
+        };
+        let reqs = generate(WorkloadKind::ToolAgent, n, 2.0, &mut SimRng::seed_from(1));
+        let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo)
+            .with_faults(plan.clone())
+            .run(engine.as_mut());
+        assert_eq!(rep.finished, rep.total, "{name}");
+        assert_eq!(rep.counters.leaked_leases, 0, "{name}");
+        for table in engine.lease_tables() {
+            assert_eq!(table.pool().private_tokens(), 0, "{name}");
+            table.pool().check_invariants();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -128,7 +128,7 @@ fn macro_stepping_is_bit_identical_for_every_engine() {
 }
 
 /// Llama-70B MuxWise widens decode during pure-decode stretches and then
-/// defers prefill launches to decode boundaries, a path the Llama-8B
+/// hands the SMs back to prefill one side at a time, a path the Llama-8B
 /// engines above never reach: macro on == macro off there too, clean
 /// and under crashes.
 #[test]

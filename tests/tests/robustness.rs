@@ -3,7 +3,7 @@
 
 use gpusim::{ClusterSpec, GpuSim};
 use modelspec::ModelSpec;
-use muxwise::{Estimators, MuxWise, MuxWiseConfig, PartitionBackend};
+use muxwise::{Estimators, MuxWise, MuxWiseConfig, PartitionBackend, Preemption};
 use serving::{Driver, SloSpec};
 use simcore::{SimRng, SimTime};
 use workload::{generate, WorkloadKind};
@@ -135,7 +135,7 @@ fn preemption_never_double_finishes() {
         8,
         slo,
         est,
-        MuxWiseConfig::with_preemption(),
+        MuxWiseConfig::with_preemption(Preemption::ShortestFirst),
     );
     let mut rng = SimRng::seed_from(11);
     let mut reqs = generate(WorkloadKind::Loogle, 10, 0.4, &mut rng);
