@@ -270,19 +270,23 @@ impl KvPool {
         self.shared_tokens
     }
 
-    /// Number of cached blocks resident in the radix tree.
-    pub fn num_blocks(&self) -> usize {
-        self.tree.len()
-    }
-
     /// Number of private tokens reserved.
     pub fn private_tokens(&self) -> u64 {
         self.private_tokens
     }
 
-    /// Internal consistency check, used by tests: the tree's token count
-    /// must equal the shared counter.
+    /// Internal consistency check, used by tests. The radix tree must be
+    /// well formed: every live block is its parent's child under its own
+    /// key and points back to that parent, the dead slots are exactly the
+    /// free list, and the eviction index holds exactly the live,
+    /// unreferenced, childless blocks at their current protection and
+    /// access time. Its token count must equal the shared counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first broken condition.
     pub fn check_invariants(&self) {
+        self.tree.check_structure();
         assert_eq!(self.tree.total_tokens(), self.shared_tokens);
         assert!(self.used_tokens() <= self.capacity_tokens.max(self.used_tokens()));
     }
@@ -451,6 +455,85 @@ mod tests {
         p.set_capacity_tokens(0, t(3.0));
         assert_eq!(p.peek_prefix(&victim), 0);
         p.unprotect_prefix(&victim); // no-op on evicted entries
+        p.check_invariants();
+    }
+
+    #[test]
+    fn eviction_order_is_pinned() {
+        // One fixed history whose victims pin slot ids, LIFO free-slot
+        // reuse and the (protected, last_access, slot) tie-break. Each
+        // entry is (slot, stream, tokens of the sequence, block index).
+        fn take(p: &mut KvPool) -> Vec<(NodeId, u64, u32)> {
+            std::mem::take(&mut p.tree.removed)
+        }
+        fn victims(expect: &[(NodeId, u64, u64, usize)]) -> Vec<(NodeId, u64, u32)> {
+            expect
+                .iter()
+                .map(|&(slot, stream, tokens, i)| {
+                    let b = Block::sequence(stream, tokens, 64)[i];
+                    (slot, b.key, b.tokens)
+                })
+                .collect()
+        }
+        let seq = |stream, tokens| Block::sequence(stream, tokens, 64);
+        let mut p = KvPool::new(2_000, 64);
+        // 200 = 3×64 + 8 and 130 = 2×64 + 2: both end in a partial block;
+        // streams 1 and 2 tie on access time.
+        p.insert(&seq(1, 200), t(0.0));
+        p.insert(&seq(2, 130), t(0.0));
+        p.insert(&seq(3, 300), t(1.0));
+        // A shorter restatement of stream 1 branches off its second
+        // block with a 22-token tail beside the full third block.
+        p.insert(&seq(1, 150), t(2.0));
+        let lock2 = p.match_prefix(&seq(2, 130), t(3.0));
+        p.protect_prefix(&seq(3, 300));
+        p.set_capacity_tokens(400, t(4.0));
+        let expect = [
+            (4, 1, 200, 3),
+            (3, 1, 200, 2),
+            (13, 1, 150, 2),
+            (2, 1, 200, 1),
+            (1, 1, 200, 0),
+            (12, 3, 300, 4), // protected, taken once nothing else is left
+        ];
+        assert_eq!(take(&mut p), victims(&expect));
+        p.check_invariants();
+
+        // Restore, release, and refill: new blocks take freed slots.
+        p.set_capacity_tokens(2_000, t(5.0));
+        p.unlock(&lock2);
+        p.insert(&seq(4, 256), t(6.0));
+        p.insert(&seq(5, 100), t(6.0));
+        p.unprotect_prefix(&seq(3, 300));
+        let lock4 = p.match_prefix(&seq(4, 128), t(7.0));
+        assert!(p.try_alloc_private(p.free_tokens() + 300, t(8.0)));
+        let expect = [
+            (11, 3, 300, 3),
+            (10, 3, 300, 2),
+            (9, 3, 300, 1),
+            (8, 3, 300, 0),
+            (7, 2, 130, 2),
+            (6, 2, 130, 1),
+        ];
+        assert_eq!(take(&mut p), victims(&expect));
+        p.check_invariants();
+
+        p.protect_prefix(&seq(2, 130));
+        p.unlock(&lock4);
+        p.set_capacity_tokens(0, t(9.0));
+        // Streams 4 and 5 were inserted into slots freed above (LIFO) and
+        // tie at t = 6 until stream 4's lock refreshed its first blocks.
+        let expect = [
+            (4, 5, 100, 1),
+            (3, 5, 100, 0),
+            (13, 4, 256, 3),
+            (2, 4, 256, 2),
+            (1, 4, 256, 1),
+            (12, 4, 256, 0),
+            (5, 2, 130, 0),
+        ];
+        assert_eq!(take(&mut p), victims(&expect));
+        assert_eq!(p.shared_tokens(), 0);
         p.check_invariants();
     }
 

@@ -1,10 +1,10 @@
 //! The radix tree over content blocks.
 //!
-//! Each node corresponds to one block of cached tokens. Children are
-//! keyed by block hash in a `BTreeMap` so traversal order — and therefore
-//! eviction order among ties — is deterministic.
+//! Each node corresponds to one block of cached tokens. Nodes live in a
+//! slab and are named by slot; eviction order among access-time ties
+//! falls to the slot id, so it is deterministic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::SimTime;
 
@@ -84,23 +84,35 @@ fn mix(stream: u64, index: u64, fill: u32) -> u64 {
 /// Index of a node in the tree's slab.
 pub(crate) type NodeId = usize;
 
+/// A slot id as a node stores it. [`RadixTree::alloc`] refuses to grow
+/// the slab past `u32::MAX` slots, so converting a `NodeId` to a `Slot`
+/// never truncates.
+type Slot = u32;
+
+/// `Node::child` of a node without children.
+const NO_CHILD: Slot = Slot::MAX;
+
+/// One cached block. A chain block's only child sits inline, so a block
+/// costs one slab entry and no heap allocation of its own.
 #[derive(Debug)]
 pub(crate) struct Node {
-    pub key: u64,
-    pub tokens: u32,
-    pub parent: NodeId,
-    pub children: BTreeMap<u64, NodeId>,
-    pub refs: u32,
-    pub last_access: SimTime,
-    pub alive: bool,
+    key: u64,
+    last_access: SimTime,
+    /// Key of the first child; meaningful only while `child != NO_CHILD`.
+    child_key: u64,
+    /// Slot of the first child, or `NO_CHILD`. Any further children live
+    /// in the tree's spill map, so a node without a first child has none.
+    child: Slot,
+    parent: Slot,
+    tokens: u32,
+    refs: u32,
+    alive: bool,
     /// Advisory eviction protection: a protected node is evicted only
     /// when no unprotected victim exists. Used by crash failover to keep
     /// revoked requests' prefixes warm until re-admission.
-    pub protected: bool,
-    /// The exact key this node occupies in the evictable index, or `None`
-    /// when absent. Lets [`RadixTree::reindex`] do one targeted removal
-    /// instead of probing every (protection, access-time) combination.
-    pub index_key: Option<(bool, SimTime)>,
+    protected: bool,
+    /// Whether the spill map holds children of this node.
+    spilled: bool,
 }
 
 /// The tree: a slab of nodes with node 0 as the sentinel root, plus an
@@ -109,12 +121,25 @@ pub(crate) struct Node {
 /// with the protection flag (`false < true`), so protected leaves sort
 /// after every unprotected one and are only chosen when nothing else is
 /// left — with no protected nodes the order is plain LRU, bit-identical
-/// to the unprotected-only tree.
+/// to the unprotected-only tree. An evictable node sits in the index at
+/// its current `(protected, last_access, id)`, so every change to those
+/// fields, its references or its children goes through
+/// [`RadixTree::unindex`] before and [`RadixTree::index`] after.
+///
+/// Children beyond a node's first share one ordered map keyed by
+/// `(parent slot, block key)`: forks (a partial tail beside the full
+/// block that continues it, one session per root child) cost one map
+/// entry each, and chain nodes pay nothing for them. Children are only
+/// looked up, never iterated, so their order cannot reach a result.
 #[derive(Debug)]
 pub(crate) struct RadixTree {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
-    evictable: std::collections::BTreeSet<(bool, SimTime, NodeId)>,
+    evictable: BTreeSet<(bool, SimTime, NodeId)>,
+    spill: BTreeMap<(Slot, u64), Slot>,
+    /// Every removed block as `(slot, key, tokens)`, in removal order.
+    #[cfg(test)]
+    pub removed: Vec<(NodeId, u64, u32)>,
 }
 
 pub(crate) const ROOT: NodeId = 0;
@@ -124,72 +149,122 @@ impl RadixTree {
         RadixTree {
             nodes: vec![Node {
                 key: 0,
-                tokens: 0,
-                parent: ROOT,
-                children: BTreeMap::new(),
-                refs: 1, // the root is never evictable
                 last_access: SimTime::ZERO,
+                child_key: 0,
+                child: NO_CHILD,
+                parent: ROOT as Slot,
+                tokens: 0,
+                refs: 1, // the root is never evictable
                 alive: true,
                 protected: false,
-                index_key: None,
+                spilled: false,
             }],
             free: Vec::new(),
-            evictable: std::collections::BTreeSet::new(),
+            evictable: BTreeSet::new(),
+            spill: BTreeMap::new(),
+            #[cfg(test)]
+            removed: Vec::new(),
         }
     }
 
-    #[cfg(test)]
-    #[allow(dead_code)] // used by some, not all, test configurations
-    pub fn node(&self, id: NodeId) -> &Node {
-        debug_assert!(self.nodes[id].alive, "dead node access");
-        &self.nodes[id]
-    }
-
-    fn is_evictable(&self, id: NodeId) -> bool {
+    /// The node's key in the evictable index, when it is evictable
+    /// (alive, unreferenced, childless, not the root).
+    fn index_key(&self, id: NodeId) -> Option<(bool, SimTime, NodeId)> {
         let n = &self.nodes[id];
-        id != ROOT && n.alive && n.refs == 0 && n.children.is_empty()
+        (id != ROOT && n.alive && n.refs == 0 && n.child == NO_CHILD).then_some((
+            n.protected,
+            n.last_access,
+            id,
+        ))
     }
 
-    /// Re-derives the node's membership in the evictable index after a
-    /// state change. The node's stored `index_key` records exactly where
-    /// it sits in the index, so membership updates are one targeted
-    /// removal plus one insertion — and a no-op when nothing changed,
-    /// which is the common case on hot lookup paths (inner nodes and
-    /// locked prefixes are never indexed).
+    /// Takes the node out of the evictable index ahead of a change to
+    /// its index key or evictability; a no-op for inner, locked and root
+    /// nodes, the common case on hot lookup paths.
     // simlint: hot
-    fn reindex(&mut self, id: NodeId) {
-        let want = if self.is_evictable(id) {
-            let n = &self.nodes[id];
-            Some((n.protected, n.last_access))
+    fn unindex(&mut self, id: NodeId) {
+        if let Some(key) = self.index_key(id) {
+            self.evictable.remove(&key);
+        }
+    }
+
+    /// Puts the node back into the evictable index after a change, if it
+    /// is evictable now.
+    // simlint: hot
+    fn index(&mut self, id: NodeId) {
+        if let Some(key) = self.index_key(id) {
+            self.evictable.insert(key);
+        }
+    }
+
+    /// The child of `id` stored under `key`, if any.
+    // simlint: hot
+    fn child(&self, id: NodeId, key: u64) -> Option<NodeId> {
+        let n = &self.nodes[id];
+        if n.child == NO_CHILD {
+            None
+        } else if n.child_key == key {
+            Some(n.child as NodeId)
+        } else if n.spilled {
+            self.spill.get(&(id as Slot, key)).map(|&c| c as NodeId)
         } else {
             None
-        };
-        if self.nodes[id].index_key == want {
-            return;
         }
-        if let Some((p, t)) = self.nodes[id].index_key.take() {
-            self.evictable.remove(&(p, t, id));
+    }
+
+    /// The first spilled child of `id`, as `(key, slot)`.
+    fn first_spilled(&self, id: NodeId) -> Option<(u64, Slot)> {
+        if !self.nodes[id].spilled {
+            return None;
         }
-        if let Some((p, t)) = want {
-            self.evictable.insert((p, t, id));
-            self.nodes[id].index_key = want;
+        let s = id as Slot;
+        let (&(_, key), &child) = self.spill.range((s, 0)..=(s, u64::MAX)).next()?;
+        Some((key, child))
+    }
+
+    /// Stores `child` under `key`, replacing any child already there.
+    fn set_child(&mut self, id: NodeId, key: u64, child: NodeId) {
+        let n = &mut self.nodes[id];
+        if n.child == NO_CHILD || n.child_key == key {
+            n.child_key = key;
+            n.child = child as Slot;
+        } else {
+            self.spill.insert((id as Slot, key), child as Slot);
+            n.spilled = true;
         }
+    }
+
+    /// Drops the child stored under `key`. When that was the first
+    /// child, a spilled one takes its place.
+    fn remove_child(&mut self, id: NodeId, key: u64) {
+        let n = &self.nodes[id];
+        if n.child == NO_CHILD || n.child_key != key {
+            self.spill.remove(&(id as Slot, key));
+        } else if let Some((k, c)) = self.first_spilled(id) {
+            self.spill.remove(&(id as Slot, k));
+            let n = &mut self.nodes[id];
+            (n.child_key, n.child) = (k, c);
+        } else {
+            self.nodes[id].child = NO_CHILD;
+        }
+        self.nodes[id].spilled = self.first_spilled(id).is_some();
     }
 
     /// Sets a node's advisory eviction protection.
     pub fn set_protected(&mut self, id: NodeId, protected: bool) {
         if self.nodes[id].protected != protected {
+            self.unindex(id);
             self.nodes[id].protected = protected;
-            self.reindex(id);
+            self.index(id);
         }
     }
 
     /// Increments a node's reference count (pins it against eviction).
     // simlint: hot
     pub fn inc_ref(&mut self, id: NodeId, now: SimTime) {
+        self.unindex(id);
         self.nodes[id].refs += 1;
         self.nodes[id].last_access = now;
-        self.reindex(id);
     }
 
     /// Decrements a node's reference count.
@@ -201,7 +276,7 @@ impl RadixTree {
     pub fn dec_ref(&mut self, id: NodeId) {
         debug_assert!(self.nodes[id].refs > 0, "unlock of unlocked node");
         self.nodes[id].refs = self.nodes[id].refs.saturating_sub(1);
-        self.reindex(id);
+        self.index(id);
     }
 
     /// Walks the longest existing path matching `blocks`; returns
@@ -211,8 +286,8 @@ impl RadixTree {
         let mut path = Vec::new();
         let mut tokens = 0u64;
         for b in blocks {
-            match self.nodes[cur].children.get(&b.key) {
-                Some(&child) if self.nodes[child].tokens == b.tokens => {
+            match self.child(cur, b.key) {
+                Some(child) if self.nodes[child].tokens == b.tokens => {
                     path.push(child);
                     tokens += b.tokens as u64;
                     cur = child;
@@ -239,41 +314,54 @@ impl RadixTree {
         let mut path = Vec::with_capacity(blocks.len());
         let mut new_tokens = 0u64;
         for b in blocks {
-            let existing = self.nodes[cur].children.get(&b.key).copied();
-            let next = match existing {
-                Some(child) if self.nodes[child].tokens == b.tokens => child,
+            let next = match self.child(cur, b.key) {
+                Some(child) if self.nodes[child].tokens == b.tokens => {
+                    self.unindex(child);
+                    self.nodes[child].last_access = now;
+                    child
+                }
                 _ => {
+                    // `cur` gains a child: it is no longer a leaf.
+                    self.unindex(cur);
                     let id = self.alloc(Node {
                         key: b.key,
-                        tokens: b.tokens,
-                        parent: cur,
-                        children: BTreeMap::new(),
-                        refs: 0,
                         last_access: now,
+                        child_key: 0,
+                        child: NO_CHILD,
+                        parent: cur as Slot,
+                        tokens: b.tokens,
+                        refs: 0,
                         alive: true,
                         protected: false,
-                        index_key: None,
+                        spilled: false,
                     });
-                    self.nodes[cur].children.insert(b.key, id);
-                    // `cur` just gained a child: it is no longer a leaf.
-                    self.reindex(cur);
+                    self.set_child(cur, b.key, id);
                     new_tokens += b.tokens as u64;
                     id
                 }
             };
-            self.nodes[next].last_access = now;
-            self.reindex(next);
+            self.index(next);
             path.push(next);
             cur = next;
         }
         (path, new_tokens)
     }
 
+    /// Places `node` in the most recently freed slot, else at the end of
+    /// the slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab would exceed `u32::MAX` slots.
     fn alloc(&mut self, node: Node) -> NodeId {
         if let Some(id) = self.free.pop() {
             self.nodes[id] = node;
             id
         } else {
+            assert!(
+                self.nodes.len() < NO_CHILD as usize,
+                "radix tree out of slots"
+            );
             self.nodes.push(node);
             self.nodes.len() - 1
         }
@@ -288,20 +376,18 @@ impl RadixTree {
     pub fn remove_leaf(&mut self, id: NodeId) -> u32 {
         debug_assert_ne!(id, ROOT);
         debug_assert_eq!(self.nodes[id].refs, 0, "evicting a locked node");
-        debug_assert!(self.nodes[id].children.is_empty(), "evicting an inner node");
-        let parent = self.nodes[id].parent;
+        debug_assert_eq!(self.nodes[id].child, NO_CHILD, "evicting an inner node");
+        self.unindex(id);
+        let parent = self.nodes[id].parent as NodeId;
         let key = self.nodes[id].key;
-        if let Some((p, t)) = self.nodes[id].index_key.take() {
-            self.evictable.remove(&(p, t, id));
-        }
-        self.nodes[parent].children.remove(&key);
+        self.remove_child(parent, key);
+        #[cfg(test)]
+        self.removed.push((id, key, self.nodes[id].tokens));
         self.nodes[id].alive = false;
         self.nodes[id].protected = false;
         self.free.push(id);
-        if parent != ROOT {
-            // The parent may have just become an evictable leaf.
-            self.reindex(parent);
-        }
+        // The parent may have just become an evictable leaf.
+        self.index(parent);
         self.nodes[id].tokens
     }
 
@@ -329,9 +415,75 @@ impl RadixTree {
             .sum()
     }
 
-    /// Number of live non-root nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.iter().skip(1).filter(|n| n.alive).count()
+    /// Asserts the tree's structure: every live non-root node is its live
+    /// parent's child under its own key and every child entry points back
+    /// to its parent; the dead slots are exactly the free list; and the
+    /// evictable index holds exactly the evictable nodes, each at its
+    /// current `(protected, last_access)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first broken condition.
+    pub fn check_structure(&self) {
+        let root = &self.nodes[ROOT];
+        assert!(
+            root.alive && root.refs > 0,
+            "root must stay alive and pinned"
+        );
+        let mut entries = 0usize;
+        for (id, n) in self.nodes.iter().enumerate() {
+            if !n.alive {
+                continue;
+            }
+            if id != ROOT {
+                let parent = n.parent as NodeId;
+                assert!(
+                    self.nodes[parent].alive,
+                    "node {id} has dead parent {parent}"
+                );
+                assert_eq!(
+                    self.child(parent, n.key),
+                    Some(id),
+                    "node {id} is not its parent's child under its key"
+                );
+            }
+            if n.child != NO_CHILD {
+                entries += 1;
+                let c = &self.nodes[n.child as NodeId];
+                assert!(c.alive, "node {id} lists dead child {}", n.child);
+                assert_eq!((c.parent as NodeId, c.key), (id, n.child_key));
+            }
+            if n.spilled {
+                assert!(
+                    self.first_spilled(id).is_some(),
+                    "node {id} spilled nothing"
+                );
+            }
+        }
+        for (&(parent, key), &child) in &self.spill {
+            entries += 1;
+            let (p, c) = (&self.nodes[parent as NodeId], &self.nodes[child as NodeId]);
+            assert!(
+                p.alive && p.child != NO_CHILD && p.spilled,
+                "spill entry under {parent}"
+            );
+            assert!(c.alive, "node {parent} lists dead child {child}");
+            assert_eq!((c.parent, c.key), (parent, key));
+        }
+        let live = self.nodes.iter().skip(1).filter(|n| n.alive).count();
+        assert_eq!(entries, live, "child entries must list each live node once");
+
+        let free: BTreeSet<NodeId> = self.free.iter().copied().collect();
+        assert_eq!(free.len(), self.free.len(), "a slot is free twice");
+        let dead: BTreeSet<NodeId> = (0..self.nodes.len())
+            .filter(|&id| !self.nodes[id].alive)
+            .collect();
+        assert_eq!(free, dead, "dead slots must be exactly the free list");
+
+        let evictable: BTreeSet<_> = (0..self.nodes.len())
+            .filter_map(|id| self.index_key(id))
+            .collect();
+        assert_eq!(self.evictable, evictable, "evictable index is stale");
     }
 }
 
@@ -434,8 +586,46 @@ mod tests {
         let mut t = RadixTree::new();
         let (p, _) = t.insert_path(&Block::sequence(1, 64, 64), SimTime::ZERO);
         t.remove_leaf(p[0]);
-        let before = t.len();
-        t.insert_path(&Block::sequence(2, 64, 64), SimTime::ZERO);
-        assert_eq!(t.len(), before + 1);
+        let (q, _) = t.insert_path(&Block::sequence(2, 64, 64), SimTime::ZERO);
+        assert_eq!(q, p);
+        assert_eq!(t.nodes.len(), 2);
+        t.check_structure();
+    }
+
+    #[test]
+    fn node_size_matches_design() {
+        // DESIGN.md §12 quotes 48 bytes per cached block.
+        assert!(std::mem::size_of::<Node>() <= 48);
+    }
+
+    #[test]
+    fn forks_spill_and_promote_on_removal() {
+        let mut t = RadixTree::new();
+        let chains: Vec<_> = (1..=3).map(|s| Block::sequence(s, 128, 64)).collect();
+        for (i, c) in chains.iter().enumerate() {
+            t.insert_path(c, SimTime::from_secs(i as f64));
+        }
+        // A 36-token tail beside stream 1's full second block.
+        let tail = Block::sequence(1, 100, 64);
+        t.insert_path(&tail, SimTime::from_secs(3.0));
+        assert!(!t.spill.is_empty());
+        t.check_structure();
+        // Stream 1 owns the root's inline child; once its blocks are gone
+        // a spilled sibling takes that place and still matches.
+        let (p1, _) = t.walk(&chains[0]);
+        let (pt, _) = t.walk(&tail);
+        for id in [p1[1], pt[1], p1[0]] {
+            t.remove_leaf(id);
+            t.check_structure();
+        }
+        assert_eq!(t.walk(&chains[1]).1, 128);
+        assert_eq!(t.walk(&chains[2]).1, 128);
+        assert_eq!(t.walk(&chains[0]).1, 0);
+        while let Some(id) = t.lru_evictable() {
+            t.remove_leaf(id);
+            t.check_structure();
+        }
+        assert!(t.spill.is_empty());
+        assert_eq!(t.total_tokens(), 0);
     }
 }

@@ -9,10 +9,18 @@
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
 #   ./scripts/check.sh lint --changed  # simlint, findings scoped to files changed vs HEAD
-#   ./scripts/check.sh perf-smoke      # hot-path throughput gate (>20% regression fails)
+#   ./scripts/check.sh perf-smoke      # sweep_smoke grid vs BENCH_sweep.json (see below)
 #   ./scripts/check.sh fleet-smoke     # fleet router tier: leaks, accounting, thread identity
 #   ./scripts/check.sh fleet-chaos-smoke  # fleet failover: a victim must migrate and finish elsewhere
 #   ./scripts/check.sh gray-smoke      # gray failures: hedged dispatch, cancelled books, thread identity
+#
+# perf-smoke gates twice. The grid's work (simulated seconds, boundary
+# events, decode iterations and macro-coalesced iterations) must equal
+# the figures BENCH_sweep.json records exactly: host load cannot move
+# them, so a difference is a change in behaviour. Its throughput
+# (simulated seconds per wall second) may fall at most 20 % below the
+# recorded figure. Re-run sweep_smoke to re-record both after an
+# intended change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
