@@ -5,7 +5,8 @@
 //! through a router policy, and reports fleet goodput plus
 //! routing-quality columns: prefix-cache hit rate at the router, request
 //! load imbalance, and crash-driven reroutes. Each row also records the
-//! wall-clock seconds of its fleet run (`wall_s`, `events_per_wall_s`),
+//! wall-clock seconds of its fleet run (`wall_s`, `events_per_wall_s`)
+//! and the process's peak resident memory while it ran (`peak_rss_mb`),
 //! the only columns that differ between hosts. The headline grid point is
 //! re-run at several thread counts to demonstrate bit-identical replay
 //! (`identical_results` in `BENCH_fleet.json`).
@@ -95,12 +96,27 @@ fn trace_for(size: usize, sessions: usize, rate: f64) -> Vec<RequestSpec> {
 }
 
 /// Runs one point and returns its report with the wall-clock seconds of
-/// the fleet run alone (trace generation and fleet set-up excluded).
-fn run_point(tb: &Testbed, p: &FleetPoint) -> (FleetReport, f64) {
+/// the fleet run alone (trace generation and fleet set-up excluded), and
+/// the process's peak resident memory while the point ran, set-up
+/// included (MB; 0 where `/proc` is missing). Writing `5` to
+/// `clear_refs` first resets the kernel's high-water mark (`VmHWM`) to
+/// the current RSS, so the figure covers this point only, on top of
+/// whatever the process already held.
+fn run_point(tb: &Testbed, p: &FleetPoint) -> (FleetReport, f64, f64) {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
     let trace = trace_for(p.size, p.sessions, p.rate);
     let mut policy = make_policy(p.policy);
     let fleet = build_fleet(tb, p);
-    wall_timed(|| fleet.run(&trace, policy.as_mut()))
+    let (report, wall_s) = wall_timed(|| fleet.run(&trace, policy.as_mut()));
+    let peak_kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        })
+        .unwrap_or(0.0);
+    (report, wall_s, peak_kb / 1024.0)
 }
 
 fn assert_invariants(label: &str, report: &FleetReport) {
@@ -112,7 +128,12 @@ fn assert_invariants(label: &str, report: &FleetReport) {
     );
 }
 
-fn row_json(p: &FleetPoint, report: &FleetReport, wall_s: f64) -> serde_json::Value {
+fn row_json(
+    p: &FleetPoint,
+    report: &FleetReport,
+    wall_s: f64,
+    peak_rss_mb: f64,
+) -> serde_json::Value {
     serde_json::json!({
         "size": p.size, "policy": p.policy, "rate_per_instance": p.rate,
         "requests": report.total(), "finished": report.finished(),
@@ -131,6 +152,10 @@ fn row_json(p: &FleetPoint, report: &FleetReport, wall_s: f64) -> serde_json::Va
         // `threads`); not replay-stable, unlike every other column.
         "wall_s": wall_s,
         "events_per_wall_s": report.total_events() as f64 / wall_s,
+        // The process's peak resident memory while this row ran (rows
+        // run one at a time), counting what it still held from earlier
+        // rows; like `wall_s`, host-dependent.
+        "peak_rss_mb": peak_rss_mb,
         "crashed_instances": p.crash_every.map_or(0, |k| p.size.div_ceil(k)),
         "threads": p.threads,
         // Fleet failover tier: migrated-victim recovery-class split. A
@@ -150,9 +175,9 @@ fn row_json(p: &FleetPoint, report: &FleetReport, wall_s: f64) -> serde_json::Va
     })
 }
 
-fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64) {
+fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64, peak_rss_mb: f64) {
     println!(
-        "{:>5} inst  {:<15} rate {:>4.2}/s  goodput {:>9.0} tok/s  ttft-att {:>5.1}%  hit {:>5.1}%  imbal {:>4.2}  reroutes {:>3}  split {:>4}  shed {:>4}  migr {:>3} ({:>2} cached / {:>2} reprefill)  wall {:>6.2} s",
+        "{:>5} inst  {:<15} rate {:>4.2}/s  goodput {:>9.0} tok/s  ttft-att {:>5.1}%  hit {:>5.1}%  imbal {:>4.2}  reroutes {:>3}  split {:>4}  shed {:>4}  migr {:>3} ({:>2} cached / {:>2} reprefill)  wall {:>6.2} s  peak {:>4.0} MB",
         p.size,
         p.policy,
         p.rate,
@@ -167,6 +192,7 @@ fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64) {
         report.failover.replica_hit,
         report.failover.reprefill,
         wall_s,
+        peak_rss_mb,
     );
 }
 
@@ -185,9 +211,9 @@ fn smoke() {
             split_every: Some(4),
             threads: 1,
         };
-        let (one, _) = run_point(&tb, &p);
+        let (one, _, _) = run_point(&tb, &p);
         assert_invariants(&format!("smoke/{policy}"), &one);
-        let (two, _) = run_point(&tb, &FleetPoint { threads: 2, ..p });
+        let (two, _, _) = run_point(&tb, &FleetPoint { threads: 2, ..p });
         assert_eq!(
             one, two,
             "smoke/{policy}: thread count changed the fleet report"
@@ -224,10 +250,10 @@ fn main() {
                 split_every: None,
                 threads: bench::sweep::num_threads(),
             };
-            let (report, wall) = run_point(&tb, &p);
+            let (report, wall, peak) = run_point(&tb, &p);
             assert_invariants(&format!("{size}/{policy}"), &report);
-            print_row(&p, &report, wall);
-            let row = row_json(&p, &report, wall);
+            print_row(&p, &report, wall, peak);
+            let row = row_json(&p, &report, wall, peak);
             save_record("fleet", &row);
             rows.push(row);
         }
@@ -245,10 +271,10 @@ fn main() {
                 split_every: None,
                 threads: bench::sweep::num_threads(),
             };
-            let (report, wall) = run_point(&tb, &p);
+            let (report, wall, peak) = run_point(&tb, &p);
             assert_invariants(&format!("rate{rate}/{policy}"), &report);
-            print_row(&p, &report, wall);
-            let row = row_json(&p, &report, wall);
+            print_row(&p, &report, wall, peak);
+            let row = row_json(&p, &report, wall, peak);
             save_record("fleet", &row);
             rows.push(row);
         }
@@ -265,14 +291,14 @@ fn main() {
             split_every: None,
             threads: bench::sweep::num_threads(),
         };
-        let (report, wall) = run_point(&tb, &p);
+        let (report, wall, peak) = run_point(&tb, &p);
         assert_invariants(&format!("crash/{policy}"), &report);
         assert!(
             report.routing.rerouted_on_crash > 0,
             "{policy}: a 10s outage on 2 instances should force reroutes"
         );
-        print_row(&p, &report, wall);
-        let row = row_json(&p, &report, wall);
+        print_row(&p, &report, wall, peak);
+        let row = row_json(&p, &report, wall, peak);
         save_record("fleet", &row);
         rows.push(row);
     }
@@ -288,10 +314,10 @@ fn main() {
             split_every: Some(4),
             threads: bench::sweep::num_threads(),
         };
-        let (report, wall) = run_point(&tb, &p);
+        let (report, wall, peak) = run_point(&tb, &p);
         assert_invariants("mixed", &report);
-        print_row(&p, &report, wall);
-        let row = row_json(&p, &report, wall);
+        print_row(&p, &report, wall, peak);
+        let row = row_json(&p, &report, wall, peak);
         save_record("fleet", &row);
         rows.push(row);
     }
@@ -308,8 +334,8 @@ fn main() {
         split_every: None,
         threads: 1,
     };
-    let (sequential, _) = run_point(&tb, &headline);
-    let (threaded, _) = run_point(
+    let (sequential, _, _) = run_point(&tb, &headline);
+    let (threaded, _, _) = run_point(
         &tb,
         &FleetPoint {
             threads: 4,

@@ -69,7 +69,19 @@ impl ServeCtx {
     }
 
     /// Emits `count` output tokens for a request at the current time.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the request would emit more tokens
+    /// than its `output_tokens`; the metrics recorder sizes each
+    /// request's gap region on that bound.
     pub fn emit_tokens(&mut self, id: ReqId, count: u64) {
+        debug_assert!(
+            self.metrics.tokens_emitted(id) + count <= self.requests[id].output_tokens,
+            "request {id} emits {count} token(s) after {} of its {}",
+            self.metrics.tokens_emitted(id),
+            self.requests[id].output_tokens
+        );
         let now = self.now;
         self.metrics.emit_tokens(id, now, count);
     }
@@ -260,12 +272,12 @@ pub struct Driver {
 impl Driver {
     /// Creates a driver over a request trace.
     pub fn new(gpu: GpuSim, requests: Vec<RequestSpec>, slo: SloSpec) -> Driver {
-        let n = requests.len();
+        let metrics = MetricsRecorder::with_output_tokens(requests.iter().map(|r| r.output_tokens));
         Driver {
             ctx: ServeCtx {
                 gpu,
                 requests,
-                metrics: MetricsRecorder::new(n),
+                metrics,
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
             },

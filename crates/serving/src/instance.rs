@@ -405,7 +405,7 @@ impl Instance {
         );
         let id = self.ctx.requests.len();
         self.ctx.queue.push(spec.arrival, Event::Arrival(id));
-        self.ctx.metrics.push_request();
+        self.ctx.metrics.push_request(spec.output_tokens);
         self.ctx.requests.push(spec);
         self.shed_attempted.push(false);
         self.defer_count.push(0);
@@ -617,6 +617,15 @@ impl Instance {
         let makespan = self.ctx.now - SimTime::ZERO;
         let arrivals: Vec<SimTime> = self.ctx.requests.iter().map(|r| r.arrival).collect();
         let inputs: Vec<u64> = self.ctx.requests.iter().map(|r| r.input_tokens()).collect();
+        // Read what the report needs from the recorder before the
+        // report consumes it.
+        let recovery = self.has_crashes.then(|| {
+            let metrics = &self.ctx.metrics;
+            let mut recovery = self.recovery;
+            recovery.finalize(|id| metrics.is_finished(id) && !metrics.is_cancelled(id));
+            recovery.stats
+        });
+        let last_tbt_violation = self.ctx.metrics.last_tbt_violation();
         let mut report = self
             .ctx
             .metrics
@@ -655,16 +664,13 @@ impl Instance {
         }
         counters.shed += report.shed as u64;
         counters.fault_retries += self.fault_retries;
-        if self.has_crashes {
-            let metrics = &self.ctx.metrics;
-            let mut recovery = self.recovery;
-            recovery.finalize(|id| metrics.is_finished(id) && !metrics.is_cancelled(id));
-            report.recovery = recovery.stats;
+        if let Some(stats) = recovery {
+            report.recovery = stats;
         }
         // Recovery time: how long after the last fault window closed the
         // system kept violating the TBT SLO (0 = immediate recovery).
         if let Some(fault_end) = self.faults.last_end() {
-            let rec = match self.ctx.metrics.last_tbt_violation() {
+            let rec = match last_tbt_violation {
                 Some(v) if v > fault_end => (v - fault_end).as_secs(),
                 _ => 0.0,
             };

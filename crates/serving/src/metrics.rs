@@ -10,6 +10,8 @@ use crate::request::{ReqId, ReqRuntime, SloSpec};
 #[derive(Debug)]
 pub struct MetricsRecorder {
     pub(crate) runtimes: Vec<ReqRuntime>,
+    /// Every request's inter-token gaps, each written once.
+    gaps: GapLog,
     total_tokens: u64,
     /// Requests intentionally shed by the driver's overload watchdog.
     shed: Vec<bool>,
@@ -42,11 +44,36 @@ pub struct MetricsRecorder {
     fin_tbt_count: u64,
 }
 
+/// Inter-token gaps a request of `tokens` output tokens records: one
+/// per token after its first.
+fn gap_count(tokens: u64) -> usize {
+    tokens.saturating_sub(1) as usize
+}
+
 impl MetricsRecorder {
-    /// Creates a recorder for `n` requests.
+    /// Creates a recorder for `n` requests whose output lengths are not
+    /// known: it reserves no gap space up front, and each request's
+    /// region moves to fresh space whenever it fills.
     pub fn new(n: usize) -> MetricsRecorder {
+        MetricsRecorder::with_output_tokens(std::iter::repeat_n(0, n))
+    }
+
+    /// Creates a recorder for requests of the given output lengths, in
+    /// request order. Each request gets a region of `output_tokens − 1`
+    /// gap slots, back to back in one buffer that is allocated at the
+    /// first recorded gap and moved whole into [`Report::tbt`].
+    pub fn with_output_tokens(
+        lens: impl IntoIterator<Item = u64, IntoIter: Clone>,
+    ) -> MetricsRecorder {
+        let lens = lens.into_iter();
+        let mut gaps = GapLog::new(lens.clone().map(gap_count).sum());
+        let runtimes: Vec<ReqRuntime> = lens
+            .map(|t| ReqRuntime::new(gaps.reserve(gap_count(t))))
+            .collect();
+        let n = runtimes.len();
         MetricsRecorder {
-            runtimes: (0..n).map(|_| ReqRuntime::new()).collect(),
+            runtimes,
+            gaps,
             total_tokens: 0,
             shed: vec![false; n],
             cancelled: vec![false; n],
@@ -63,11 +90,13 @@ impl MetricsRecorder {
         }
     }
 
-    /// Grows the recorder by one request (dynamic admission into a
-    /// steppable [`crate::Instance`]). The new slot starts untouched —
-    /// identical to having been sized for it at construction.
-    pub(crate) fn push_request(&mut self) {
-        self.runtimes.push(ReqRuntime::new());
+    /// Grows the recorder by one request of `output_tokens` (dynamic
+    /// admission into a steppable [`crate::Instance`]). The new slot
+    /// starts untouched — identical to having been sized for it at
+    /// construction.
+    pub(crate) fn push_request(&mut self, output_tokens: u64) {
+        let gaps = self.gaps.reserve(gap_count(output_tokens));
+        self.runtimes.push(ReqRuntime::new(gaps));
         self.shed.push(false);
         self.cancelled.push(false);
         self.delivered.push(false);
@@ -180,30 +209,46 @@ impl MetricsRecorder {
     /// # Panics
     ///
     /// Panics if `req` is out of range.
+    // simlint: hot
     pub fn emit_tokens(&mut self, req: ReqId, now: SimTime, count: u64) {
-        if count > 0 && self.runtimes[req].tokens_emitted == 0 {
+        if count == 0 {
+            return;
+        }
+        if self.runtimes[req].tokens_emitted == 0 {
             self.leave_prefill_backlog(req);
         }
+        self.total_tokens += count;
         let r = &mut self.runtimes[req];
-        for _ in 0..count {
-            match r.last_token_at {
-                None => r.first_token_at = Some(now),
-                Some(prev) => {
-                    // Multiple tokens at one instant (e.g. a final flush)
-                    // contribute zero-gap TBT samples only for the first.
-                    let gap = (now - prev).as_secs();
-                    if let Some(th) = self.tbt_threshold {
-                        if gap > th {
-                            self.last_tbt_violation_at = Some(now);
-                        }
-                    }
-                    r.tbt_samples.push(gap);
-                }
+        // Every token after a request's first records one gap. Tokens
+        // emitted at one instant (e.g. a final flush) record the real
+        // gap since the previous token for the first of them, when
+        // there was one, and a zero gap for each further one.
+        let lead = match r.last_token_at {
+            None => {
+                r.first_token_at = Some(now);
+                None
             }
-            r.last_token_at = Some(now);
-            r.tokens_emitted += 1;
-            self.total_tokens += 1;
+            Some(prev) => Some((now - prev).as_secs()),
+        };
+        let recorded = gap_count(r.tokens_emitted);
+        r.last_token_at = Some(now);
+        r.tokens_emitted += count;
+        let fresh = gap_count(r.tokens_emitted) - recorded;
+        if fresh == 0 {
+            return;
         }
+        let slots = self.gaps.slots(&mut r.gaps, recorded, fresh);
+        let zeros = match lead {
+            Some(gap) => {
+                slots[0] = gap;
+                if self.tbt_threshold.is_some_and(|th| gap > th) {
+                    self.last_tbt_violation_at = Some(now);
+                }
+                &mut slots[1..]
+            }
+            None => slots,
+        };
+        zeros.fill(0.0);
     }
 
     /// Marks a request finished. `arrival` is the request's arrival
@@ -224,8 +269,9 @@ impl MetricsRecorder {
         if let Some(first) = r.first_token_at {
             self.fin_ttft_sum += (first - arrival).as_secs();
         }
-        self.fin_tbt_count += r.tbt_samples.len() as u64;
-        self.fin_tbt_sum += r.tbt_samples.iter().sum::<f64>();
+        let gaps = self.gaps.recorded(r.gaps, gap_count(r.tokens_emitted));
+        self.fin_tbt_count += gaps.len() as u64;
+        self.fin_tbt_sum += gaps.iter().sum::<f64>();
     }
 
     /// Cumulative finished-request latency totals, in finish order:
@@ -257,11 +303,12 @@ impl MetricsRecorder {
     }
 
     /// Builds the final report. `arrivals` gives each request's arrival
-    /// time; `makespan` the simulated span used for throughput.
-    pub fn report(&self, arrivals: &[SimTime], makespan: SimDuration, slo: &SloSpec) -> Report {
+    /// time; `makespan` the simulated span used for throughput. The
+    /// recorded gaps move into [`Report::tbt`] in request order, without
+    /// a copy when they still sit in one buffer in that order.
+    pub fn report(self, arrivals: &[SimTime], makespan: SimDuration, slo: &SloSpec) -> Report {
         assert_eq!(arrivals.len(), self.runtimes.len());
         let mut ttft = Summary::new();
-        let mut tbt = Summary::new();
         let mut tpot = Summary::new();
         let mut e2e = Summary::new();
         let mut ttft_per_token = Summary::new();
@@ -286,9 +333,6 @@ impl MetricsRecorder {
                 // `ttft_per_token` filled by `report_with_inputs`).
                 ttft_per_token.record(t);
             }
-            for &s in &r.tbt_samples {
-                tbt.record(s);
-            }
             if let (Some(first), Some(last)) = (r.first_token_at, r.last_token_at) {
                 if r.tokens_emitted > 1 {
                     tpot.record((last - first).as_secs() / (r.tokens_emitted - 1) as f64);
@@ -299,6 +343,14 @@ impl MetricsRecorder {
                 finished += 1;
             }
         }
+        // Cancelled hedge losers' gaps stay out, like their other
+        // latencies.
+        let kept = self
+            .runtimes
+            .iter()
+            .zip(&self.cancelled)
+            .map(|(r, &c)| (r.gaps, if c { 0 } else { gap_count(r.tokens_emitted) }));
+        let tbt = Summary::from(self.gaps.into_samples(kept));
         Report {
             ttft,
             tbt,
@@ -325,13 +377,12 @@ impl MetricsRecorder {
     /// Like [`MetricsRecorder::report`] but fills the TTFT-per-input-token
     /// distribution used by the preemption study (Fig. 20).
     pub fn report_with_inputs(
-        &self,
+        self,
         arrivals: &[SimTime],
         input_tokens: &[u64],
         makespan: SimDuration,
         slo: &SloSpec,
     ) -> Report {
-        let mut rep = self.report(arrivals, makespan, slo);
         let mut per_token = Summary::new();
         for (i, ((r, &arr), &inp)) in self
             .runtimes
@@ -347,8 +398,183 @@ impl MetricsRecorder {
                 per_token.record((first - arr).as_secs() / inp.max(1) as f64);
             }
         }
+        let mut rep = self.report(arrivals, makespan, slo);
         rep.ttft_per_token = per_token;
         rep
+    }
+}
+
+/// Slots in a segment opened for requests admitted one at a time, whose
+/// total is not known up front: 128 KiB, which measured lowest in both
+/// benchmark fleets' peak memory against 1,024 and 4,096 slots
+/// (EXPERIMENTS.md).
+const SEGMENT_GAPS: usize = 16_384;
+
+/// Where one request's inter-token gaps live: `cap` slots from `start`
+/// in segment `seg` of its recorder's [`GapLog`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Region {
+    seg: usize,
+    start: usize,
+    cap: usize,
+}
+
+/// Every request's inter-token gaps, each written once into its
+/// request's region (DESIGN.md §12, "TBT recording").
+///
+/// Regions sit in segments of fixed length. A segment's storage is
+/// allocated at the first gap written into it and never reallocates, so
+/// no stale copy of a gap is left behind. A recorder built over a whole
+/// trace has one segment holding every region back to back in request
+/// order; requests admitted one at a time fill segments of
+/// [`SEGMENT_GAPS`] slots, or one of their own when longer. A region
+/// that fills moves to fresh space.
+#[derive(Debug)]
+struct GapLog {
+    segs: Vec<Segment>,
+    /// Whether some region moved; regions are then no longer in
+    /// request order.
+    moved: bool,
+}
+
+#[derive(Debug)]
+struct Segment {
+    /// Slots in the segment, fixed when it opens.
+    len: usize,
+    /// Slots handed to regions so far.
+    used: usize,
+    /// Storage for `len` slots from the first gap written here on,
+    /// filled out as far as gaps reach; unallocated before.
+    data: Vec<f64>,
+}
+
+impl Segment {
+    fn new(len: usize) -> Segment {
+        Segment {
+            len,
+            used: 0,
+            data: Vec::new(),
+        }
+    }
+}
+
+impl GapLog {
+    /// A log whose first segment holds exactly `total` slots.
+    fn new(total: usize) -> GapLog {
+        GapLog {
+            segs: if total > 0 {
+                vec![Segment::new(total)]
+            } else {
+                Vec::new()
+            },
+            moved: false,
+        }
+    }
+
+    /// Reserves `cap` slots for the next region: the tail of the last
+    /// segment when it has room, else a fresh segment.
+    fn reserve(&mut self, cap: usize) -> Region {
+        if cap == 0 {
+            return Region::default();
+        }
+        if self.segs.last().is_none_or(|s| s.len - s.used < cap) {
+            self.segs.push(Segment::new(cap.max(SEGMENT_GAPS)));
+        }
+        let seg = self.segs.len() - 1;
+        let s = &mut self.segs[seg];
+        let start = s.used;
+        s.used += cap;
+        Region { seg, start, cap }
+    }
+
+    /// Slots `k..k + n` of `region`, whose first `k` slots hold its
+    /// gaps so far.
+    fn slots(&mut self, region: &mut Region, k: usize, n: usize) -> &mut [f64] {
+        if k + n > region.cap || region.start + k + n > self.segs[region.seg].data.len() {
+            self.make_room(region, k, n);
+        }
+        let at = region.start + k;
+        &mut self.segs[region.seg].data[at..at + n]
+    }
+
+    /// Gives `region` room for `k + n` gaps, keeping its first `k`: a
+    /// full region moves to fresh space of at least twice its size, and
+    /// the segment is filled out far enough to hold them.
+    #[cold]
+    fn make_room(&mut self, region: &mut Region, k: usize, n: usize) {
+        if k + n > region.cap {
+            let to = self.reserve((k + n).max(2 * region.cap));
+            self.fill_to(to.seg, to.start + k + n);
+            // With no gaps to keep, the old segment may not even be
+            // allocated.
+            if k > 0 {
+                let from = region.start..region.start + k;
+                if to.seg == region.seg {
+                    self.segs[to.seg].data.copy_within(from, to.start);
+                } else {
+                    // A region only moves forward: `reserve` places it
+                    // in the last segment.
+                    let (old, new) = self.segs.split_at_mut(to.seg);
+                    new[0].data[to.start..to.start + k]
+                        .copy_from_slice(&old[region.seg].data[from]);
+                }
+            }
+            *region = to;
+            self.moved = true;
+        }
+        self.fill_to(region.seg, region.start + k + n);
+    }
+
+    /// Makes the first `end` slots of segment `seg` writable. Its
+    /// storage is allocated whole at the first gap written there, and
+    /// zero-filled only as far as gaps reach, a page ahead at a time, so
+    /// slots no gap reaches are never touched and the storage never
+    /// reallocates.
+    fn fill_to(&mut self, seg: usize, end: usize) {
+        const PAGE_SLOTS: usize = 512;
+        let s = &mut self.segs[seg];
+        if s.data.capacity() == 0 {
+            s.data = Vec::with_capacity(s.len);
+        }
+        if s.data.len() < end {
+            let to = end.max(s.data.len() + PAGE_SLOTS).min(s.len);
+            s.data.resize(to, 0.0);
+        }
+    }
+
+    /// The first `n` gaps of `region`.
+    fn recorded(&self, region: Region, n: usize) -> &[f64] {
+        if n == 0 {
+            return &[];
+        }
+        &self.segs[region.seg].data[region.start..region.start + n]
+    }
+
+    /// The first `n` gaps of each `(region, n)`, concatenated in the
+    /// order given. Regions still back to back in request order in one
+    /// segment are compacted in place, and that segment becomes the
+    /// result; any other layout is gathered into a vector of exactly
+    /// the samples' size.
+    fn into_samples(mut self, regions: impl Iterator<Item = (Region, usize)> + Clone) -> Vec<f64> {
+        if self.segs.len() > 1 || self.moved {
+            let total = regions.clone().map(|(_, n)| n).sum();
+            let mut out = Vec::with_capacity(total);
+            for (r, n) in regions {
+                out.extend_from_slice(self.recorded(r, n));
+            }
+            return out;
+        }
+        let mut data = self.segs.pop().map(|s| s.data).unwrap_or_default();
+        let mut len = 0;
+        for (r, n) in regions {
+            if n > 0 && r.start != len {
+                data.copy_within(r.start..r.start + n, len);
+            }
+            len += n;
+        }
+        data.truncate(len);
+        data.shrink_to_fit();
+        data
     }
 }
 
@@ -524,6 +750,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn slo() -> SloSpec {
         SloSpec::llama70b()
@@ -677,5 +904,214 @@ mod tests {
         m.emit_tokens(0, SimTime::from_secs(0.5), 3);
         assert_eq!(m.tokens_emitted(0), 3);
         assert_eq!(m.total_tokens(), 3);
+    }
+
+    #[test]
+    fn a_flush_records_its_real_gap_then_zeros() {
+        for mut m in [
+            MetricsRecorder::new(1),
+            MetricsRecorder::with_output_tokens([4]),
+        ] {
+            m.emit_tokens(0, SimTime::from_secs(1.0), 1);
+            m.emit_tokens(0, SimTime::from_secs(1.25), 3);
+            assert_eq!(m.tokens_emitted(0), 4);
+            let rep = m.report(&[SimTime::ZERO], SimDuration::from_secs(2.0), &slo());
+            // Four tokens, three gaps: the real one, then one zero per
+            // further token of the flush.
+            assert_eq!(rep.tbt.samples(), &[0.25, 0.0, 0.0]);
+        }
+    }
+
+    #[test]
+    fn a_trace_sized_recorder_writes_each_gap_in_place() {
+        let mut m = MetricsRecorder::with_output_tokens([3, 1, 0, 4]);
+        for (req, at) in [(3, 1.0), (0, 1.0), (1, 1.5), (3, 1.5), (0, 2.0)] {
+            m.emit_tokens(req, SimTime::from_secs(at), 1);
+        }
+        m.emit_tokens(3, SimTime::from_secs(2.5), 2);
+        m.emit_tokens(0, SimTime::from_secs(2.5), 1);
+        assert_eq!(m.gaps.segs.len(), 1, "one buffer for the whole trace");
+        assert_eq!(m.gaps.segs[0].len, 2 + 3);
+        assert!(!m.gaps.moved, "no region outgrew its output length");
+        let rep = m.report(&[SimTime::ZERO; 4], SimDuration::from_secs(3.0), &slo());
+        assert_eq!(rep.tbt.samples(), &[1.0, 0.5, 0.5, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn admissions_fill_fixed_segments_and_report_in_request_order() {
+        let mut m = MetricsRecorder::with_output_tokens([]);
+        let half = SEGMENT_GAPS as u64 / 2;
+        let lens = [half + 1, half + 2, 3];
+        for len in lens {
+            m.push_request(len);
+        }
+        // The second region does not fit beside the first; the third
+        // fits beside the second.
+        assert_eq!(m.gaps.segs.len(), 2);
+        for req in [2, 1, 0] {
+            m.emit_tokens(req, SimTime::from_secs(1.0), 1);
+            m.emit_tokens(req, SimTime::from_secs(1.0 + req as f64), 2);
+        }
+        let rep = m.report(&[SimTime::ZERO; 3], SimDuration::from_secs(4.0), &slo());
+        assert_eq!(rep.tbt.samples(), &[0.0, 0.0, 1.0, 0.0, 2.0, 0.0]);
+    }
+
+    /// The per-request `Vec<f64>` recording that [`GapLog`] replaced,
+    /// kept as the reference its samples and totals must equal.
+    #[derive(Debug, Default)]
+    struct Reference {
+        first: Vec<Option<SimTime>>,
+        last: Vec<Option<SimTime>>,
+        gaps: Vec<Vec<f64>>,
+        cancelled: Vec<bool>,
+        finished: (u64, f64, u64, f64),
+        violation: Option<SimTime>,
+    }
+
+    impl Reference {
+        fn push(&mut self) {
+            self.first.push(None);
+            self.last.push(None);
+            self.gaps.push(Vec::new());
+            self.cancelled.push(false);
+        }
+
+        fn emit(&mut self, req: ReqId, now: SimTime, count: u64, threshold: f64) {
+            for _ in 0..count {
+                match self.last[req] {
+                    None => self.first[req] = Some(now),
+                    Some(prev) => {
+                        let gap = (now - prev).as_secs();
+                        if gap > threshold {
+                            self.violation = Some(now);
+                        }
+                        self.gaps[req].push(gap);
+                    }
+                }
+                self.last[req] = Some(now);
+            }
+        }
+
+        fn finish(&mut self, req: ReqId) {
+            if self.cancelled[req] {
+                return;
+            }
+            let f = &mut self.finished;
+            f.0 += 1;
+            if let Some(first) = self.first[req] {
+                f.1 += (first - SimTime::ZERO).as_secs();
+            }
+            f.2 += self.gaps[req].len() as u64;
+            f.3 += self.gaps[req].iter().sum::<f64>();
+        }
+
+        fn samples(&self) -> Vec<f64> {
+            self.gaps
+                .iter()
+                .zip(&self.cancelled)
+                .filter(|(_, &c)| !c)
+                .flat_map(|(g, _)| g.iter().copied())
+                .collect()
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn latency_bits((n, ttft, tbt_n, tbt): (u64, f64, u64, f64)) -> (u64, u64, u64, u64) {
+        (n, ttft.to_bits(), tbt_n, tbt.to_bits())
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Emit { req: usize, dt_us: u64, count: u64 },
+        Finish(usize),
+        Shed(usize),
+        Cancel(usize),
+        Admit(u64),
+    }
+
+    /// Mostly single-token emissions; a fifth of them flush up to 39
+    /// tokens, and a quarter land at the previous instant.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..12, any::<usize>(), 0u64..200_000, 0u64..12_000).prop_map(|(kind, req, x, y)| {
+            match kind {
+                0..=7 => Op::Emit {
+                    req,
+                    dt_us: if x % 4 == 0 { 0 } else { x },
+                    count: if y % 5 == 0 { y % 40 } else { 1 },
+                },
+                8 => Op::Finish(req),
+                9 => Op::Shed(req),
+                10 => Op::Cancel(req),
+                _ => Op::Admit(y),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of emissions (multi-token flushes
+        /// included), finishes, sheds, cancels and admissions that
+        /// cross segments, on recorders built with and without output
+        /// lengths: the report's TBT samples and the finished-latency
+        /// totals equal the per-request reference bit for bit.
+        #[test]
+        fn gap_log_matches_per_request_vectors(
+            lens in prop::collection::vec(0u64..600, 0..8),
+            sized in any::<bool>(),
+            within_lengths in any::<bool>(),
+            ops in prop::collection::vec(op(), 0..200),
+        ) {
+            const THRESHOLD: f64 = 0.1;
+            let mut m = if sized {
+                MetricsRecorder::with_output_tokens(lens.iter().copied())
+            } else {
+                MetricsRecorder::new(lens.len())
+            };
+            m.track_tbt_threshold(THRESHOLD);
+            let mut lens = if sized { lens } else { vec![u64::MAX; lens.len()] };
+            let mut reference = Reference::default();
+            lens.iter().for_each(|_| reference.push());
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                let n = lens.len();
+                match op {
+                    Op::Admit(len) => {
+                        m.push_request(len);
+                        lens.push(len);
+                        reference.push();
+                    }
+                    _ if n == 0 => {}
+                    Op::Emit { req, dt_us, count } => {
+                        let req = req % n;
+                        let left = lens[req].saturating_sub(m.tokens_emitted(req));
+                        let count = if within_lengths { count.min(left) } else { count };
+                        now += SimDuration::from_secs(dt_us as f64 * 1e-6);
+                        m.emit_tokens(req, now, count);
+                        reference.emit(req, now, count, THRESHOLD);
+                    }
+                    Op::Finish(req) => {
+                        m.finish(req % n, now, SimTime::ZERO);
+                        reference.finish(req % n);
+                        prop_assert_eq!(
+                            latency_bits(m.finished_latency()),
+                            latency_bits(reference.finished)
+                        );
+                    }
+                    Op::Shed(req) => m.mark_shed(req % n),
+                    Op::Cancel(req) => {
+                        m.mark_cancelled(req % n);
+                        reference.cancelled[req % n] = true;
+                    }
+                }
+            }
+            prop_assert_eq!(m.last_tbt_violation(), reference.violation);
+            let n = lens.len();
+            let rep = m.report(&vec![SimTime::ZERO; n], SimDuration::from_secs(1.0), &slo());
+            prop_assert_eq!(bits(rep.tbt.samples()), bits(&reference.samples()));
+        }
     }
 }

@@ -2,6 +2,8 @@
 
 use simcore::{SimDuration, SimTime};
 
+use crate::metrics::Region;
+
 /// Index of a request within a [`crate::Driver`] run.
 pub type ReqId = usize;
 
@@ -48,17 +50,18 @@ pub(crate) struct ReqRuntime {
     pub last_token_at: Option<SimTime>,
     pub tokens_emitted: u64,
     pub finished_at: Option<SimTime>,
-    pub tbt_samples: Vec<f64>,
+    /// Where the recorder writes this request's inter-token gaps.
+    pub gaps: Region,
 }
 
 impl ReqRuntime {
-    pub fn new() -> ReqRuntime {
+    pub fn new(gaps: Region) -> ReqRuntime {
         ReqRuntime {
             first_token_at: None,
             last_token_at: None,
             tokens_emitted: 0,
             finished_at: None,
-            tbt_samples: Vec::new(),
+            gaps,
         }
     }
 }

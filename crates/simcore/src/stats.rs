@@ -194,6 +194,18 @@ impl FromIterator<f64> for Summary {
     }
 }
 
+/// Takes ownership of already-recorded samples without copying them;
+/// the summary equals one built by recording them in order.
+impl From<Vec<f64>> for Summary {
+    fn from(samples: Vec<f64>) -> Summary {
+        debug_assert!(samples.iter().all(|v| !v.is_nan()), "NaN sample");
+        Summary {
+            samples,
+            sorted: false,
+        }
+    }
+}
+
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -334,6 +346,13 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
         }
+    }
+
+    #[test]
+    fn from_vec_equals_recording_in_order() {
+        let vals = vec![0.3, 0.0, 0.1, 0.2];
+        let recorded: Summary = vals.iter().copied().collect();
+        assert_eq!(Summary::from(vals), recorded);
     }
 
     #[test]
