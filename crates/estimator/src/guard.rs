@@ -2,6 +2,7 @@
 //! grid cell (§3.3.2).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use gpusim::{ClusterSpec, GpuSim, GroupId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
@@ -61,10 +62,27 @@ pub fn context_bucket(tokens: u64) -> u8 {
 /// ([`ContentionGuard::observe`]). Queries for unvisited cells return
 /// the global max, which is conservative but safe (§3.3.2 notes the
 /// global max stays ≤ ~20 % on A100 / ~30 % on H100).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The offline profile is made once per LLM–machine pair, so clones
+/// share it: it sits behind an [`Arc`], and each clone keeps its online
+/// refinements in a small map of its own, consulted first. Every query,
+/// the cell count, the exported cells and equality read the merged
+/// view, so a clone answers exactly as a private copy of the grid would.
+#[derive(Debug, Clone)]
 pub struct ContentionGuard {
-    cells: HashMap<CellKey, f64>,
+    /// The offline profile; `None` once invalidated.
+    profile: Option<Arc<HashMap<CellKey, f64>>>,
+    /// Cells this guard raised above the profile or added to it.
+    refined: HashMap<CellKey, f64>,
     global_max: f64,
+}
+
+impl PartialEq for ContentionGuard {
+    fn eq(&self, other: &ContentionGuard) -> bool {
+        self.global_max == other.global_max
+            && self.num_cells() == other.num_cells()
+            && self.cells().all(|(k, s)| other.cell(&k) == Some(s))
+    }
 }
 
 impl ContentionGuard {
@@ -72,8 +90,18 @@ impl ContentionGuard {
     /// profiling is disabled in ablations).
     pub fn flat(floor: f64) -> ContentionGuard {
         ContentionGuard {
-            cells: HashMap::new(),
+            profile: None,
+            refined: HashMap::new(),
             global_max: floor.max(1.0),
+        }
+    }
+
+    /// A guard whose profile is `cells`, with nothing refined yet.
+    fn profiled(cells: HashMap<CellKey, f64>, global_max: f64) -> ContentionGuard {
+        ContentionGuard {
+            profile: Some(Arc::new(cells)),
+            refined: HashMap::new(),
+            global_max,
         }
     }
 
@@ -95,10 +123,7 @@ impl ContentionGuard {
         assert!(!decode_partitions.is_empty());
         const TOKENS: [u64; 4] = [2_048, 8_192, 32_768, 131_072];
         const BATCHES: [usize; 5] = [1, 8, 32, 128, 256];
-        let mut guard = ContentionGuard {
-            cells: HashMap::new(),
-            global_max: 1.0,
-        };
+        let mut guard = ContentionGuard::flat(1.0);
         for &sms in decode_partitions {
             let prefill_sms = cluster.gpu.sm_count - sms;
             if prefill_sms == 0 {
@@ -128,34 +153,54 @@ impl ContentionGuard {
                 }
             }
         }
-        guard
+        ContentionGuard::profiled(guard.refined, guard.global_max)
     }
 
     /// The worst-case slowdown factor (≥ 1) for the query's grid cell;
     /// the global max for unvisited cells.
     pub fn factor(&self, q: &GuardQuery) -> f64 {
-        self.cells
-            .get(&Self::key(q))
+        self.cell(&Self::key(q)).unwrap_or(self.global_max)
+    }
+
+    /// A populated cell's slowdown: this guard's refinement, else the
+    /// profile's.
+    fn cell(&self, key: &CellKey) -> Option<f64> {
+        self.refined
+            .get(key)
+            .or_else(|| self.profile.as_ref()?.get(key))
             .copied()
-            .unwrap_or(self.global_max)
+    }
+
+    /// Every populated cell once, in no particular order.
+    fn cells(&self) -> impl Iterator<Item = (CellKey, f64)> + '_ {
+        let profiled = self.profile.iter().flat_map(|p| p.iter());
+        self.refined
+            .iter()
+            .chain(profiled.filter(|(k, _)| !self.refined.contains_key(k)))
+            .map(|(&k, &s)| (k, s))
     }
 
     /// Records a measured slowdown (offline profiling or online
-    /// refinement from production executions). Cells keep their max.
+    /// refinement from production executions). Cells keep their max; a
+    /// cell this raises or creates goes into this guard's own map.
     pub fn observe(&mut self, q: &GuardQuery, slowdown: f64) {
         let s = slowdown.max(1.0);
-        let cell = self.cells.entry(Self::key(q)).or_insert(1.0);
-        *cell = cell.max(s);
+        let key = Self::key(q);
+        if self.cell(&key).is_none_or(|cur| s > cur) {
+            self.refined.insert(key, s);
+        }
         self.global_max = self.global_max.max(s);
     }
 
-    /// Discards every profiled cell, keeping the global max so queries
-    /// stay conservative until online refinement repopulates the grid.
-    /// Used when the hardware changed underneath the offline profile
-    /// (degradation/fault windows): the per-cell numbers are stale, but
-    /// the worst case ever seen remains a safe upper bound.
+    /// Discards every profiled and refined cell from this guard's view,
+    /// keeping the global max so queries stay conservative until online
+    /// refinement repopulates the grid. Used when the hardware changed
+    /// underneath the offline profile (degradation/fault windows): the
+    /// per-cell numbers are stale, but the worst case ever seen remains
+    /// a safe upper bound. Other guards sharing the profile keep it.
     pub fn invalidate(&mut self) {
-        self.cells.clear();
+        self.profile = None;
+        self.refined.clear();
     }
 
     /// The largest slowdown ever observed.
@@ -165,26 +210,25 @@ impl ContentionGuard {
 
     /// Number of populated grid cells.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.cells().count()
     }
 
     /// Exports the populated cells (for persistence).
     pub fn export_cells(&self) -> Vec<GuardCell> {
-        let mut v: Vec<_> = self.cells.iter().map(|(&k, &s)| (k, s)).collect();
+        let mut v: Vec<_> = self.cells().collect();
         v.sort_by_key(|a| a.0);
         v
     }
 
-    /// Rebuilds a guard from exported cells.
+    /// Rebuilds a guard from exported cells; they become its profile.
     pub fn from_cells(cells: Vec<GuardCell>) -> ContentionGuard {
-        let mut g = ContentionGuard::flat(1.0);
         let mut global = 1.0f64;
+        let mut map = HashMap::with_capacity(cells.len());
         for (k, s) in cells {
-            g.cells.insert(k, s.max(1.0));
+            map.insert(k, s.max(1.0));
             global = global.max(s);
         }
-        g.global_max = global;
-        g
+        ContentionGuard::profiled(map, global)
     }
 
     fn key(q: &GuardQuery) -> CellKey {
@@ -249,6 +293,7 @@ fn run_until_tag(sim: &mut GpuSim, _group: GroupId, tag: u64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn guard() -> (ModelSpec, ClusterSpec, Parallelism, ContentionGuard) {
         let cluster = ClusterSpec::dgx_a100();
@@ -349,5 +394,126 @@ mod tests {
         assert_eq!(token_bucket(200_000), 4);
         assert_eq!(batch_bucket(1), 0);
         assert_eq!(batch_bucket(32), 5);
+    }
+
+    #[test]
+    fn clones_share_the_profile_and_refine_alone() {
+        let (_, _, _, profiled) = guard();
+        let (mut a, b) = (profiled.clone(), profiled.clone());
+        let shared = |g: &ContentionGuard| g.profile.clone().expect("profiled");
+        assert!(Arc::ptr_eq(&shared(&a), &shared(&b)), "clones copy no grid");
+        let cell = GuardQuery {
+            prefill_new: 2048,
+            prefill_reused: 2048,
+            decode_batch: 8,
+            decode_context: 2048,
+            decode_sms: 16,
+        };
+        let fresh = GuardQuery {
+            decode_sms: 17,
+            ..cell
+        };
+        let before = profiled.factor(&cell);
+        a.observe(&cell, before + 0.5);
+        a.observe(&fresh, 1.01);
+        assert_eq!(a.factor(&cell), before + 0.5);
+        assert_eq!(a.factor(&fresh), 1.01);
+        assert_eq!(a.num_cells(), profiled.num_cells() + 1);
+        assert_eq!(a.refined.len(), 2, "only raised or new cells are copied");
+        // Equality reads the merged view, however its cells are split.
+        assert_eq!(a, ContentionGuard::from_cells(a.export_cells()));
+        assert_ne!(a, b);
+        assert_eq!(b, profiled);
+        assert_eq!(b.export_cells(), profiled.export_cells());
+        assert_eq!(b.max_slowdown(), profiled.max_slowdown());
+        a.invalidate();
+        assert_eq!(a.num_cells(), 0);
+        assert_eq!(a.factor(&cell), before + 0.5, "the global max survives");
+        assert_eq!(b, profiled);
+        for (k, s) in profiled.export_cells() {
+            assert_eq!(b.cell(&k), Some(s));
+        }
+    }
+
+    /// The single-map guard that sharing replaced, kept as the reference
+    /// a clone of a shared profile must answer like.
+    #[derive(Debug, Clone)]
+    struct Reference {
+        cells: HashMap<CellKey, f64>,
+        global_max: f64,
+    }
+
+    impl Reference {
+        fn observe(&mut self, q: &GuardQuery, slowdown: f64) {
+            let s = slowdown.max(1.0);
+            let cell = self.cells.entry(ContentionGuard::key(q)).or_insert(1.0);
+            *cell = cell.max(s);
+            self.global_max = self.global_max.max(s);
+        }
+
+        fn factor(&self, q: &GuardQuery) -> f64 {
+            let key = ContentionGuard::key(q);
+            self.cells.get(&key).copied().unwrap_or(self.global_max)
+        }
+
+        fn export(&self) -> Vec<GuardCell> {
+            let mut v: Vec<_> = self.cells.iter().map(|(&k, &s)| (k, s)).collect();
+            v.sort_by_key(|a| a.0);
+            v
+        }
+    }
+
+    fn small_query() -> impl Strategy<Value = GuardQuery> {
+        // Two buckets per dimension, so observations often meet a cell.
+        (0u64..4_000, 0u64..4_000, 1usize..3, 0u64..4_000, 1u32..3).prop_map(
+            |(pn, pr, bs, dc, sms)| GuardQuery {
+                prefill_new: pn,
+                prefill_reused: pr,
+                decode_batch: bs,
+                decode_context: dc,
+                decode_sms: 16 * sms,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A clone refining and invalidating its view of a shared
+        /// profile answers every query, its cell count, its export and
+        /// its global max exactly as a private single-map guard would,
+        /// while the guard it was cloned from keeps the profile intact.
+        #[test]
+        fn a_shared_profile_answers_like_a_private_grid(
+            profile in prop::collection::vec((small_query(), 0.5f64..1.6), 0..30),
+            ops in prop::collection::vec((small_query(), 0.5f64..1.8, 0u8..16), 0..60),
+        ) {
+            let mut reference = Reference { cells: HashMap::new(), global_max: 1.0 };
+            for (q, s) in &profile {
+                reference.observe(q, *s);
+            }
+            let original = ContentionGuard::from_cells(reference.export());
+            let mut clone = original.clone();
+            let untouched = reference.clone();
+            let mut seen: Vec<GuardQuery> = profile.iter().map(|(q, _)| *q).collect();
+            for (q, s, kind) in ops {
+                if kind == 0 {
+                    clone.invalidate();
+                    reference.cells.clear();
+                } else {
+                    clone.observe(&q, s);
+                    reference.observe(&q, s);
+                    seen.push(q);
+                }
+                prop_assert_eq!(clone.num_cells(), reference.cells.len());
+                prop_assert_eq!(clone.max_slowdown(), reference.global_max);
+            }
+            for q in &seen {
+                prop_assert_eq!(clone.factor(q).to_bits(), reference.factor(q).to_bits());
+                prop_assert_eq!(original.factor(q).to_bits(), untouched.factor(q).to_bits());
+            }
+            prop_assert_eq!(clone.export_cells(), reference.export());
+            prop_assert_eq!(original.export_cells(), untouched.export());
+        }
     }
 }

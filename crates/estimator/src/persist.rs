@@ -145,6 +145,61 @@ mod tests {
     }
 
     #[test]
+    fn a_refined_guard_loads_back_with_every_factor() {
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama8b();
+        let par = Parallelism::tp(8, cluster.nvlink_gbs);
+        let pred = SoloPredictor::profile(&model, &cluster, &par, &[16, 92]);
+        let mut guard = ContentionGuard::profile(&model, &cluster, &par, &[16]);
+        let cell = GuardQuery {
+            prefill_new: 4096,
+            prefill_reused: 4096,
+            decode_batch: 32,
+            decode_context: 4096,
+            decode_sms: 16,
+        };
+        guard.observe(&cell, guard.factor(&cell) + 0.25);
+        guard.observe(
+            &GuardQuery {
+                decode_sms: 48,
+                ..cell
+            },
+            1.5,
+        );
+
+        let dir = std::env::temp_dir().join("muxwise-estimator-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("refined.json");
+        save_estimators(&path, &pred, &guard).expect("save");
+        let (_, loaded) = load_estimators(&path).expect("load");
+        std::fs::remove_file(path).ok();
+
+        assert_eq!(loaded, guard);
+        assert_eq!(loaded.max_slowdown(), guard.max_slowdown());
+        // One query in every bucket of every dimension, on the profiled
+        // partition and the refined one.
+        const TOKENS: [u64; 5] = [0, 2_048, 8_192, 32_768, 131_072];
+        for (&pn, &pr, &dc) in TOKENS
+            .iter()
+            .flat_map(|a| TOKENS.iter().map(move |b| (a, b)))
+            .flat_map(|(a, b)| TOKENS.iter().map(move |c| (a, b, c)))
+        {
+            for bs in [1, 2, 8, 32, 128, 256] {
+                for sms in [16, 48] {
+                    let q = GuardQuery {
+                        prefill_new: pn,
+                        prefill_reused: pr,
+                        decode_batch: bs,
+                        decode_context: dc,
+                        decode_sms: sms,
+                    };
+                    assert_eq!(loaded.factor(&q).to_bits(), guard.factor(&q).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bad_file_is_format_error() {
         let dir = std::env::temp_dir().join("muxwise-estimator-test");
         std::fs::create_dir_all(&dir).expect("temp dir");

@@ -57,9 +57,15 @@ impl KvPool {
     ///
     /// # Panics
     ///
-    /// Panics if `block_size` is zero.
+    /// Panics if `block_size` is zero or above `u16::MAX`, the largest
+    /// token count a radix-tree node stores.
     pub fn new(capacity_tokens: u64, block_size: u32) -> KvPool {
         assert!(block_size > 0, "zero block size");
+        assert!(
+            block_size <= u32::from(u16::MAX),
+            "block size {block_size} exceeds the radix tree's limit of {} tokens per block",
+            u16::MAX
+        );
         KvPool {
             tree: RadixTree::new(),
             capacity_tokens,
@@ -298,6 +304,25 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "block size 65536 exceeds the radix tree's limit of 65535 tokens per block"
+    )]
+    fn block_sizes_above_16_bits_are_rejected() {
+        KvPool::new(1 << 20, u32::from(u16::MAX) + 1);
+    }
+
+    #[test]
+    fn the_largest_block_size_caches_full_blocks() {
+        let bs = u32::from(u16::MAX);
+        let tokens = 2 * u64::from(bs) + 5;
+        let mut p = KvPool::new(1 << 20, bs);
+        let blocks = Block::sequence(1, tokens, bs);
+        assert!(p.insert(&blocks, t(0.0)));
+        assert_eq!(p.peek_prefix(&blocks), tokens);
+        p.check_invariants();
     }
 
     #[test]

@@ -92,27 +92,45 @@ type Slot = u32;
 /// `Node::child` of a node without children.
 const NO_CHILD: Slot = Slot::MAX;
 
-/// One cached block. A chain block's only child sits inline, so a block
-/// costs one slab entry and no heap allocation of its own.
+/// `Node::flags` bit: the slot holds a cached block.
+const ALIVE: u8 = 1;
+/// `Node::flags` bit: advisory eviction protection. A protected node is
+/// evicted only when no unprotected victim exists. Used by crash
+/// failover to keep revoked requests' prefixes warm until re-admission.
+const PROTECTED: u8 = 2;
+/// `Node::flags` bit: the spill map holds children of this node.
+const SPILLED: u8 = 4;
+
+/// One cached block, 32 bytes. A chain block's only child sits inline,
+/// so a block costs one slab entry and no heap allocation of its own.
 #[derive(Debug)]
 pub(crate) struct Node {
     key: u64,
     last_access: SimTime,
-    /// Key of the first child; meaningful only while `child != NO_CHILD`.
-    child_key: u64,
     /// Slot of the first child, or `NO_CHILD`. Any further children live
     /// in the tree's spill map, so a node without a first child has none.
+    /// The child's own `key` says which block it holds.
     child: Slot,
     parent: Slot,
-    tokens: u32,
     refs: u32,
-    alive: bool,
-    /// Advisory eviction protection: a protected node is evicted only
-    /// when no unprotected victim exists. Used by crash failover to keep
-    /// revoked requests' prefixes warm until re-admission.
-    protected: bool,
-    /// Whether the spill map holds children of this node.
-    spilled: bool,
+    /// Tokens in the block; `KvPool::new` bounds block sizes to 16 bits.
+    tokens: u16,
+    /// `ALIVE`, `PROTECTED` and `SPILLED`.
+    flags: u8,
+}
+
+impl Node {
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
 }
 
 /// The tree: a slab of nodes with node 0 as the sentinel root, plus an
@@ -150,14 +168,11 @@ impl RadixTree {
             nodes: vec![Node {
                 key: 0,
                 last_access: SimTime::ZERO,
-                child_key: 0,
                 child: NO_CHILD,
                 parent: ROOT as Slot,
-                tokens: 0,
                 refs: 1, // the root is never evictable
-                alive: true,
-                protected: false,
-                spilled: false,
+                tokens: 0,
+                flags: ALIVE,
             }],
             free: Vec::new(),
             evictable: BTreeSet::new(),
@@ -171,8 +186,8 @@ impl RadixTree {
     /// (alive, unreferenced, childless, not the root).
     fn index_key(&self, id: NodeId) -> Option<(bool, SimTime, NodeId)> {
         let n = &self.nodes[id];
-        (id != ROOT && n.alive && n.refs == 0 && n.child == NO_CHILD).then_some((
-            n.protected,
+        (id != ROOT && n.has(ALIVE) && n.refs == 0 && n.child == NO_CHILD).then_some((
+            n.has(PROTECTED),
             n.last_access,
             id,
         ))
@@ -203,9 +218,9 @@ impl RadixTree {
         let n = &self.nodes[id];
         if n.child == NO_CHILD {
             None
-        } else if n.child_key == key {
+        } else if self.nodes[n.child as NodeId].key == key {
             Some(n.child as NodeId)
-        } else if n.spilled {
+        } else if n.has(SPILLED) {
             self.spill.get(&(id as Slot, key)).map(|&c| c as NodeId)
         } else {
             None
@@ -214,7 +229,7 @@ impl RadixTree {
 
     /// The first spilled child of `id`, as `(key, slot)`.
     fn first_spilled(&self, id: NodeId) -> Option<(u64, Slot)> {
-        if !self.nodes[id].spilled {
+        if !self.nodes[id].has(SPILLED) {
             return None;
         }
         let s = id as Slot;
@@ -224,37 +239,36 @@ impl RadixTree {
 
     /// Stores `child` under `key`, replacing any child already there.
     fn set_child(&mut self, id: NodeId, key: u64, child: NodeId) {
-        let n = &mut self.nodes[id];
-        if n.child == NO_CHILD || n.child_key == key {
-            n.child_key = key;
-            n.child = child as Slot;
+        let first = self.nodes[id].child;
+        if first == NO_CHILD || self.nodes[first as NodeId].key == key {
+            self.nodes[id].child = child as Slot;
         } else {
             self.spill.insert((id as Slot, key), child as Slot);
-            n.spilled = true;
+            self.nodes[id].set(SPILLED, true);
         }
     }
 
     /// Drops the child stored under `key`. When that was the first
     /// child, a spilled one takes its place.
     fn remove_child(&mut self, id: NodeId, key: u64) {
-        let n = &self.nodes[id];
-        if n.child == NO_CHILD || n.child_key != key {
+        let first = self.nodes[id].child;
+        if first == NO_CHILD || self.nodes[first as NodeId].key != key {
             self.spill.remove(&(id as Slot, key));
         } else if let Some((k, c)) = self.first_spilled(id) {
             self.spill.remove(&(id as Slot, k));
-            let n = &mut self.nodes[id];
-            (n.child_key, n.child) = (k, c);
+            self.nodes[id].child = c;
         } else {
             self.nodes[id].child = NO_CHILD;
         }
-        self.nodes[id].spilled = self.first_spilled(id).is_some();
+        let spilled = self.first_spilled(id).is_some();
+        self.nodes[id].set(SPILLED, spilled);
     }
 
     /// Sets a node's advisory eviction protection.
     pub fn set_protected(&mut self, id: NodeId, protected: bool) {
-        if self.nodes[id].protected != protected {
+        if self.nodes[id].has(PROTECTED) != protected {
             self.unindex(id);
-            self.nodes[id].protected = protected;
+            self.nodes[id].set(PROTECTED, protected);
             self.index(id);
         }
     }
@@ -287,7 +301,7 @@ impl RadixTree {
         let mut tokens = 0u64;
         for b in blocks {
             match self.child(cur, b.key) {
-                Some(child) if self.nodes[child].tokens == b.tokens => {
+                Some(child) if u32::from(self.nodes[child].tokens) == b.tokens => {
                     path.push(child);
                     tokens += b.tokens as u64;
                     cur = child;
@@ -315,7 +329,7 @@ impl RadixTree {
         let mut new_tokens = 0u64;
         for b in blocks {
             let next = match self.child(cur, b.key) {
-                Some(child) if self.nodes[child].tokens == b.tokens => {
+                Some(child) if u32::from(self.nodes[child].tokens) == b.tokens => {
                     self.unindex(child);
                     self.nodes[child].last_access = now;
                     child
@@ -326,14 +340,12 @@ impl RadixTree {
                     let id = self.alloc(Node {
                         key: b.key,
                         last_access: now,
-                        child_key: 0,
                         child: NO_CHILD,
                         parent: cur as Slot,
-                        tokens: b.tokens,
                         refs: 0,
-                        alive: true,
-                        protected: false,
-                        spilled: false,
+                        tokens: u16::try_from(b.tokens)
+                            .expect("a block holds at most u16::MAX tokens"),
+                        flags: ALIVE,
                     });
                     self.set_child(cur, b.key, id);
                     new_tokens += b.tokens as u64;
@@ -381,14 +393,14 @@ impl RadixTree {
         let parent = self.nodes[id].parent as NodeId;
         let key = self.nodes[id].key;
         self.remove_child(parent, key);
+        let tokens = u32::from(self.nodes[id].tokens);
         #[cfg(test)]
-        self.removed.push((id, key, self.nodes[id].tokens));
-        self.nodes[id].alive = false;
-        self.nodes[id].protected = false;
+        self.removed.push((id, key, tokens));
+        self.nodes[id].flags = 0;
         self.free.push(id);
         // The parent may have just become an evictable leaf.
         self.index(parent);
-        self.nodes[id].tokens
+        tokens
     }
 
     /// The preferred eviction victim, if any (O(log n)): the LRU
@@ -410,8 +422,8 @@ impl RadixTree {
         self.nodes
             .iter()
             .skip(1)
-            .filter(|n| n.alive)
-            .map(|n| n.tokens as u64)
+            .filter(|n| n.has(ALIVE))
+            .map(|n| u64::from(n.tokens))
             .sum()
     }
 
@@ -427,18 +439,18 @@ impl RadixTree {
     pub fn check_structure(&self) {
         let root = &self.nodes[ROOT];
         assert!(
-            root.alive && root.refs > 0,
+            root.has(ALIVE) && root.refs > 0,
             "root must stay alive and pinned"
         );
         let mut entries = 0usize;
         for (id, n) in self.nodes.iter().enumerate() {
-            if !n.alive {
+            if !n.has(ALIVE) {
                 continue;
             }
             if id != ROOT {
                 let parent = n.parent as NodeId;
                 assert!(
-                    self.nodes[parent].alive,
+                    self.nodes[parent].has(ALIVE),
                     "node {id} has dead parent {parent}"
                 );
                 assert_eq!(
@@ -450,10 +462,13 @@ impl RadixTree {
             if n.child != NO_CHILD {
                 entries += 1;
                 let c = &self.nodes[n.child as NodeId];
-                assert!(c.alive, "node {id} lists dead child {}", n.child);
-                assert_eq!((c.parent as NodeId, c.key), (id, n.child_key));
+                assert!(c.has(ALIVE), "node {id} lists dead child {}", n.child);
+                assert_eq!(
+                    c.parent as NodeId, id,
+                    "node {id}'s first child has another parent"
+                );
             }
-            if n.spilled {
+            if n.has(SPILLED) {
                 assert!(
                     self.first_spilled(id).is_some(),
                     "node {id} spilled nothing"
@@ -464,19 +479,19 @@ impl RadixTree {
             entries += 1;
             let (p, c) = (&self.nodes[parent as NodeId], &self.nodes[child as NodeId]);
             assert!(
-                p.alive && p.child != NO_CHILD && p.spilled,
+                p.has(ALIVE) && p.child != NO_CHILD && p.has(SPILLED),
                 "spill entry under {parent}"
             );
-            assert!(c.alive, "node {parent} lists dead child {child}");
+            assert!(c.has(ALIVE), "node {parent} lists dead child {child}");
             assert_eq!((c.parent, c.key), (parent, key));
         }
-        let live = self.nodes.iter().skip(1).filter(|n| n.alive).count();
+        let live = self.nodes.iter().skip(1).filter(|n| n.has(ALIVE)).count();
         assert_eq!(entries, live, "child entries must list each live node once");
 
         let free: BTreeSet<NodeId> = self.free.iter().copied().collect();
         assert_eq!(free.len(), self.free.len(), "a slot is free twice");
         let dead: BTreeSet<NodeId> = (0..self.nodes.len())
-            .filter(|&id| !self.nodes[id].alive)
+            .filter(|&id| !self.nodes[id].has(ALIVE))
             .collect();
         assert_eq!(free, dead, "dead slots must be exactly the free list");
 
@@ -594,8 +609,8 @@ mod tests {
 
     #[test]
     fn node_size_matches_design() {
-        // DESIGN.md §12 quotes 48 bytes per cached block.
-        assert!(std::mem::size_of::<Node>() <= 48);
+        // DESIGN.md §12 quotes 32 bytes per cached block.
+        assert_eq!(std::mem::size_of::<Node>(), 32);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Latency metrics and end-of-run reports.
 
+use std::collections::BTreeMap;
+
 use simcore::stats::Summary;
 use simcore::{SimDuration, SimTime};
 
@@ -228,7 +230,7 @@ impl MetricsRecorder {
                 r.first_token_at = Some(now);
                 None
             }
-            Some(prev) => Some((now - prev).as_secs()),
+            Some(prev) => Some(now - prev),
         };
         let recorded = gap_count(r.tokens_emitted);
         r.last_token_at = Some(now);
@@ -237,18 +239,17 @@ impl MetricsRecorder {
         if fresh == 0 {
             return;
         }
-        let slots = self.gaps.slots(&mut r.gaps, recorded, fresh);
-        let zeros = match lead {
-            Some(gap) => {
-                slots[0] = gap;
-                if self.tbt_threshold.is_some_and(|th| gap > th) {
-                    self.last_tbt_violation_at = Some(now);
-                }
-                &mut slots[1..]
+        if let (Some(gap), Some(th)) = (lead, self.tbt_threshold) {
+            if gap.as_secs() > th {
+                self.last_tbt_violation_at = Some(now);
             }
-            None => slots,
-        };
-        zeros.fill(0.0);
+        }
+        self.gaps.record(
+            &mut r.gaps,
+            recorded,
+            fresh,
+            lead.map(SimDuration::as_nanos),
+        );
     }
 
     /// Marks a request finished. `arrival` is the request's arrival
@@ -269,9 +270,9 @@ impl MetricsRecorder {
         if let Some(first) = r.first_token_at {
             self.fin_ttft_sum += (first - arrival).as_secs();
         }
-        let gaps = self.gaps.recorded(r.gaps, gap_count(r.tokens_emitted));
-        self.fin_tbt_count += gaps.len() as u64;
-        self.fin_tbt_sum += gaps.iter().sum::<f64>();
+        let n = gap_count(r.tokens_emitted);
+        self.fin_tbt_count += n as u64;
+        self.fin_tbt_sum += self.gaps.recorded(r.gaps, n).sum::<f64>();
     }
 
     /// Cumulative finished-request latency totals, in finish order:
@@ -405,10 +406,29 @@ impl MetricsRecorder {
 }
 
 /// Slots in a segment opened for requests admitted one at a time, whose
-/// total is not known up front: 128 KiB, which measured lowest in both
-/// benchmark fleets' peak memory against 1,024 and 4,096 slots
-/// (EXPERIMENTS.md).
+/// total is not known up front: 64 KiB of 32-bit gaps. This measured
+/// lowest in both benchmark fleets' peak memory against 1,024 and 4,096
+/// slots (EXPERIMENTS.md).
 const SEGMENT_GAPS: usize = 16_384;
+
+/// A slot's 32-bit value when its gap is `LONG_GAP` nanoseconds (4.29 s)
+/// or longer: the gap itself sits in [`GapLog::long`].
+const LONG_GAP: u32 = u32::MAX;
+
+/// A recorded gap's nanoseconds as seconds, exactly as
+/// [`SimDuration::as_secs`] gives them.
+fn secs(nanos: u64) -> f64 {
+    SimDuration::from_nanos(nanos).as_secs()
+}
+
+/// The gap in `slot` of segment `seg`, whose storage is `words`, in
+/// nanoseconds; `long` is the [`GapLog`]'s table of long gaps.
+fn nanos(words: &[u64], long: &BTreeMap<(usize, usize), u64>, seg: usize, slot: usize) -> u64 {
+    match (words[slot / 2] >> (slot % 2 * 32)) as u32 {
+        LONG_GAP => long[&(seg, slot)],
+        half => u64::from(half),
+    }
+}
 
 /// Where one request's inter-token gaps live: `cap` slots from `start`
 /// in segment `seg` of its recorder's [`GapLog`].
@@ -423,18 +443,28 @@ pub(crate) struct Region {
 /// request's region (DESIGN.md §12, "TBT recording").
 ///
 /// Regions sit in segments of fixed length. A segment's storage is
-/// allocated at the first gap written into it and never reallocates, so
-/// no stale copy of a gap is left behind. A recorder built over a whole
-/// trace has one segment holding every region back to back in request
-/// order; requests admitted one at a time fill segments of
-/// [`SEGMENT_GAPS`] slots, or one of their own when longer. A region
-/// that fills moves to fresh space.
+/// allocated at the first gap written into it and never reallocates
+/// during the run, so no stale copy of a gap is left behind. A recorder
+/// built over a whole trace has one segment holding every region back
+/// to back in request order; requests admitted one at a time fill
+/// segments of [`SEGMENT_GAPS`] slots, or one of their own when longer.
+/// A region that fills moves to fresh space.
+///
+/// A slot holds its gap's integer nanoseconds in 32 bits, two slots to
+/// a 64-bit word. The one segment of a recorder built over a whole trace
+/// is sized for one `f64` sample per slot: a run touches half of it, and
+/// the report widens the samples in place. Other segments hold only the
+/// 32-bit gaps; a report spanning several gathers them into a vector of
+/// its own, and a lone one grows at report time.
 #[derive(Debug)]
 struct GapLog {
     segs: Vec<Segment>,
     /// Whether some region moved; regions are then no longer in
     /// request order.
     moved: bool,
+    /// Gaps of `LONG_GAP` nanoseconds or more, by `(segment, slot)`.
+    /// Only crashes and stalls make them, so they cost a map entry each.
+    long: BTreeMap<(usize, usize), u64>,
 }
 
 #[derive(Debug)]
@@ -443,18 +473,31 @@ struct Segment {
     len: usize,
     /// Slots handed to regions so far.
     used: usize,
-    /// Storage for `len` slots from the first gap written here on,
-    /// filled out as far as gaps reach; unallocated before.
-    data: Vec<f64>,
+    /// Words the storage is allocated with: `len`, room to widen every
+    /// slot in place, or `len / 2` rounded up.
+    words: usize,
+    /// Storage from the first gap written here on: slot `i` is the low
+    /// (even `i`) or high (odd `i`) half of word `i / 2`. Filled out as
+    /// far as gaps reach; unallocated before.
+    data: Vec<u64>,
 }
 
 impl Segment {
-    fn new(len: usize) -> Segment {
+    /// A segment of `len` slots whose storage can hold them widened
+    /// when `widens`, else only as 32-bit gaps.
+    fn new(len: usize, widens: bool) -> Segment {
         Segment {
             len,
             used: 0,
+            words: if widens { len } else { len.div_ceil(2) },
             data: Vec::new(),
         }
+    }
+
+    fn set_half(&mut self, slot: usize, value: u32) {
+        let shift = slot % 2 * 32;
+        let word = &mut self.data[slot / 2];
+        *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(value) << shift;
     }
 }
 
@@ -463,11 +506,12 @@ impl GapLog {
     fn new(total: usize) -> GapLog {
         GapLog {
             segs: if total > 0 {
-                vec![Segment::new(total)]
+                vec![Segment::new(total, true)]
             } else {
                 Vec::new()
             },
             moved: false,
+            long: BTreeMap::new(),
         }
     }
 
@@ -478,7 +522,7 @@ impl GapLog {
             return Region::default();
         }
         if self.segs.last().is_none_or(|s| s.len - s.used < cap) {
-            self.segs.push(Segment::new(cap.max(SEGMENT_GAPS)));
+            self.segs.push(Segment::new(cap.max(SEGMENT_GAPS), false));
         }
         let seg = self.segs.len() - 1;
         let s = &mut self.segs[seg];
@@ -487,14 +531,38 @@ impl GapLog {
         Region { seg, start, cap }
     }
 
-    /// Slots `k..k + n` of `region`, whose first `k` slots hold its
-    /// gaps so far.
-    fn slots(&mut self, region: &mut Region, k: usize, n: usize) -> &mut [f64] {
-        if k + n > region.cap || region.start + k + n > self.segs[region.seg].data.len() {
+    /// Writes gaps `k..k + n` of `region`, whose first `k` slots hold
+    /// its gaps so far: `lead` nanoseconds first when given, then zeros.
+    fn record(&mut self, region: &mut Region, k: usize, n: usize, lead: Option<u64>) {
+        if k + n > region.cap || region.start + k + n > 2 * self.segs[region.seg].data.len() {
             self.make_room(region, k, n);
         }
         let at = region.start + k;
-        &mut self.segs[region.seg].data[at..at + n]
+        let zeros = match lead {
+            Some(nanos) => {
+                self.put(region.seg, at, nanos);
+                at + 1
+            }
+            None => at,
+        };
+        let seg = &mut self.segs[region.seg];
+        for slot in zeros..at + n {
+            seg.set_half(slot, 0);
+        }
+    }
+
+    /// Writes a gap of `nanos` into `slot` of segment `seg`.
+    fn put(&mut self, seg: usize, slot: usize, nanos: u64) {
+        match u32::try_from(nanos) {
+            Ok(half) if half != LONG_GAP => self.segs[seg].set_half(slot, half),
+            _ => self.put_long(seg, slot, nanos),
+        }
+    }
+
+    #[cold]
+    fn put_long(&mut self, seg: usize, slot: usize, nanos: u64) {
+        self.long.insert((seg, slot), nanos);
+        self.segs[seg].set_half(slot, LONG_GAP);
     }
 
     /// Gives `region` room for `k + n` gaps, keeping its first `k`: a
@@ -505,19 +573,12 @@ impl GapLog {
         if k + n > region.cap {
             let to = self.reserve((k + n).max(2 * region.cap));
             self.fill_to(to.seg, to.start + k + n);
-            // With no gaps to keep, the old segment may not even be
-            // allocated.
-            if k > 0 {
-                let from = region.start..region.start + k;
-                if to.seg == region.seg {
-                    self.segs[to.seg].data.copy_within(from, to.start);
-                } else {
-                    // A region only moves forward: `reserve` places it
-                    // in the last segment.
-                    let (old, new) = self.segs.split_at_mut(to.seg);
-                    new[0].data[to.start..to.start + k]
-                        .copy_from_slice(&old[region.seg].data[from]);
-                }
+            // Fresh space never overlaps the region it replaces.
+            for i in 0..k {
+                let from = (region.seg, region.start + i);
+                let nanos = nanos(&self.segs[from.0].data, &self.long, from.0, from.1);
+                self.long.remove(&from);
+                self.put(to.seg, to.start + i, nanos);
             }
             *region = to;
             self.moved = true;
@@ -528,43 +589,63 @@ impl GapLog {
     /// Makes the first `end` slots of segment `seg` writable. Its
     /// storage is allocated whole at the first gap written there, and
     /// zero-filled only as far as gaps reach, a page ahead at a time, so
-    /// slots no gap reaches are never touched and the storage never
+    /// words no gap reaches are never touched and the storage never
     /// reallocates.
     fn fill_to(&mut self, seg: usize, end: usize) {
-        const PAGE_SLOTS: usize = 512;
+        const PAGE_WORDS: usize = 512;
         let s = &mut self.segs[seg];
         if s.data.capacity() == 0 {
-            s.data = Vec::with_capacity(s.len);
+            s.data = Vec::with_capacity(s.words);
         }
-        if s.data.len() < end {
-            let to = end.max(s.data.len() + PAGE_SLOTS).min(s.len);
-            s.data.resize(to, 0.0);
+        let words = end.div_ceil(2);
+        if s.data.len() < words {
+            let to = words.max(s.data.len() + PAGE_WORDS).min(s.len.div_ceil(2));
+            s.data.resize(to, 0);
         }
     }
 
-    /// The first `n` gaps of `region`.
-    fn recorded(&self, region: Region, n: usize) -> &[f64] {
-        if n == 0 {
-            return &[];
-        }
-        &self.segs[region.seg].data[region.start..region.start + n]
+    /// The first `n` gaps of `region`, in seconds.
+    fn recorded(&self, region: Region, n: usize) -> impl Iterator<Item = f64> + '_ {
+        // A region with no gaps may name a segment never opened.
+        let words = self.segs.get(region.seg).map_or(&[][..], |s| &s.data);
+        (region.start..region.start + n)
+            .map(move |slot| secs(nanos(words, &self.long, region.seg, slot)))
     }
 
-    /// The first `n` gaps of each `(region, n)`, concatenated in the
-    /// order given. Regions still back to back in request order in one
-    /// segment are compacted in place, and that segment becomes the
-    /// result; any other layout is gathered into a vector of exactly
-    /// the samples' size.
+    /// The first `n` gaps of each `(region, n)` in seconds, concatenated
+    /// in the order given. Regions still back to back in request order
+    /// in one segment are widened and compacted in place, and that
+    /// segment becomes the result; any other layout is gathered into a
+    /// vector of exactly the samples' size.
     fn into_samples(mut self, regions: impl Iterator<Item = (Region, usize)> + Clone) -> Vec<f64> {
         if self.segs.len() > 1 || self.moved {
             let total = regions.clone().map(|(_, n)| n).sum();
             let mut out = Vec::with_capacity(total);
             for (r, n) in regions {
-                out.extend_from_slice(self.recorded(r, n));
+                out.extend(self.recorded(r, n));
             }
             return out;
         }
-        let mut data = self.segs.pop().map(|s| s.data).unwrap_or_default();
+        // Widen every slot up to the last recorded gap into its own
+        // word, last slot first: word `i` holds slots `2i` and `2i + 1`,
+        // both read by the time slot `i` overwrites it.
+        let end = regions
+            .clone()
+            .map(|(r, n)| if n > 0 { r.start + n } else { 0 })
+            .max()
+            .unwrap_or(0);
+        if end == 0 {
+            return Vec::new();
+        }
+        let words = &mut self.segs[0].data;
+        words.reserve_exact(end.saturating_sub(words.len()));
+        words.resize(end, 0);
+        for slot in (0..end).rev() {
+            words[slot] = secs(nanos(words, &self.long, 0, slot)).to_bits();
+        }
+        let words = std::mem::take(words);
+        // Same size and alignment: the buffer is reused, not copied.
+        let mut data: Vec<f64> = words.into_iter().map(f64::from_bits).collect();
         let mut len = 0;
         for (r, n) in regions {
             if n > 0 && r.start != len {
@@ -956,6 +1037,62 @@ mod tests {
         assert_eq!(rep.tbt.samples(), &[0.0, 0.0, 1.0, 0.0, 2.0, 0.0]);
     }
 
+    #[test]
+    fn gaps_past_32_bits_are_recorded_exactly() {
+        const LONGEST_SHORT: u64 = (1 << 32) - 2;
+        let start = SimTime::from_secs(1.0);
+        // Request 0: every gap at or just around the 32-bit limit, then
+        // a 5 s stall. Request 1: a long gap, cancelled, so it never
+        // reaches the report but sits among the slots that are widened.
+        // Request 2: a 5 s gap followed by a 3-token flush.
+        let plan: [&[(u64, u64)]; 3] = [
+            &[
+                (LONGEST_SHORT, 1),
+                ((1 << 32) - 1, 1),
+                (1 << 32, 1),
+                (5_000_000_000, 1),
+                (1, 1),
+            ],
+            &[(1 << 33, 1)],
+            &[(5_000_000_000, 1), (7, 3)],
+        ];
+        for sized in [false, true] {
+            let mut m = if sized {
+                MetricsRecorder::with_output_tokens([6, 2, 5])
+            } else {
+                MetricsRecorder::new(3)
+            };
+            let mut kept: Vec<f64> = Vec::new();
+            let mut tbt_sum = 0.0;
+            for (req, steps) in plan.iter().enumerate() {
+                m.emit_tokens(req, start, 1);
+                let mut prev = start;
+                let mut gaps = Vec::new();
+                for &(ns, count) in *steps {
+                    let now = prev + SimDuration::from_nanos(ns);
+                    m.emit_tokens(req, now, count);
+                    gaps.push((now - prev).as_secs());
+                    gaps.extend(std::iter::repeat_n(0.0, count as usize - 1));
+                    prev = now;
+                }
+                if req == 1 {
+                    m.mark_cancelled(req);
+                } else {
+                    m.finish(req, prev, SimTime::ZERO);
+                    tbt_sum += gaps.iter().sum::<f64>();
+                    kept.extend(gaps);
+                }
+            }
+            assert_eq!(
+                latency_bits(m.finished_latency()),
+                latency_bits((2, 2.0, kept.len() as u64, tbt_sum)),
+                "sized {sized}"
+            );
+            let rep = m.report(&[SimTime::ZERO; 3], SimDuration::from_secs(30.0), &slo());
+            assert_eq!(bits(rep.tbt.samples()), bits(&kept), "sized {sized}");
+        }
+    }
+
     /// The per-request `Vec<f64>` recording that [`GapLog`] replaced,
     /// kept as the reference its samples and totals must equal.
     #[derive(Debug, Default)]
@@ -1025,7 +1162,7 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        Emit { req: usize, dt_us: u64, count: u64 },
+        Emit { req: usize, dt_ns: u64, count: u64 },
         Finish(usize),
         Shed(usize),
         Cancel(usize),
@@ -1033,21 +1170,33 @@ mod tests {
     }
 
     /// Mostly single-token emissions; a fifth of them flush up to 39
-    /// tokens, and a quarter land at the previous instant.
+    /// tokens, and a quarter land at the previous instant. One in
+    /// sixteen comes 1 to 7 s late, and one in thirty-two within a
+    /// nanosecond of 2³² ns, where gaps stop fitting in 32 bits.
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..12, any::<usize>(), 0u64..200_000, 0u64..12_000).prop_map(|(kind, req, x, y)| {
-            match kind {
+        (
+            0u8..12,
+            any::<usize>(),
+            0u64..200_000,
+            0u64..12_000,
+            0u64..6_000_000_000,
+        )
+            .prop_map(|(kind, req, x, y, z)| match kind {
                 0..=7 => Op::Emit {
                     req,
-                    dt_us: if x % 4 == 0 { 0 } else { x },
+                    dt_ns: match x % 32 {
+                        1 => (1 << 32) - 1 + y % 3,
+                        2 | 3 => 1_000_000_000 + z,
+                        _ if x % 4 == 0 => 0,
+                        _ => x * 1_000,
+                    },
                     count: if y % 5 == 0 { y % 40 } else { 1 },
                 },
                 8 => Op::Finish(req),
                 9 => Op::Shed(req),
                 10 => Op::Cancel(req),
                 _ => Op::Admit(y),
-            }
-        })
+            })
     }
 
     proptest! {
@@ -1085,11 +1234,11 @@ mod tests {
                         reference.push();
                     }
                     _ if n == 0 => {}
-                    Op::Emit { req, dt_us, count } => {
+                    Op::Emit { req, dt_ns, count } => {
                         let req = req % n;
                         let left = lens[req].saturating_sub(m.tokens_emitted(req));
                         let count = if within_lengths { count.min(left) } else { count };
-                        now += SimDuration::from_secs(dt_us as f64 * 1e-6);
+                        now += SimDuration::from_nanos(dt_ns);
                         m.emit_tokens(req, now, count);
                         reference.emit(req, now, count, THRESHOLD);
                     }

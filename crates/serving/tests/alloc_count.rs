@@ -9,20 +9,26 @@ use std::cell::Cell;
 use serving::{MetricsRecorder, SloSpec};
 use simcore::{SimDuration, SimTime};
 
-/// Counts allocations made on the current thread, so tests running in
-/// parallel do not see each other's.
+/// Counts allocations made on the current thread, and the largest of
+/// them, so tests running in parallel do not see each other's.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    LARGEST.with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: every call forwards to `System` with the caller's own
-// arguments; the thread-local counter is a `const`-initialised `Cell`
-// without a destructor, so touching it never allocates or re-enters.
+// arguments; the thread-local counters are `const`-initialised `Cell`s
+// without destructors, so touching them never allocates or re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -31,7 +37,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,11 +71,18 @@ fn recording_gaps_allocates_once_per_trace_not_per_request() {
     assert_eq!(recorded, 1, "{recorded} allocations to record the gaps");
 
     let before = allocs();
+    LARGEST.with(|m| m.set(0));
     let report = m.report(&arrivals, SimDuration::from_secs(5.0), &SloSpec::llama8b());
     let reported = allocs() - before;
-    assert_eq!(report.tbt.len(), REQUESTS * (TOKENS as usize - 1));
-    // The gaps move into the report whole; what allocates is the other
-    // summaries (TTFT, TPOT, E2E, one sample per request) growing as
-    // they are recorded.
+    let gaps = REQUESTS * (TOKENS as usize - 1);
+    assert_eq!(report.tbt.len(), gaps);
+    // The gaps widen in place and move into the report whole; what
+    // allocates is the other summaries (TTFT, TPOT, E2E, one sample per
+    // request) growing as they are recorded.
     assert!(reported <= 48, "{reported} allocations to build the report");
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest < gaps * std::mem::size_of::<f64>(),
+        "building the report made a {largest}-byte allocation: the samples were copied"
+    );
 }

@@ -5,6 +5,7 @@
 # Fast paths while iterating:
 #   ./scripts/check.sh serving         # just the serving crate's tests
 #   ./scripts/check.sh engine          # MuxWise tests + the goldens a dispatcher change must keep
+#   ./scripts/check.sh alloc           # every crate's alloc_count test (heap allocations and sizes)
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -33,6 +34,11 @@ if [[ "${1:-}" == "engine" ]]; then
     cargo test -q -p muxwise
     cargo test -q -p integration-tests --test refactor_invariance \
         --test macro_equivalence --test recovery
+    exit 0
+fi
+
+if [[ "${1:-}" == "alloc" ]]; then
+    cargo test -q --workspace --test alloc_count
     exit 0
 fi
 
