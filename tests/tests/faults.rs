@@ -2,8 +2,8 @@
 //! [`FaultKind`] at full severity — no panic, no leaked KV lease — and
 //! faulty runs must replay bit-identically from their seeds.
 
-use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
-use estimator::SoloPredictor;
+use baselines::{ChunkedPrefill, HybridPd, LoongServe, SglangPd, TemporalMux, WindServe};
+use estimator::{ContentionGuard, SoloPredictor};
 use gpusim::{ClusterSpec, GpuSim};
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
@@ -55,6 +55,21 @@ fn engines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
                 8,
                 slo,
                 SoloPredictor::profile(&model, &cluster, &par, &[cluster.gpu.sm_count]),
+            )),
+        ),
+        (
+            "hybrid",
+            Box::new(HybridPd::new(
+                &model,
+                &cluster,
+                slo,
+                SoloPredictor::profile(
+                    &model,
+                    &cluster,
+                    &Parallelism::tp(4, cluster.nvlink_gbs),
+                    &[16, 48, 92, 108],
+                ),
+                ContentionGuard::flat(1.2),
             )),
         ),
     ]

@@ -2,8 +2,8 @@
 //! instant — no panic, no leaked KV lease, every request either finished
 //! or shed — and crash runs must replay bit-identically across threads.
 
-use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
-use estimator::SoloPredictor;
+use baselines::{ChunkedPrefill, HybridPd, LoongServe, SglangPd, TemporalMux, WindServe};
+use estimator::{ContentionGuard, SoloPredictor};
 use gpusim::{ClusterSpec, GpuSim};
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
@@ -23,6 +23,7 @@ fn engine_names() -> Vec<&'static str> {
         "sglang-pd",
         "windserve",
         "temporal",
+        "hybrid",
     ]
 }
 
@@ -55,6 +56,16 @@ fn build(name: &str) -> Box<dyn Scheduler> {
                 8,
                 slo,
                 SoloPredictor::profile(&model, &cluster, &par, &[cluster.gpu.sm_count]),
+            ))
+        }
+        "hybrid" => {
+            let par = Parallelism::tp(4, cluster.nvlink_gbs);
+            Box::new(HybridPd::new(
+                &model,
+                &cluster,
+                slo,
+                SoloPredictor::profile(&model, &cluster, &par, &[16, 48, 92, 108]),
+                ContentionGuard::flat(1.2),
             ))
         }
         other => panic!("unknown engine {other}"),
@@ -91,8 +102,8 @@ fn assert_recovered(name: &str, rep: &Report) {
 #[test]
 fn every_engine_survives_crash_then_recover_on_both_halves() {
     // GPU 0 hits the single-group engines, LoongServe's decode group and
-    // SGLang-PD's prefill instance; GPU 7 hits LoongServe's elastic pool
-    // and SGLang-PD's decode instance.
+    // the prefill instance of SGLang-PD and HybridPd; GPU 7 hits
+    // LoongServe's elastic pool and their decode instances.
     for gpu in [0u32, 7] {
         let plan = FaultPlan::crash(gpu, SimTime::from_secs(2.0), SimDuration::from_secs(6.0));
         for name in engine_names() {
