@@ -1,6 +1,6 @@
 //! Chunked-prefill (SGLang + SARATHI-Serve) and its NanoFlow variant.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId, KernelKind, WorkItem};
 use kvcache::KvPool;
@@ -8,8 +8,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, RecoveryClass, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
+    SloSpec,
 };
 use simcore::SimDuration;
 
@@ -50,8 +50,6 @@ pub struct ChunkedPrefill {
     /// The single all-GPU group lost a device; launches halt until the
     /// driver signals recovery.
     down: bool,
-    /// Crash victims whose prefix was eviction-protected at revocation.
-    crash_protected: HashSet<ReqId>,
     /// Reused per-iteration scratch (hot-loop allocation freedom).
     ctx_scratch: Vec<u64>,
     victim_scratch: Vec<ReqId>,
@@ -110,7 +108,6 @@ impl ChunkedPrefill {
             decode: DecodeBatch::new(),
             inflight: None,
             down: false,
-            crash_protected: HashSet::new(),
             ctx_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
@@ -186,11 +183,7 @@ impl ChunkedPrefill {
             let table = self.table.as_mut().expect("table");
             let blocks = spec.content.blocks(table.block_size());
             let lease = table.lease_prefix(&blocks, ctx.now());
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            table.readmit(id, &blocks);
             let cached = lease.matched_tokens();
             self.waiting.pop_front();
             self.lifecycle.admit(id);
@@ -474,12 +467,7 @@ impl Scheduler for ChunkedPrefill {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -496,33 +484,16 @@ impl Scheduler for ChunkedPrefill {
         let mut victims = Vec::new();
         // Chunked prefill has no layer checkpoints — chunk progress dies
         // with the device, so every victim re-prefills in full.
+        let table = self.table.as_mut().expect("table");
         for p in std::mem::take(&mut self.prefilling) {
-            let spec = ctx.request(p.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(p.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(p.id);
+            table.revoke(p.id, p.lease, &ctx.request(p.id).content);
             self.lifecycle.requeue(p.id);
-            victims.push(CrashVictim {
-                id: p.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: p.done_new,
-            });
+            victims.push(CrashVictim::reprefill(p.id, p.done_new));
         }
         for slot in self.decode.drain() {
-            let spec = ctx.request(slot.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(slot.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(slot.id);
+            table.revoke(slot.id, slot.lease, &ctx.request(slot.id).content);
             self.lifecycle.requeue(slot.id);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            victims.push(CrashVictim::reprefill(slot.id, slot.context));
         }
         victims
     }

@@ -10,7 +10,7 @@
 //! spare partition (the decode SLO still guarded by a worst-case
 //! estimate).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::{ContentionGuard, GuardQuery, SoloPredictor};
 use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
@@ -18,8 +18,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, RecoveryClass, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
+    SloSpec,
 };
 use simcore::SimDuration;
 
@@ -85,8 +85,6 @@ pub struct HybridPd {
     /// The decode instance lost a device; decode and overflow prefill
     /// launches halt.
     d_down: bool,
-    /// Crash victims whose prefill-pool prefix was eviction-protected.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl HybridPd {
@@ -141,7 +139,6 @@ impl HybridPd {
             overflow_count: 0,
             p_down: false,
             d_down: false,
-            crash_protected: HashSet::new(),
         }
     }
 
@@ -199,11 +196,7 @@ impl HybridPd {
                 }
                 break;
             };
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            table.readmit(id, &blocks);
             let seq = SeqState::new(
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
@@ -428,16 +421,10 @@ impl HybridPd {
     /// Books one decode-instance crash victim: protects whatever prompt
     /// prefix the prefill pool has cached and requeues for re-prefill.
     fn revoke_decode_victim(&mut self, id: ReqId, context: u64, ctx: &mut ServeCtx) -> CrashVictim {
-        let spec = ctx.request(id).clone();
         let p_table = self.p_table.as_mut().expect("table");
-        p_table.protect_prefix(&spec.content.blocks(p_table.block_size()));
-        self.crash_protected.insert(id);
+        p_table.protect(id, &ctx.request(id).content);
         self.lifecycle.requeue(id);
-        CrashVictim {
-            id,
-            class: RecoveryClass::ReprefillFull,
-            lost_tokens: context,
-        }
+        CrashVictim::reprefill(id, context)
     }
 }
 
@@ -512,12 +499,7 @@ impl Scheduler for HybridPd {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -533,19 +515,11 @@ impl Scheduler for HybridPd {
             // lost; the decode instance (and any overflow prefill it is
             // multiplexing) carries on.
             self.p_down = true;
+            let p_table = self.p_table.as_mut().expect("table");
             for r in self.p_inflight.take().into_iter().flatten() {
-                let spec = ctx.request(r.id).clone();
-                let table = self.p_table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
+                p_table.revoke(r.id, r.lease, &ctx.request(r.id).content);
                 self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: r.seq.new_tokens,
-                });
+                victims.push(CrashVictim::reprefill(r.id, r.seq.new_tokens));
             }
         } else {
             // Decode instance died: the decode batch, the multiplexed

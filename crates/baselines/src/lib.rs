@@ -37,9 +37,13 @@
 //! `peek_prefix` (or `try_lease_private` for lock-less slots), grow with
 //! `absorb_private`, and finish through
 //! `release` or `release_and_commit`
-//! — never touch the raw pool lock API. Track stages with a
+//! — never touch the raw pool lock API. Crash victims return their
+//! leases through `revoke` (their prefix stays protected) and lift the
+//! protection with `readmit` right after re-admission leases again;
+//! report them as `serving::CrashVictim`s. Track stages with a
 //! [`serving::Lifecycle`] (`admit`/`begin_decode`/`requeue`/`finish`/
-//! `drop_request`; illegal orders panic) and return its counters from
+//! `drop_request`, and `shed_waiting` for the watchdog's deadline shed;
+//! illegal orders panic) and return its counters from
 //! `Scheduler::counters` so requeue/drop pressure lands in every
 //! [`serving::Report`]. Keep decoding requests in a
 //! [`serving::DecodeBatch`]: `grow_for_iteration` handles the

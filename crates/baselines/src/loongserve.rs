@@ -15,8 +15,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::LeaseTable;
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, RecoveryClass, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
+    SloSpec,
 };
 use simcore::SimDuration;
 
@@ -326,12 +326,7 @@ impl Scheduler for LoongServe {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -350,11 +345,7 @@ impl Scheduler for LoongServe {
             for slot in self.decode.drain() {
                 self.d_table.as_mut().expect("table").release(slot.lease);
                 self.lifecycle.requeue(slot.id);
-                victims.push(CrashVictim {
-                    id: slot.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: slot.context,
-                });
+                victims.push(CrashVictim::reprefill(slot.id, slot.context));
             }
             // Drain in-transit contexts in tag order — victim order
             // decides the requeue event order.
@@ -365,11 +356,7 @@ impl Scheduler for LoongServe {
             {
                 // Neither holds a lease yet (admission leases on join).
                 self.lifecycle.requeue(admit.id);
-                victims.push(CrashVictim {
-                    id: admit.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: admit.context,
-                });
+                victims.push(CrashVictim::reprefill(admit.id, admit.context));
             }
         } else {
             // An elastic prefill GPU died. At most one job spans it (a
@@ -394,13 +381,11 @@ impl Scheduler for LoongServe {
                     }
                 }
                 self.free_gpus.sort_unstable();
-                let spec = ctx.request(job.id).clone();
                 self.lifecycle.requeue(job.id);
-                victims.push(CrashVictim {
-                    id: job.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: spec.input_tokens(),
-                });
+                victims.push(CrashVictim::reprefill(
+                    job.id,
+                    ctx.request(job.id).input_tokens(),
+                ));
             }
         }
         victims

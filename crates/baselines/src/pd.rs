@@ -8,15 +8,15 @@
 //! below an aggregated deployment — the §2.3.1 drawback that shows up as
 //! stalls on cache-hungry workloads.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, RecoveryClass, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
+    SloSpec,
 };
 use simcore::SimDuration;
 
@@ -67,8 +67,6 @@ pub struct SglangPd {
     p_down: bool,
     /// The decode instance lost a device; decode launches halt.
     d_down: bool,
-    /// Crash victims whose prefill-pool prefix was eviction-protected.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl SglangPd {
@@ -110,7 +108,6 @@ impl SglangPd {
             max_prefill_batch_tokens: 16_384,
             p_down: false,
             d_down: false,
-            crash_protected: HashSet::new(),
         }
     }
 
@@ -166,11 +163,7 @@ impl SglangPd {
                 }
                 break;
             };
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            table.readmit(id, &blocks);
             let seq = SeqState::new(
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
@@ -291,16 +284,10 @@ impl SglangPd {
     /// Books one decode-side crash victim: protects its cached prompt in
     /// the prefill pool and requeues it for a full re-prefill.
     fn revoke_decode_victim(&mut self, id: ReqId, context: u64, ctx: &mut ServeCtx) -> CrashVictim {
-        let spec = ctx.request(id).clone();
         let p_table = self.p_table.as_mut().expect("table");
-        p_table.protect_prefix(&spec.content.blocks(p_table.block_size()));
-        self.crash_protected.insert(id);
+        p_table.protect(id, &ctx.request(id).content);
         self.lifecycle.requeue(id);
-        CrashVictim {
-            id,
-            class: RecoveryClass::ReprefillFull,
-            lost_tokens: context,
-        }
+        CrashVictim::reprefill(id, context)
     }
 
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
@@ -383,12 +370,7 @@ impl Scheduler for SglangPd {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -404,22 +386,14 @@ impl Scheduler for SglangPd {
             // lost; migrated contexts and the decode instance carry on.
             self.p_down = true;
             for r in self.prefill.take().into_iter().flatten() {
-                let spec = ctx.request(r.id).clone();
-                let table = self.p_table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
+                let p_table = self.p_table.as_mut().expect("table");
+                p_table.revoke(r.id, r.lease, &ctx.request(r.id).content);
                 self.d_table
                     .as_mut()
                     .expect("table")
                     .free_private(r.reserved);
                 self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: r.seq.new_tokens,
-                });
+                victims.push(CrashVictim::reprefill(r.id, r.seq.new_tokens));
             }
         } else {
             // Decode instance died: every active context — batched,

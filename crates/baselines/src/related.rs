@@ -12,7 +12,7 @@
 //!   never overlap spatially, so decode's memory-bound iterations leave
 //!   the compute idle (≥ 20 % worse than MuxWise in the paper's trials).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::SoloPredictor;
 use gpusim::{ClusterSpec, CtxId, GroupId, KernelKind};
@@ -46,8 +46,6 @@ struct Common {
     decode_inflight: bool,
     /// The all-GPU group lost a device; launches halt until recovery.
     down: bool,
-    /// Crash victims whose prefix was eviction-protected at revocation.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl Common {
@@ -64,19 +62,7 @@ impl Common {
             decode: DecodeBatch::new(),
             decode_inflight: false,
             down: false,
-            crash_protected: HashSet::new(),
         }
-    }
-
-    /// Sheds a still-queued request (watchdog deadline path); `false` if
-    /// the request already left the waiting queue.
-    fn shed(&mut self, id: ReqId) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
     }
 
     fn admit_one(&mut self, ctx: &mut ServeCtx) -> Option<PrefillReq> {
@@ -99,11 +85,7 @@ impl Common {
             }
             return None;
         };
-        if self.crash_protected.remove(&id) {
-            // Re-admitted crash victim: the lease's lock now pins the
-            // prefix, so the advisory protection comes off.
-            table.unprotect_prefix(&blocks);
-        }
+        table.readmit(id, &blocks);
         self.waiting.pop_front();
         self.lifecycle.admit(id);
         let seq = SeqState::new(
@@ -165,15 +147,11 @@ impl Common {
         }
     }
 
-    /// Releases one victim's lease, eviction-protects its prefix for the
-    /// retry, and requeues it in the lifecycle.
+    /// Returns one victim's lease (its prefix protected for the retry,
+    /// see [`LeaseTable::revoke`]) and requeues it in the lifecycle.
     fn revoke(&mut self, id: ReqId, lease: KvLease, ctx: &mut ServeCtx) {
-        let spec = ctx.request(id).clone();
         let table = self.table.as_mut().expect("table");
-        let blocks = spec.content.blocks(table.block_size());
-        table.release(lease);
-        table.protect_prefix(&blocks);
-        self.crash_protected.insert(id);
+        table.revoke(id, lease, &ctx.request(id).content);
         self.lifecycle.requeue(id);
     }
 
@@ -183,11 +161,7 @@ impl Common {
         let mut victims = Vec::new();
         for slot in self.decode.drain() {
             self.revoke(slot.id, slot.lease, ctx);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            victims.push(CrashVictim::reprefill(slot.id, slot.context));
         }
         victims
     }
@@ -317,7 +291,8 @@ impl Scheduler for WindServe {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        self.common.shed(id)
+        let common = &mut self.common;
+        common.lifecycle.shed_waiting(&mut common.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -335,11 +310,7 @@ impl Scheduler for WindServe {
             // Whole-phase prefill launches: no checkpoint to resume from.
             let lost = r.seq.new_tokens;
             self.common.revoke(r.id, r.lease, ctx);
-            victims.push(CrashVictim {
-                id: r.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: lost,
-            });
+            victims.push(CrashVictim::reprefill(r.id, lost));
         }
         victims.extend(self.common.revoke_decode(ctx));
         victims
@@ -527,7 +498,8 @@ impl Scheduler for TemporalMux {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        self.common.shed(id)
+        let common = &mut self.common;
+        common.lifecycle.shed_waiting(&mut common.waiting, id)
     }
 
     fn on_gpu_lost(

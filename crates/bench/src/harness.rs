@@ -29,33 +29,6 @@ pub fn run_poisson(
     run_trace(tb, kind, reqs)
 }
 
-/// Like [`run_poisson`] but with a hard horizon: the run is cut off
-/// `grace_secs` after the last arrival, so an overloaded system shows up
-/// as unfinished requests (instability) instead of an ever-longer run.
-pub fn run_poisson_horizon(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rate: f64,
-    seed: u64,
-    grace_secs: f64,
-) -> Option<Report> {
-    let mut rng = SimRng::seed_from(seed);
-    let reqs = generate(workload, n, rate, &mut rng);
-    let horizon = reqs
-        .last()
-        .map(|r| r.arrival + simcore::SimDuration::from_secs(grace_secs))
-        .unwrap_or(SimTime::from_secs(grace_secs));
-    let mut engine = tb.build(kind)?;
-    let gpu = GpuSim::from_cluster(&tb.cluster);
-    Some(
-        Driver::new(gpu, reqs, tb.slo)
-            .with_max_sim_time(horizon)
-            .run(engine.as_mut()),
-    )
-}
-
 /// Runs one rate point with stability detection: the horizon grants
 /// enough grace for the workload's intrinsic service time (long-output
 /// workloads need minutes of decode after the last arrival), and queue
@@ -267,13 +240,6 @@ impl LatencyRow {
             }
         );
     }
-}
-
-/// Mid-run wall-clock horizon: drops arrivals after `secs` of simulated
-/// time so trace tails do not dominate run time.
-pub fn truncate_trace(mut reqs: Vec<RequestSpec>, secs: f64) -> Vec<RequestSpec> {
-    reqs.retain(|r| r.arrival <= SimTime::from_secs(secs));
-    reqs
 }
 
 #[cfg(test)]

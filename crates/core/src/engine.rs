@@ -1,7 +1,7 @@
 //! The MuxWise scheduler: bubble-less multiplex engine + SLO-aware
 //! dispatcher.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::GuardQuery;
 use gpusim::{CtxId, GroupId};
@@ -125,9 +125,6 @@ pub struct MuxWise {
     /// layer-wise prefill lets a victim restart from its last completed
     /// layer instead of layer zero.
     resume_layers: HashMap<ReqId, u32>,
-    /// Victims whose cached prefix was eviction-protected at revocation;
-    /// protection is lifted at re-admission.
-    crash_protected: HashSet<ReqId>,
 
     host_busy_until: SimTime,
     next_tag: u64,
@@ -216,7 +213,6 @@ impl MuxWise {
             fault_mode: false,
             down: false,
             resume_layers: HashMap::new(),
-            crash_protected: HashSet::new(),
             host_busy_until: SimTime::ZERO,
             next_tag: 1,
             next_gen: 1,
@@ -583,11 +579,7 @@ impl MuxWise {
             // The lock is taken after the peek; eviction in between can
             // only shrink the match (more recompute, reserved above).
             let reused = lease.matched_tokens();
-            if self.crash_protected.remove(&id) {
-                // Crash victim re-admitted: its prefix is locked by the
-                // lease now, so the advisory protection can come off.
-                table.unprotect_prefix(&blocks);
-            }
+            table.readmit(id, &blocks);
             let seq = SeqState::new(spec.input_tokens() - reused, reused);
             new_total += seq.new_tokens;
             self.waiting.remove(pos);
@@ -989,9 +981,7 @@ impl MuxWise {
         let Some(lease) = table.try_lease_prompt(&blocks, input_tokens, new_tokens, now) else {
             return false;
         };
-        if self.crash_protected.remove(&id) {
-            table.unprotect_prefix(&blocks);
-        }
+        table.readmit(id, &blocks);
         // Preempt: drop queued (not-running) layers; the running head
         // finishes (non-preemptive GPU execution).
         let (group, p_ctx) = (
@@ -1135,12 +1125,7 @@ impl Scheduler for MuxWise {
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
         self.macro_armed = false;
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -1163,30 +1148,22 @@ impl Scheduler for MuxWise {
         // layer-wise launch IS the checkpoint); their freshly computed
         // private KV below that layer is lost with the device, so the
         // lease is released and the prefix protected for re-admission.
+        let table = self.table.as_mut().expect("table");
         for job in self.prefill.take().into_iter().chain(self.preempted.take()) {
             for r in job.reqs {
-                let spec = ctx.request(r.id).clone();
-                let table = self.table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
-                if self.cfg.layer_wise && job.layers_done > 0 {
-                    self.resume_layers.insert(r.id, job.layers_done);
-                }
+                table.revoke(r.id, r.lease, &ctx.request(r.id).content);
                 self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: if self.cfg.layer_wise {
-                        RecoveryClass::ResumeFromLayer(job.layers_done)
-                    } else {
-                        RecoveryClass::ReprefillFull
-                    },
-                    lost_tokens: if self.cfg.layer_wise {
-                        0
-                    } else {
-                        r.seq.new_tokens
-                    },
+                victims.push(if self.cfg.layer_wise {
+                    if job.layers_done > 0 {
+                        self.resume_layers.insert(r.id, job.layers_done);
+                    }
+                    CrashVictim {
+                        id: r.id,
+                        class: RecoveryClass::ResumeFromLayer(job.layers_done),
+                        lost_tokens: 0,
+                    }
+                } else {
+                    CrashVictim::reprefill(r.id, r.seq.new_tokens)
                 });
             }
         }
@@ -1195,18 +1172,9 @@ impl Scheduler for MuxWise {
         let mut slots = std::mem::take(&mut self.pending_join);
         slots.extend(self.decode.drain());
         for slot in slots {
-            let spec = ctx.request(slot.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(slot.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(slot.id);
+            table.revoke(slot.id, slot.lease, &ctx.request(slot.id).content);
             self.lifecycle.requeue(slot.id);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            victims.push(CrashVictim::reprefill(slot.id, slot.context));
         }
         victims
     }

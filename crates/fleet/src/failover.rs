@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use serving::{MigratableVictim, ReqId};
+use serving::{gives_up, MigratableVictim, ReqId};
 use simcore::stats::Summary;
 use simcore::{SimDuration, SimTime};
 
@@ -193,9 +193,10 @@ impl FailoverEngine {
 
     /// Handles a placement attempt that found no routable target:
     /// burns one attempt and either reschedules with exponential
-    /// backoff or gives up (budget exhausted, or the victim is
-    /// tokenless and past its original TTFT deadline — the books were
-    /// already closed at drain time, so giving up is pure accounting).
+    /// backoff or gives up by [`serving::gives_up`] (budget exhausted,
+    /// or the victim is tokenless and past its original TTFT deadline —
+    /// the books were already closed at drain time, so giving up is pure
+    /// accounting).
     pub fn no_target(&mut self, victim: MigratableVictim, now: SimTime) {
         let attempts = self.attempts.entry(victim.spec.id).or_insert(0);
         *attempts += 1;
@@ -205,14 +206,17 @@ impl FailoverEngine {
             .copied()
             .unwrap_or(victim.spec.arrival)
             + self.cfg.ttft_deadline;
-        let deadline_lost = victim.tokens_emitted == 0 && now >= deadline;
-        if deadline_lost || *attempts > self.cfg.retry_budget {
+        if gives_up(
+            *attempts,
+            self.cfg.retry_budget,
+            victim.tokens_emitted,
+            deadline,
+            now,
+        ) {
             self.stats.gave_up += 1;
             return;
         }
-        let shift = attempts.saturating_sub(1).min(16);
-        let delay = self.cfg.backoff.as_nanos().saturating_mul(1u64 << shift);
-        let due = now.saturating_add(SimDuration::from_nanos(delay));
+        let due = now.saturating_add(self.cfg.backoff.doubled(attempts.saturating_sub(1).min(16)));
         self.push_pending(due, victim);
     }
 

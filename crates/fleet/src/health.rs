@@ -249,20 +249,11 @@ impl HealthTracker {
         self.consecutive_ejections = 0;
     }
 
-    fn eject_probe_delay(&self) -> SimDuration {
-        let shift = self.consecutive_ejections.min(self.cfg.max_probe_shift);
-        SimDuration::from_nanos(
-            self.cfg
-                .probe_after
-                .as_nanos()
-                .saturating_mul(1u64 << shift),
-        )
-    }
-
     fn eject(&mut self, now: SimTime, stats: &mut HealthStats) {
         self.state = HealthState::Ejected;
         stats.ejections += 1;
-        self.probe_at = now.saturating_add(self.eject_probe_delay());
+        let shift = self.consecutive_ejections.min(self.cfg.max_probe_shift);
+        self.probe_at = now.saturating_add(self.cfg.probe_after.doubled(shift));
         self.consecutive_ejections += 1;
     }
 }

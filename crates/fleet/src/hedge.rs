@@ -212,31 +212,36 @@ pub struct PairStatus {
     pub hedge_resolved: bool,
 }
 
-/// Book-keeper for outstanding hedged pairs and the resolution barrier.
+/// Book-keeper for outstanding hedged pairs and the resolution barrier,
+/// and owner of the fleet's shared [`RetryBudget`]: the budget exists
+/// exactly when hedging does, so plain failover keeps only its own
+/// per-victim retry counter.
 #[derive(Debug)]
 pub struct HedgeEngine {
     cfg: HedgeConfig,
     pairs: Vec<HedgePair>,
     next_check: Option<SimTime>,
+    budget: RetryBudget,
     /// Hedged-dispatch counters (public: the fleet folds them into its
     /// report).
     pub stats: HedgeStats,
+    /// Overload-control counters: ingress sheds and retry-budget spend
+    /// (public: the fleet counts ingress sheds and folds them into its
+    /// report).
+    pub overload: OverloadStats,
 }
 
 impl HedgeEngine {
-    /// An engine with no outstanding pairs.
+    /// An engine with no outstanding pairs and a full retry budget.
     pub fn new(cfg: HedgeConfig) -> HedgeEngine {
         HedgeEngine {
             cfg,
             pairs: Vec::new(),
             next_check: None,
+            budget: RetryBudget::new(cfg.budget_capacity, cfg.budget_refill_per_sec),
             stats: HedgeStats::default(),
+            overload: OverloadStats::default(),
         }
-    }
-
-    /// The configuration this engine runs.
-    pub fn config(&self) -> &HedgeConfig {
-        &self.cfg
     }
 
     /// Whether the router's choice should be hedged: degraded primary
@@ -265,6 +270,47 @@ impl HedgeEngine {
         most_cached_member(signals, |i, s| {
             i != primary && s.queue_depth < self.cfg.hedge_queue_watermark
         })
+    }
+
+    /// Picks the hedge target for a request routed to `primary` and
+    /// spends its retry-budget token at `now`: the runner-up of
+    /// [`HedgeEngine::pick_runner_up`]. `None`, counted as suppressed,
+    /// while the budget is below the hedge reserve or when no runner-up
+    /// sits under the queue watermark.
+    pub fn spend_on_hedge(
+        &mut self,
+        signals: &[InstanceSignals],
+        primary: usize,
+        now: SimTime,
+    ) -> Option<usize> {
+        self.budget.refill(now);
+        if self.budget.available() < self.cfg.min_budget_for_hedge {
+            self.stats.suppressed_budget += 1;
+            return None;
+        }
+        let Some(runner_up) = self.pick_runner_up(signals, primary) else {
+            self.stats.suppressed_no_target += 1;
+            return None;
+        };
+        let spent = self.budget.try_spend();
+        debug_assert!(spent, "reserve check guarantees a token");
+        self.overload.budget_spent_hedge += 1;
+        Some(runner_up)
+    }
+
+    /// Spends a retry-budget token on a failover re-admission at `now`.
+    /// A dry bucket defers the victim to its next backoff slot instead
+    /// of piling retries onto an already-stressed fleet: `false`,
+    /// counted as deferred.
+    pub fn spend_on_failover(&mut self, now: SimTime) -> bool {
+        self.budget.refill(now);
+        if self.budget.try_spend() {
+            self.overload.budget_spent_failover += 1;
+            true
+        } else {
+            self.overload.failover_deferred += 1;
+            false
+        }
     }
 
     /// Whether ingress shedding applies: the watermark is finite and
@@ -388,6 +434,38 @@ mod tests {
         // Refill never runs the clock backwards.
         b.refill(SimTime::from_secs(50.0));
         assert!((b.available() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hedges_stop_at_the_reserve_and_failover_drains_the_rest() {
+        let mut eng = HedgeEngine::new(HedgeConfig {
+            budget_capacity: 3.0,
+            budget_refill_per_sec: 0.0,
+            min_budget_for_hedge: 2.0,
+            ..HedgeConfig::default()
+        });
+        let t = SimTime::from_secs(1.0);
+        let primary_only = [sig(0, 0, HealthState::Degraded)];
+        assert_eq!(eng.spend_on_hedge(&primary_only, 0, t), None);
+        let signals = [primary_only[0], sig(0, 0, HealthState::Healthy)];
+        assert_eq!(eng.spend_on_hedge(&signals, 0, t), Some(1));
+        assert_eq!(eng.spend_on_hedge(&signals, 0, t), Some(1));
+        assert_eq!(eng.spend_on_hedge(&signals, 0, t), None, "reserve held");
+        assert!(eng.spend_on_failover(t), "failover takes the reserve");
+        assert!(!eng.spend_on_failover(t), "bucket dry");
+        assert_eq!(
+            (eng.stats.suppressed_no_target, eng.stats.suppressed_budget),
+            (1, 1)
+        );
+        assert_eq!(
+            eng.overload,
+            OverloadStats {
+                ingress_shed: 0,
+                budget_spent_hedge: 2,
+                budget_spent_failover: 1,
+                failover_deferred: 1,
+            }
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! assert_eq!(report.total(), 0);
 //! ```
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 use kvcache::Block;
 use serving::{CancelOutcome, Driver, Instance, Report, Scheduler};
@@ -443,13 +443,9 @@ impl Fleet {
             (Some(cfg), Some(horizon)) => {
                 // Patrol long enough to see the last crash through the
                 // full eject → drain → retry-backoff chain.
-                let chain = cfg
-                    .backoff
-                    .as_nanos()
-                    .saturating_mul(1u64 << (cfg.retry_budget + 1).min(32));
                 let end = horizon
                     .saturating_add(self.health.eject_after)
-                    .saturating_add(SimDuration::from_nanos(chain))
+                    .saturating_add(cfg.backoff.doubled((cfg.retry_budget + 1).min(32)))
                     .saturating_add(cfg.patrol * 4.0);
                 Some(FailoverEngine::new(cfg, end))
             }
@@ -472,17 +468,12 @@ impl Fleet {
             .map(|_| LatencyEwma::new(self.health.ewma_alpha))
             .collect();
         let mut exceeds: Vec<bool> = vec![false; self.members.len()];
+        // The hedger owns the shared retry budget, so failover
+        // re-admissions draw on it only alongside hedging.
         let mut hedger: Option<HedgeEngine> = match (self.hedging, gray_armed) {
             (Some(cfg), true) => Some(HedgeEngine::new(cfg)),
             _ => None,
         };
-        // The shared retry budget exists only alongside hedging: plain
-        // failover keeps its own per-victim retry counter, so PR-8-style
-        // crash runs without hedging are bit-for-bit unchanged.
-        let mut budget: Option<RetryBudget> = hedger.as_ref().map(|h| {
-            RetryBudget::new(h.config().budget_capacity, h.config().budget_refill_per_sec)
-        });
-        let mut overload = OverloadStats::default();
 
         let mut i = 0;
         let mut b = 0;
@@ -537,19 +528,11 @@ impl Fleet {
                         );
                         match pick_migration_target(&signals) {
                             Some(target) => {
-                                // Re-admissions draw on the shared retry
-                                // budget when one exists; a dry bucket
-                                // defers the victim to its next backoff
-                                // slot instead of piling retries onto an
-                                // already-stressed fleet.
-                                if let Some(bud) = budget.as_mut() {
-                                    bud.refill(t);
-                                    if !bud.try_spend() {
-                                        overload.failover_deferred += 1;
+                                if let Some(h) = hedger.as_mut() {
+                                    if !h.spend_on_failover(t) {
                                         eng.no_target(victim, t);
                                         continue;
                                     }
-                                    overload.budget_spent_failover += 1;
                                 }
                                 let hit = signals[target].prefix_hit_tokens;
                                 let mut spec = victim.spec.clone();
@@ -587,9 +570,9 @@ impl Fleet {
                 // the line, queueing one more first copy only deepens
                 // the overload — shed it here, before it costs anyone
                 // KV or a queue slot.
-                if let Some(h) = hedger.as_ref() {
+                if let Some(h) = hedger.as_mut() {
                     if h.ingress_overloaded(&signals) {
-                        overload.ingress_shed += 1;
+                        h.overload.ingress_shed += 1;
                         i += 1;
                         continue;
                     }
@@ -617,30 +600,16 @@ impl Fleet {
                 if let Some(h) = hedger.as_mut() {
                     if h.should_hedge(&signals[decision.instance], ewmas[decision.instance].ttft())
                     {
-                        let bud = budget
-                            .as_mut()
-                            .expect("budget exists whenever hedging does");
-                        bud.refill(t);
-                        if bud.available() < h.config().min_budget_for_hedge {
-                            h.stats.suppressed_budget += 1;
-                        } else {
-                            match h.pick_runner_up(&signals, decision.instance) {
-                                Some(ru) => {
-                                    let spent = bud.try_spend();
-                                    debug_assert!(spent, "reserve check guarantees a token");
-                                    overload.budget_spent_hedge += 1;
-                                    let hedge_local = self.members[ru].instance.admit(spec.clone());
-                                    routed[ru] += 1;
-                                    h.launched(
-                                        HedgePair {
-                                            primary: (decision.instance, primary_local),
-                                            hedge: (ru, hedge_local),
-                                        },
-                                        t,
-                                    );
-                                }
-                                None => h.stats.suppressed_no_target += 1,
-                            }
+                        if let Some(ru) = h.spend_on_hedge(&signals, decision.instance, t) {
+                            let hedge_local = self.members[ru].instance.admit(spec.clone());
+                            routed[ru] += 1;
+                            h.launched(
+                                HedgePair {
+                                    primary: (decision.instance, primary_local),
+                                    hedge: (ru, hedge_local),
+                                },
+                                t,
+                            );
                         }
                     }
                 }
@@ -698,7 +667,7 @@ impl Fleet {
             replication: replicator.map(|r| r.stats).unwrap_or_default(),
             health: health_stats,
             hedge: hedger.as_ref().map(|h| h.stats).unwrap_or_default(),
-            overload,
+            overload: hedger.as_ref().map(|h| h.overload).unwrap_or_default(),
         };
         for mut m in self.members {
             let (rep, events) = m.instance.finish(m.scheduler.as_mut());
@@ -915,10 +884,8 @@ fn step_members(members: &mut [FleetMember], t: SimTime) {
 mod tests {
     use super::*;
     use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId, KernelKind, WorkItem};
-    use serving::{
-        CrashVictim, FaultKind, FaultPlan, LeaseTable, RecoveryClass, ReqId, ServeCtx, SloSpec,
-    };
-    use simcore::SimRng;
+    use serving::{CrashVictim, FaultKind, FaultPlan, LeaseTable, ReqId, ServeCtx, SloSpec};
+    use simcore::{SimDuration, SimRng};
     use workload::{generate_fleet_stream, ContentSpec, WorkloadKind};
 
     /// A miniature engine with a real lease table: prefill kernel sized
@@ -1019,11 +986,7 @@ mod tests {
                 if let Some(lease) = self.leases.get_mut(id).and_then(Option::take) {
                     self.table.release(lease);
                 }
-                victims.push(CrashVictim {
-                    id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: ctx.request(id).input_tokens(),
-                });
+                victims.push(CrashVictim::reprefill(id, ctx.request(id).input_tokens()));
             }
             victims
         }

@@ -62,7 +62,6 @@ struct Ctx {
 struct Group {
     gpus: Vec<u32>,
     ctxs: Vec<Ctx>,
-    created_at: SimTime,
     /// Integrated `sm_share × quality × dt` for utilization reporting.
     util_accum: f64,
     accounted_from: SimTime,
@@ -97,7 +96,6 @@ enum KernelState {
 
 #[derive(Debug)]
 struct Kernel {
-    group: GroupId,
     ctx: CtxId,
     work: WorkItem,
     tag: u64,
@@ -344,7 +342,6 @@ impl GpuSim {
         self.groups.push(Group {
             gpus,
             ctxs: Vec::new(),
-            created_at: self.now,
             util_accum: 0.0,
             accounted_from: self.now,
             alive: true,
@@ -438,26 +435,6 @@ impl GpuSim {
         self.groups[group.0].speeds_dirty = true;
     }
 
-    /// The SM count of a live context.
-    pub fn context_sms(&self, group: GroupId, ctx: CtxId) -> u32 {
-        self.groups[group.0].ctxs[ctx.0].sms
-    }
-
-    /// The GPU indices a group spans.
-    pub fn group_gpus(&self, group: GroupId) -> &[u32] {
-        &self.groups[group.0].gpus
-    }
-
-    /// When a group was created.
-    pub fn group_created_at(&self, group: GroupId) -> SimTime {
-        self.groups[group.0].created_at
-    }
-
-    /// The group a kernel was submitted to.
-    pub fn kernel_group(&self, kernel: KernelId) -> GroupId {
-        self.kernels.get(kernel).group
-    }
-
     /// Submits a kernel to a context's FIFO queue. The kernel cannot start
     /// before `ready_at` (use this to model host-side launch latency).
     /// `tag` is an opaque payload returned on completion.
@@ -486,7 +463,6 @@ impl GpuSim {
         let (solo_secs, bw_demand, comp_frac) = self.solo_profile(c.sms, &work);
         let id = self.kernels.next_id();
         self.kernels.push(Kernel {
-            group,
             ctx,
             work,
             tag,
@@ -551,11 +527,6 @@ impl GpuSim {
     /// True if the context has no queued or running kernels.
     pub fn is_idle(&self, group: GroupId, ctx: CtxId) -> bool {
         self.queue_len(group, ctx) == 0
-    }
-
-    /// The tag a kernel was submitted with.
-    pub fn kernel_tag(&self, kernel: KernelId) -> u64 {
-        self.kernels.get(kernel).tag
     }
 
     // ----- time advancement ------------------------------------------------
@@ -1018,18 +989,6 @@ impl GpuSim {
             1.0
         } else {
             (c.busy.as_secs() / window).min(1.0)
-        }
-    }
-
-    /// Resets utilization windows (e.g. after warm-up).
-    pub fn reset_accounting(&mut self) {
-        for g in &mut self.groups {
-            g.util_accum = 0.0;
-            g.accounted_from = self.now;
-            for c in &mut g.ctxs {
-                c.busy = SimDuration::ZERO;
-                c.created_at = self.now;
-            }
         }
     }
 }

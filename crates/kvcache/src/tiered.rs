@@ -65,12 +65,6 @@ impl TieredPool {
         &self.device
     }
 
-    /// Mutable access to the device tier for private (working-set)
-    /// allocations.
-    pub fn device_mut(&mut self) -> &mut KvPool {
-        &mut self.device
-    }
-
     /// Two-tier prefix lookup: locks the device match and counts the
     /// host tier's additional coverage.
     pub fn match_prefix(&mut self, blocks: &[Block], now: SimTime) -> TieredMatch {

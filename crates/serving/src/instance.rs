@@ -33,7 +33,7 @@ use workload::RequestSpec;
 use crate::driver::{Driver, Event, Scheduler, ServeCtx, WatchdogConfig};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::metrics::Report;
-use crate::recovery::{MigratableVictim, RecoveryManager};
+use crate::recovery::{gives_up, MigratableVictim, RecoveryManager};
 use crate::request::{ReqId, SloSpec};
 
 /// What [`Instance::step_until`] observed at its time bound.
@@ -561,13 +561,16 @@ impl Instance {
                             continue;
                         }
                         let cfg = self.watchdog.unwrap_or_default();
-                        // TTFT-deadline-aware give-up: a victim that has
-                        // produced nothing and can no longer meet its
-                        // deadline is shed, not silently retried forever.
-                        let deadline = self.ctx.requests[id].arrival + cfg.ttft_deadline;
-                        let deadline_lost =
-                            self.ctx.metrics.tokens_emitted(id) == 0 && self.ctx.now >= deadline;
-                        if deadline_lost || self.recovery.attempts(id) > cfg.retry_budget {
+                        // A victim past its retry budget, or tokenless
+                        // past its TTFT deadline, is shed, not silently
+                        // retried forever.
+                        if gives_up(
+                            self.recovery.attempts(id),
+                            cfg.retry_budget,
+                            self.ctx.metrics.tokens_emitted(id),
+                            self.ctx.requests[id].arrival + cfg.ttft_deadline,
+                            self.ctx.now,
+                        ) {
                             self.recovery.on_gave_up(id);
                             self.ctx.metrics.mark_shed(id);
                             continue;

@@ -13,9 +13,19 @@
 //! the hand-written code paths it replaced (release = unlock → free,
 //! retire = unlock → free → insert, migrate = insert → relock → unlock →
 //! free), so porting an engine onto it changes no simulation outcome.
+//!
+//! The table also owns crash protection. [`LeaseTable::revoke`] returns
+//! a crash victim's lease and eviction-protects its cached prefix, and
+//! [`LeaseTable::readmit`] lifts that protection once the victim's next
+//! lease holds the prefix, so no engine keeps its own victim set.
+
+use std::collections::HashSet;
 
 use kvcache::{Block, KvPool, MatchOutcome, PoolStats};
 use simcore::SimTime;
+use workload::ContentSpec;
+
+use crate::request::ReqId;
 
 /// The KV resources one request holds: an eviction lock on its cached
 /// prefix plus the private tokens reserved for its new KV.
@@ -60,6 +70,9 @@ impl KvLease {
 pub struct LeaseTable {
     pool: KvPool,
     outstanding: usize,
+    /// Crash victims whose cached prefix [`LeaseTable::protect`] marked,
+    /// awaiting [`LeaseTable::readmit`].
+    protected: HashSet<ReqId>,
 }
 
 impl LeaseTable {
@@ -69,6 +82,7 @@ impl LeaseTable {
         LeaseTable {
             pool: KvPool::new(capacity_tokens, block_size),
             outstanding: 0,
+            protected: HashSet::new(),
         }
     }
 
@@ -142,20 +156,42 @@ impl LeaseTable {
         self.pool.insert(blocks, now)
     }
 
-    /// Marks the cached prefix of `blocks` eviction-protected (see
-    /// [`KvPool::protect_prefix`]): LRU pressure — including capacity
-    /// shrinks — takes an unprotected victim first. Crash failover uses
-    /// this on revoked requests' prefixes so a [`LeaseTable::set_capacity`]
-    /// shrink between revocation and re-admission does not evict exactly
-    /// the state the re-prefill needs.
-    pub fn protect_prefix(&mut self, blocks: &[Block]) {
-        self.pool.protect_prefix(blocks);
+    /// Eviction-protects the cached prefix of crash victim `id`'s
+    /// `content` until `id` is re-admitted (see [`LeaseTable::readmit`]).
+    /// LRU pressure, capacity shrinks included, takes an unprotected
+    /// entry first (see [`KvPool::protect_prefix`]), so a
+    /// [`LeaseTable::set_capacity`] shrink between revocation and
+    /// re-admission does not evict exactly the state the re-prefill
+    /// needs. Disaggregated engines call this directly on their prefill
+    /// table for decode victims whose lease lived in the decode table.
+    ///
+    /// Protection is one flag per radix node, not a count per victim: a
+    /// prefix shared by two victims is unprotected by whichever is
+    /// re-admitted first. A victim that never returns (shed, cancelled,
+    /// migrated away) leaves its prefix protected.
+    pub fn protect(&mut self, id: ReqId, content: &ContentSpec) {
+        self.pool
+            .protect_prefix(&content.blocks(self.pool.block_size()));
+        self.protected.insert(id);
     }
 
-    /// Clears protection set by [`LeaseTable::protect_prefix`]
-    /// (idempotent; evicted entries are simply absent).
-    pub fn unprotect_prefix(&mut self, blocks: &[Block]) {
-        self.pool.unprotect_prefix(blocks);
+    /// Revokes crash victim `id`: returns its `lease` (unlock, then free,
+    /// as [`LeaseTable::release`]) and protects the cached prefix of its
+    /// `content` (as [`LeaseTable::protect`]).
+    pub fn revoke(&mut self, id: ReqId, lease: KvLease, content: &ContentSpec) {
+        self.release(lease);
+        self.protect(id, content);
+    }
+
+    /// Lifts the protection [`LeaseTable::protect`] set for `id`, whose
+    /// re-admission has just leased `blocks`: the lease's lock pins the
+    /// prefix now. Call it right after the lease is taken, so eviction
+    /// during the lease's own allocation still sees the flags. A no-op
+    /// for an id that holds no protection.
+    pub fn readmit(&mut self, id: ReqId, blocks: &[Block]) {
+        if self.protected.remove(&id) {
+            self.pool.unprotect_prefix(blocks);
+        }
     }
 
     /// Locks the longest cached prefix of `blocks` and opens a lease for
@@ -406,25 +442,92 @@ mod tests {
 
     #[test]
     fn shrink_prefers_unprotected_victim_over_decode_victims_prefix() {
-        // Regression (ISSUE 4 satellite): after a crash bulk-revokes a
-        // decode batch, the victims' prefixes are unlocked and LRU-cold;
-        // a concurrent KvShrink used to evict them first, forcing a full
-        // re-prefill on re-admission. Protection must redirect the
-        // shrink to the unprotected alternative.
+        // Regression: after a crash bulk-revokes a decode batch, the
+        // victims' prefixes are unlocked and LRU-cold; a concurrent
+        // KvShrink used to evict them first, forcing a full re-prefill
+        // on re-admission. Protection must redirect the shrink to the
+        // unprotected alternative.
         let mut table = LeaseTable::new(128, 64);
-        let victim = Block::sequence(1, 64, 64);
+        let content = ContentSpec::single(1, 64);
+        let victim = content.blocks(64);
         table.insert(&victim, t(0.0));
+        let lease = table.lease_prefix(&victim, t(0.5));
         table.insert(&Block::sequence(2, 64, 64), t(1.0));
-        table.protect_prefix(&victim);
+        table.revoke(1, lease, &content);
+        assert_eq!(table.outstanding(), 0);
         table.set_capacity(64, t(2.0));
         assert_eq!(table.peek_prefix(&victim), 64);
         assert_eq!(table.peek_prefix(&Block::sequence(2, 64, 64)), 0);
-        // Re-admission: lease the protected prefix, then unprotect.
+        // Re-admission: lease the protected prefix, then lift protection.
         let lease = table.lease_prefix(&victim, t(3.0));
-        table.unprotect_prefix(&victim);
+        table.readmit(1, &victim);
         assert_eq!(lease.matched_tokens(), 64);
         table.release(lease);
         table.pool().check_invariants();
+    }
+
+    #[test]
+    fn protection_survives_shrinks_until_the_same_id_leases_again() {
+        let mut table = LeaseTable::new(192, 64);
+        let content = ContentSpec::single(1, 64);
+        let victim = content.blocks(64);
+        let (a, b, c) = (
+            Block::sequence(2, 64, 64),
+            Block::sequence(3, 64, 64),
+            Block::sequence(4, 64, 64),
+        );
+        table.insert(&victim, t(0.0));
+        table.insert(&a, t(1.0));
+        table.insert(&b, t(2.0));
+        table.protect(1, &content);
+        // Another id leasing the same prefix does not lift it.
+        table.readmit(2, &victim);
+        table.set_capacity(128, t(3.0));
+        assert_eq!(table.peek_prefix(&victim), 64, "protected prefix evicted");
+        assert_eq!(table.peek_prefix(&a), 0);
+        table.set_capacity(192, t(3.0));
+        // The victim itself is re-admitted: from here on its prefix is
+        // plain LRU, older than `c`, so a shrink takes it before `c`.
+        let lease = table.lease_prefix(&victim, t(4.0));
+        table.readmit(1, &victim);
+        table.release(lease);
+        table.insert(&c, t(5.0));
+        table.set_capacity(64, t(6.0));
+        assert_eq!(table.peek_prefix(&victim), 0, "protection outlived readmit");
+        assert_eq!(table.peek_prefix(&b), 0);
+        assert_eq!(table.peek_prefix(&c), 64);
+        table.pool().check_invariants();
+    }
+
+    #[test]
+    fn readmitting_an_id_never_revoked_changes_no_eviction() {
+        // Two tables with one protected victim (id 1) and one plain
+        // entry; only the second also re-admits ids 2 and 3, which
+        // were never revoked, on both prefixes. Each shrink step must
+        // evict the same entries from both.
+        let content = ContentSpec::single(1, 128);
+        let victim = content.blocks(64);
+        let plain = Block::sequence(2, 128, 64);
+        let survivors = |readmit: bool| {
+            let mut table = LeaseTable::new(256, 64);
+            table.insert(&victim, t(0.0));
+            table.insert(&plain, t(1.0));
+            table.protect(1, &content);
+            if readmit {
+                table.readmit(2, &victim);
+                table.readmit(3, &plain);
+            }
+            let mut left = Vec::new();
+            for cap in [192, 128, 64, 0] {
+                table.set_capacity(cap, t(2.0));
+                left.push((table.peek_prefix(&victim), table.peek_prefix(&plain)));
+            }
+            table.pool().check_invariants();
+            left
+        };
+        let without = survivors(false);
+        assert_eq!(without, [(128, 64), (128, 0), (64, 0), (0, 0)]);
+        assert_eq!(survivors(true), without);
     }
 
     #[test]

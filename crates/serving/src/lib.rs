@@ -66,5 +66,5 @@ pub use lease::{KvLease, LeaseTable};
 pub use lifecycle::{EngineCounters, IllegalTransition, Lifecycle, Stage};
 pub use metrics::{MetricsRecorder, RecoveryStats, Report};
 pub use order::drain_sorted;
-pub use recovery::{CrashVictim, MigratableVictim, RecoveryClass, RecoveryManager};
+pub use recovery::{gives_up, CrashVictim, MigratableVictim, RecoveryClass, RecoveryManager};
 pub use request::{ReqId, SloSpec};

@@ -10,6 +10,8 @@
 //! finished request), and maintains the uniform [`EngineCounters`] the
 //! driver folds into every report.
 
+use std::collections::VecDeque;
+
 use crate::request::ReqId;
 
 /// Where a request currently is in its life.
@@ -174,6 +176,19 @@ impl Lifecycle {
         self.transition(id, Stage::Dropped);
     }
 
+    /// Sheds `id` if it is still in `waiting` (the watchdog's deadline
+    /// shed): removes it from the queue and drops it
+    /// (`Queued → Dropped`). Returns `false`, changing nothing, when `id`
+    /// is not waiting — it is already being served, or already gone.
+    pub fn shed_waiting(&mut self, waiting: &mut VecDeque<ReqId>, id: ReqId) -> bool {
+        let Some(pos) = waiting.iter().position(|&w| w == id) else {
+            return false;
+        };
+        waiting.remove(pos);
+        self.drop_request(id);
+        true
+    }
+
     /// Records a prefill preemption (counter only; the victim's stage
     /// change is reported separately via [`Lifecycle::requeue`]).
     pub fn record_preemption(&mut self) {
@@ -238,6 +253,25 @@ mod tests {
         lc.drop_request(2);
         assert!(lc.try_transition(2, Stage::Prefilling).is_err());
         assert!(lc.try_transition(2, Stage::Dropped).is_err());
+    }
+
+    #[test]
+    fn shed_waiting_drops_a_waiting_id_once() {
+        let mut lc = Lifecycle::new();
+        let mut waiting: VecDeque<ReqId> = [4, 7, 9].into();
+        lc.admit(1);
+        assert!(lc.shed_waiting(&mut waiting, 7));
+        assert_eq!(waiting, [4, 9]);
+        assert_eq!(lc.stage(7), Stage::Dropped);
+        assert_eq!(lc.counters().drops, 1);
+        // Gone from the queue: a second shed changes nothing, and so
+        // does shedding a running or never-seen id.
+        for id in [7, 1, 12] {
+            assert!(!lc.shed_waiting(&mut waiting, id));
+        }
+        assert_eq!(waiting, [4, 9]);
+        assert_eq!(lc.stage(1), Stage::Prefilling);
+        assert_eq!(lc.counters().drops, 1);
     }
 
     #[test]

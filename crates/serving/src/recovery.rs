@@ -83,6 +83,33 @@ pub struct CrashVictim {
     pub lost_tokens: u64,
 }
 
+impl CrashVictim {
+    /// A victim whose `lost_tokens` of context must be re-prefilled in
+    /// full ([`RecoveryClass::ReprefillFull`]).
+    pub fn reprefill(id: ReqId, lost_tokens: u64) -> CrashVictim {
+        CrashVictim {
+            id,
+            class: RecoveryClass::ReprefillFull,
+            lost_tokens,
+        }
+    }
+}
+
+/// The give-up rule of crash retries, local re-injection
+/// ([`crate::Instance`]) and fleet re-placement alike: a victim is given
+/// up once its `attempts` exceed the retry `budget`, or once it has
+/// emitted no token and `now` has reached its TTFT `deadline`, counted
+/// from its original arrival.
+pub fn gives_up(
+    attempts: u32,
+    budget: u32,
+    tokens_emitted: u64,
+    deadline: SimTime,
+    now: SimTime,
+) -> bool {
+    attempts > budget || (tokens_emitted == 0 && now >= deadline)
+}
+
 /// Per-victim retry bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct VictimState {
@@ -128,9 +155,7 @@ impl RecoveryManager {
             self.stats.reprefill_tokens += v.lost_tokens;
         }
         st.attempts += 1;
-        let shift = st.attempts.saturating_sub(1).min(16);
-        let delay = backoff.as_nanos().saturating_mul(1u64 << shift);
-        now.saturating_add(SimDuration::from_nanos(delay))
+        now.saturating_add(backoff.doubled(st.attempts.saturating_sub(1).min(16)))
     }
 
     /// Whether `id` is a tracked crash victim awaiting re-injection.
@@ -231,11 +256,19 @@ mod tests {
     }
 
     fn victim(id: ReqId) -> CrashVictim {
-        CrashVictim {
-            id,
-            class: RecoveryClass::ReprefillFull,
-            lost_tokens: 100,
-        }
+        CrashVictim::reprefill(id, 100)
+    }
+
+    #[test]
+    fn gives_up_past_the_budget_or_a_tokenless_deadline() {
+        let (deadline, before) = (t(30.0), t(29.999));
+        assert!(!gives_up(3, 3, 0, deadline, before));
+        assert!(gives_up(4, 3, 0, deadline, before));
+        assert!(gives_up(4, 3, 5, deadline, before));
+        // The deadline binds only while no token has been emitted, and
+        // from the deadline instant itself on.
+        assert!(gives_up(1, 3, 0, deadline, deadline));
+        assert!(!gives_up(1, 3, 1, deadline, t(60.0)));
     }
 
     #[test]

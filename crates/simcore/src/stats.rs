@@ -271,11 +271,6 @@ impl Online {
             self.m2 / self.n as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]

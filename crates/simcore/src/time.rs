@@ -171,6 +171,14 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+
+    /// Step `k` of an exponential backoff from this base: `self × 2^k`,
+    /// saturating at [`SimDuration::MAX`]. Callers cap `k` themselves.
+    pub fn doubled(self, k: u32) -> SimDuration {
+        // Past 2^63 the factor itself saturates; the product follows.
+        let factor = 1u64.checked_shl(k).unwrap_or(u64::MAX);
+        SimDuration(self.0.saturating_mul(factor))
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -291,6 +299,20 @@ mod tests {
         assert_eq!((t - d).as_secs(), 1.75);
         assert_eq!((t + d) - t, d);
         assert_eq!(t.since(SimTime::ZERO).as_secs(), 2.0);
+    }
+
+    #[test]
+    fn backoff_steps_double_and_saturate_at_max() {
+        let base = SimDuration::from_millis(250.0);
+        assert_eq!(base.doubled(0), base);
+        assert_eq!(base.doubled(3), SimDuration::from_secs(2.0));
+        let ns = SimDuration::from_nanos(1);
+        assert_eq!(ns.doubled(63), SimDuration::from_nanos(1 << 63));
+        assert_eq!(ns.doubled(64), SimDuration::MAX);
+        assert_eq!(base.doubled(40), SimDuration::MAX);
+        assert_eq!(base.doubled(u32::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::MAX.doubled(1), SimDuration::MAX);
+        assert_eq!(SimDuration::ZERO.doubled(u32::MAX), SimDuration::ZERO);
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl RequestSpec {
     pub fn input_tokens(&self) -> u64 {
         self.content.total_tokens()
     }
-
-    /// Tokens that are new in this turn (`input − prior_context`).
-    pub fn fresh_tokens(&self) -> u64 {
-        self.input_tokens().saturating_sub(self.prior_context)
-    }
 }
 
 /// The stream id of the OpenThoughts shared system prompt.
