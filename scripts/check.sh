@@ -5,7 +5,8 @@
 # Fast paths while iterating:
 #   ./scripts/check.sh serving         # just the serving crate's tests
 #   ./scripts/check.sh engine          # MuxWise tests + the goldens a dispatcher change must keep
-#   ./scripts/check.sh crash           # crash goldens, recovery/fault/fleet suites, crash and fleet smokes
+#                                      # (decode_golden: requeues, overflow prefills, KV shrink)
+#   ./scripts/check.sh crash           # crash and decode goldens, recovery/fault/fleet suites, crash and fleet smokes
 #   ./scripts/check.sh alloc           # every crate's alloc_count test (heap allocations and sizes)
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
@@ -34,13 +35,14 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
     cargo test -q -p muxwise
     cargo test -q -p integration-tests --test refactor_invariance \
-        --test macro_equivalence --test recovery --test crash_golden
+        --test macro_equivalence --test recovery --test crash_golden \
+        --test decode_golden
     exit 0
 fi
 
 if [[ "${1:-}" == "crash" ]]; then
-    cargo test -q -p integration-tests --test crash_golden --test recovery \
-        --test faults --test fleet
+    cargo test -q -p integration-tests --test crash_golden --test decode_golden \
+        --test recovery --test faults --test fleet
     cargo run --release -q -p bench --bin chaos -- --recovery-smoke
     cargo run --release -q -p bench --bin fleet_chaos -- --smoke
     cargo run --release -q -p bench --bin fleet_chaos -- --gray-smoke

@@ -3,8 +3,8 @@
 //! were captured from the pre-refactor tree (full `{:?}` precision) and
 //! every engine must keep reproducing them bit-for-bit.
 
-use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
-use estimator::SoloPredictor;
+use baselines::{ChunkedPrefill, HybridPd, LoongServe, SglangPd, TemporalMux, WindServe};
+use estimator::{ContentionGuard, SoloPredictor};
 use gpusim::{ClusterSpec, GpuSim};
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
@@ -83,6 +83,21 @@ fn engines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
                 SoloPredictor::profile(&model, &cluster, &par, &[cluster.gpu.sm_count]),
             )),
         ),
+        (
+            "hybrid",
+            Box::new(HybridPd::new(
+                &model,
+                &cluster,
+                slo,
+                SoloPredictor::profile(
+                    &model,
+                    &cluster,
+                    &Parallelism::tp(4, cluster.nvlink_gbs),
+                    &[16, 48, 92, 108],
+                ),
+                ContentionGuard::flat(1.2),
+            )),
+        ),
     ]
 }
 
@@ -96,11 +111,14 @@ const GOLDEN: &[&str] = &[
     "sglang-pd: ttft_p99=0.3930977472999998 tbt_p99=0.00546196945 tokens=15616 makespan=32.390819329 util=0.17761426136401165",
     "windserve: ttft_p99=0.4091972680799998 tbt_p99=0.003540976 tokens=15616 makespan=31.448288315 util=0.16105087367082083",
     "temporal: ttft_p99=0.20154921411999993 tbt_p99=0.003089815 tokens=15616 makespan=31.299917777 util=0.20825647721596074",
+    "hybrid: ttft_p99=0.9679042870099976 tbt_p99=0.01135034 tokens=15616 makespan=35.123226081 util=0.1253693088737943",
 ];
 
 #[test]
 fn every_engine_matches_pre_refactor_golden_values() {
-    for ((name, mut engine), want) in engines().into_iter().zip(GOLDEN) {
+    let engines = engines();
+    assert_eq!(engines.len(), GOLDEN.len(), "one golden line per engine");
+    for ((name, mut engine), want) in engines.into_iter().zip(GOLDEN) {
         let got = golden_line(name, engine.as_mut(), false);
         assert_eq!(&got, want, "{name} diverged from the pre-refactor run");
     }
