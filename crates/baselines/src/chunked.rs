@@ -8,8 +8,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
-    SloSpec,
+    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, DecodeSlot, ReqId,
+    Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -346,16 +346,6 @@ impl ChunkedPrefill {
         self.inflight = Some(pieces);
     }
 
-    fn retire_slot(&mut self, slot: DecodeSlot, ctx: &mut ServeCtx) {
-        let spec = ctx.request(slot.id).clone();
-        let table = self.table.as_mut().expect("table");
-        let mut committed = spec.content.clone();
-        committed.push(spec.session, ctx.tokens_emitted(slot.id));
-        table.release_and_commit(slot.lease, &committed.blocks(table.block_size()), ctx.now());
-        ctx.finish_request(slot.id);
-        self.lifecycle.finish(slot.id);
-    }
-
     // simlint: hot
     fn on_iteration_done(&mut self, ctx: &mut ServeCtx) {
         let pieces = self.inflight.take().unwrap_or_default();
@@ -367,8 +357,9 @@ impl ChunkedPrefill {
             // describes the batch.
             self.macro_armed = false;
         }
+        let table = self.table.as_mut().expect("table");
         for slot in retired.drain(..) {
-            self.retire_slot(slot, ctx);
+            retire(table, &mut self.lifecycle, ctx, slot);
         }
         self.retired_scratch = retired;
         // Prefill side: advance chunk progress; completed prompts join
@@ -377,32 +368,13 @@ impl ChunkedPrefill {
             if let Some(pos) = self.prefilling.iter().position(|p| p.id == id) {
                 self.prefilling[pos].done_new += tokens;
                 if self.prefilling[pos].done_new >= self.prefilling[pos].total_new {
-                    let mut p = self.prefilling.remove(pos).expect("present");
-                    // simlint: allow(R6) reason="once per completed prompt, not per decode iteration"
-                    let spec = ctx.request(p.id).clone();
-                    if ctx.tokens_emitted(p.id) == 0 {
-                        ctx.emit_tokens(p.id, 1);
-                    }
-                    let emitted = ctx.tokens_emitted(p.id);
-                    let remaining = spec.output_tokens.saturating_sub(emitted);
-                    // Commit the prompt KV to the shared radix right away
-                    // (SGLang's tree holds KV as soon as it is computed).
+                    let p = self.prefilling.remove(pos).expect("present");
                     let table = self.table.as_mut().expect("table");
-                    let blocks = spec.content.blocks(table.block_size());
-                    table.migrate(&mut p.lease, &blocks, ctx.now());
-                    let slot = DecodeSlot {
-                        id: p.id,
-                        context: spec.input_tokens() + emitted,
-                        remaining_out: remaining,
-                        lease: p.lease,
-                    };
-                    if remaining == 0 {
-                        self.retire_slot(slot, ctx);
-                    } else {
+                    if let Some(slot) = join_decode(table, &mut self.lifecycle, ctx, p.id, p.lease)
+                    {
                         // Even when the batch is full, park the finished
                         // prefill as a zero-progress decode candidate for
                         // the next round.
-                        self.lifecycle.begin_decode(slot.id);
                         self.decode.push(slot);
                     }
                 }

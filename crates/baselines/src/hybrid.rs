@@ -18,8 +18,7 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
-    SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeSide, Handoff, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -28,15 +27,6 @@ struct PrefillReq {
     id: ReqId,
     seq: SeqState,
     lease: KvLease,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Admit {
-    id: ReqId,
-    context: u64,
-    /// The context is already resident on the decode instance (local
-    /// multiplexed prefill — no migration needed).
-    local: bool,
 }
 
 /// Tag name space.
@@ -74,17 +64,13 @@ pub struct HybridPd {
     mux_inflight: Option<PrefillReq>,
     next_mux_tag: u64,
     mux_tags: HashMap<u64, ()>,
-    transferring: HashMap<u64, Admit>,
-    pending_admit: VecDeque<Admit>,
-    decode: DecodeBatch,
-    decode_inflight: bool,
+    /// The decode instance; while it is down, decode and overflow
+    /// prefill launches halt.
+    decode: DecodeSide,
     next_transfer_tag: u64,
     overflow_count: u64,
     /// The prefill instance lost a device; instance prefills halt.
     p_down: bool,
-    /// The decode instance lost a device; decode and overflow prefill
-    /// launches halt.
-    d_down: bool,
 }
 
 impl HybridPd {
@@ -131,14 +117,10 @@ impl HybridPd {
             mux_inflight: None,
             next_mux_tag: 1,
             mux_tags: HashMap::new(),
-            transferring: HashMap::new(),
-            pending_admit: VecDeque::new(),
-            decode: DecodeBatch::new(),
-            decode_inflight: false,
+            decode: DecodeSide::new(),
             next_transfer_tag: 1_000_000,
             overflow_count: 0,
             p_down: false,
-            d_down: false,
         }
     }
 
@@ -188,7 +170,8 @@ impl HybridPd {
             let Some(lease) =
                 table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
             else {
-                if reqs.is_empty() && self.decode.is_empty() && self.mux_inflight.is_none() {
+                if reqs.is_empty() && self.decode.batch().is_empty() && self.mux_inflight.is_none()
+                {
                     self.waiting.pop_front();
                     ctx.finish_request(id);
                     self.lifecycle.drop_request(id);
@@ -223,7 +206,7 @@ impl HybridPd {
     /// Runs one overflow prefill on the decode instance's prefill
     /// partition (spatially multiplexed with decode).
     fn try_start_mux_prefill(&mut self, ctx: &mut ServeCtx) {
-        if self.d_down {
+        if self.decode.is_down() {
             return;
         }
         let Some(&id) = self.waiting.front() else {
@@ -273,16 +256,14 @@ impl HybridPd {
             let bytes = context as f64 * self.model.kv_bytes_per_token() / self.par.tp as f64;
             let tag = self.next_transfer_tag;
             self.next_transfer_tag += 1;
-            ctx.gpu
-                .submit_transfer(self.link.expect("link"), bytes, tag);
-            self.transferring.insert(
-                tag,
-                Admit {
-                    id: r.id,
-                    context,
-                    local: false,
-                },
-            );
+            // The decode pool allocates a migrated context at admission.
+            let handoff = Handoff {
+                id: r.id,
+                context,
+                reserved: false,
+            };
+            let link = self.link.expect("link");
+            self.decode.send(ctx, link, tag, bytes, handoff);
         }
         self.try_dispatch_prefills(ctx);
     }
@@ -292,61 +273,27 @@ impl HybridPd {
         if ctx.tokens_emitted(r.id) == 0 {
             ctx.emit_tokens(r.id, 1);
         }
-        let spec = ctx.request(r.id).clone();
         // Already resident in the decode pool; admit directly. The KV
-        // stays raw in the table across the `Copy` admit record and is
-        // re-wrapped into a lease when the decode slot forms.
-        self.d_table.as_mut().expect("table").detach(r.lease);
-        self.pending_admit.push_back(Admit {
+        // stays raw in the table across the handoff and is re-wrapped
+        // into a lease when the decode slot forms.
+        let context = self.d_table.as_mut().expect("table").detach(r.lease);
+        self.decode.queue(Handoff {
             id: r.id,
-            context: spec.input_tokens() + 1,
-            local: true,
+            context,
+            reserved: true,
         });
-        self.try_admit_decode(ctx);
+        self.step_decode(ctx);
         self.try_dispatch_prefills(ctx);
-    }
-
-    fn try_admit_decode(&mut self, ctx: &mut ServeCtx) {
-        if self.d_down {
-            // Migrated contexts buffer without allocations while the
-            // decode instance is down; a permanent crash leaks nothing.
-            return;
-        }
-        while let Some(&admit) = self.pending_admit.front() {
-            let table = self.d_table.as_mut().expect("table");
-            if !admit.local && !table.try_alloc_private(admit.context, ctx.now()) {
-                break;
-            }
-            self.pending_admit.pop_front();
-            let spec = ctx.request(admit.id).clone();
-            let emitted = ctx.tokens_emitted(admit.id);
-            let remaining = spec.output_tokens.saturating_sub(emitted);
-            let table = self.d_table.as_mut().expect("table");
-            if remaining == 0 {
-                table.free_private(admit.context);
-                ctx.finish_request(admit.id);
-                self.lifecycle.finish(admit.id);
-                continue;
-            }
-            self.lifecycle.begin_decode(admit.id);
-            self.decode.push(DecodeSlot {
-                id: admit.id,
-                context: admit.context,
-                remaining_out: remaining,
-                lease: table.lease_private(admit.context),
-            });
-        }
-        self.launch_decode(ctx);
     }
 
     /// Chooses the decode partition: smallest configuration meeting the
     /// worst-case TBT, considering the multiplexed prefill as co-runner.
     fn desired_decode_sms(&self, ctx: &ServeCtx) -> u32 {
         let configs = ctx.gpu.spec().partition_configs();
-        if self.decode.is_empty() {
+        if self.decode.batch().is_empty() {
             return configs[0];
         }
-        let ctxs: Vec<u64> = self.decode.contexts().collect();
+        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
         let budget = self.slo.tbt.as_secs() * 0.9 - ctx.gpu.spec().graph_launch.as_secs();
         for &sms in &configs {
             let solo = self.predictor.decode_latency(sms, &ctxs);
@@ -368,17 +315,16 @@ impl HybridPd {
         *configs.last().expect("non-empty")
     }
 
-    fn launch_decode(&mut self, ctx: &mut ServeCtx) {
-        if self.decode_inflight || self.decode.is_empty() || self.d_down {
-            return;
-        }
-        let now = ctx.now();
+    /// Admits landed contexts and launches the next decode iteration.
+    /// Migrated contexts buffer without allocations while the decode
+    /// instance is down, so a permanent crash leaks nothing.
+    fn step_decode(&mut self, ctx: &mut ServeCtx) {
         let table = self.d_table.as_mut().expect("table");
-        for id in self.decode.grow_for_iteration(table, now) {
-            self.waiting.push_front(id);
-            self.lifecycle.requeue(id);
-        }
-        if self.decode.is_empty() {
+        self.decode.admit(table, &mut self.lifecycle, ctx);
+        if !self
+            .decode
+            .grow(table, &mut self.waiting, &mut self.lifecycle, ctx.now())
+        {
             return;
         }
         // Re-partition the decode instance when possible.
@@ -399,22 +345,15 @@ impl HybridPd {
             }
             self.decode_sms = desired;
         }
-        let ctxs: Vec<u64> = self.decode.contexts().collect();
+        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
         let work = self.model.decode_iter_work(&ctxs, &self.par);
-        let ready = now + ctx.gpu.spec().graph_launch;
-        ctx.gpu.submit(g, dc, work, ready, TAG_DECODE);
-        self.decode_inflight = true;
+        self.decode.launch(ctx, g, dc, work, TAG_DECODE);
     }
 
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
-        self.decode_inflight = false;
-        for slot in self.decode.advance_iteration(ctx) {
-            self.d_table.as_mut().expect("table").release(slot.lease);
-            ctx.finish_request(slot.id);
-            self.lifecycle.finish(slot.id);
-        }
-        self.try_admit_decode(ctx);
-        self.launch_decode(ctx);
+        let table = self.d_table.as_mut().expect("table");
+        self.decode.iteration_done(table, &mut self.lifecycle, ctx);
+        self.step_decode(ctx);
         self.try_dispatch_prefills(ctx);
     }
 
@@ -462,9 +401,8 @@ impl Scheduler for HybridPd {
     }
 
     fn on_transfer_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
-        if let Some(admit) = self.transferring.remove(&tag) {
-            self.pending_admit.push_back(admit);
-            self.try_admit_decode(ctx);
+        if self.decode.landed(tag) {
+            self.step_decode(ctx);
         }
     }
 
@@ -522,40 +460,18 @@ impl Scheduler for HybridPd {
                 victims.push(CrashVictim::reprefill(r.id, r.seq.new_tokens));
             }
         } else {
-            // Decode instance died: the decode batch, the multiplexed
-            // overflow prefill and every context parked for admission
-            // lose their device-resident KV.
-            self.d_down = true;
-            self.decode_inflight = false;
+            // Decode instance died: the multiplexed overflow prefill,
+            // the decode batch and every context parked for admission
+            // or in transit lose their device-resident KV.
             self.mux_tags.clear();
             if let Some(r) = self.mux_inflight.take() {
                 self.d_table.as_mut().expect("table").release(r.lease);
                 let v = self.revoke_decode_victim(r.id, r.seq.new_tokens, ctx);
                 victims.push(v);
             }
-            for slot in self.decode.drain() {
-                self.d_table.as_mut().expect("table").release(slot.lease);
-                let v = self.revoke_decode_victim(slot.id, slot.context, ctx);
-                victims.push(v);
-            }
-            for admit in std::mem::take(&mut self.pending_admit) {
-                if admit.local {
-                    // Locally-prefilled contexts sit raw in the decode
-                    // pool between detach and admission.
-                    self.d_table
-                        .as_mut()
-                        .expect("table")
-                        .free_private(admit.context);
-                }
-                let v = self.revoke_decode_victim(admit.id, admit.context, ctx);
-                victims.push(v);
-            }
-            // In-flight transfers hold no decode-side allocation yet; the
-            // orphaned tags complete into no-ops. Drain in tag order —
-            // victim order decides the requeue event order.
-            for (_, admit) in serving::order::drain_sorted(&mut self.transferring) {
-                let v = self.revoke_decode_victim(admit.id, admit.context, ctx);
-                victims.push(v);
+            let d_table = self.d_table.as_mut().expect("table");
+            for (id, context) in self.decode.crash(d_table) {
+                victims.push(self.revoke_decode_victim(id, context, ctx));
             }
         }
         victims
@@ -576,9 +492,8 @@ impl Scheduler for HybridPd {
                     return;
                 }
             }
-            self.d_down = false;
-            self.try_admit_decode(ctx);
-            self.launch_decode(ctx);
+            self.decode.recover();
+            self.step_decode(ctx);
         }
         self.try_dispatch_prefills(ctx);
     }

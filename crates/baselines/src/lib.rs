@@ -48,9 +48,26 @@
 //! [`serving::Report`]. Keep decoding requests in a
 //! [`serving::DecodeBatch`]: `grow_for_iteration` handles the
 //! one-token-per-slot KV growth with tail-victim eviction and
-//! `advance_iteration` handles emission and retirement, so a new
-//! scheduler is ~the admission policy, the kernel-submission logic, and
-//! nothing else. [`SglangPd`] is the smallest complete template.
+//! `advance_iteration` handles emission and retirement.
+//!
+//! How a prefilled context reaches decode depends on the pool:
+//!
+//! * **One shared pool**: hand each finished prefill's lease to
+//!   [`serving::join_decode`] (first token, radix migration, and the
+//!   decode slot — or retirement when nothing is left to generate), and
+//!   retire finished slots with [`serving::retire`] (commit prompt plus
+//!   output, release, finish).
+//! * **A separate decode instance**: keep a [`serving::DecodeSide`] and
+//!   pass it [`serving::Handoff`]s — over a KV transfer (`send`, then
+//!   `landed` in `on_transfer_done`) or directly (`queue`). Say in each
+//!   handoff whether the decode pool already holds its space. The decode
+//!   side admits, grows with requeue, launches, retires and drains on a
+//!   crash; the engine keeps only where prefill runs and what it
+//!   submits.
+//!
+//! So a new scheduler is ~the admission policy, the kernel-submission
+//! logic, and nothing else. [`SglangPd`] is the smallest complete disaggregated
+//! template, [`related::WindServe`] the smallest shared-pool one.
 //!
 //! # Examples
 //!

@@ -15,8 +15,7 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::LeaseTable;
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
-    SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeSide, Handoff, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -27,13 +26,6 @@ struct Job {
     gpus: Vec<u32>,
     group: GroupId,
     ctx_id: CtxId,
-}
-
-/// A migrated context awaiting decode admission.
-#[derive(Debug, Clone, Copy)]
-struct Admit {
-    id: ReqId,
-    context: u64,
 }
 
 /// The LoongServe scheduler. See the [module docs](self).
@@ -54,16 +46,13 @@ pub struct LoongServe {
     free_gpus: Vec<u32>,
     waiting: VecDeque<ReqId>,
     jobs: HashMap<u64, Job>,
-    transferring: HashMap<u64, Admit>,
-    pending_admit: VecDeque<Admit>,
-    decode: DecodeBatch,
-    decode_inflight: bool,
+    /// The fixed decode group; while it is down, decode admission and
+    /// launches halt.
+    decode: DecodeSide,
+    /// Job and transfer tags, drawn from one counter.
     next_tag: u64,
     /// Total tokens recomputed because no cross-request reuse exists.
     recomputed_tokens: u64,
-    /// The fixed decode group lost a device; decode admission and
-    /// launches halt until it recovers.
-    d_down: bool,
 }
 
 impl LoongServe {
@@ -93,13 +82,9 @@ impl LoongServe {
             free_gpus: Vec::new(),
             waiting: VecDeque::new(),
             jobs: HashMap::new(),
-            transferring: HashMap::new(),
-            pending_admit: VecDeque::new(),
-            decode: DecodeBatch::new(),
-            decode_inflight: false,
+            decode: DecodeSide::new(),
             next_tag: 1,
             recomputed_tokens: 0,
-            d_down: false,
         }
     }
 
@@ -132,9 +117,8 @@ impl LoongServe {
                 break;
             }
             let gpus: Vec<u32> = available[..take_gpus].to_vec();
-            // Remove from the free pool (borrowed decode GPUs are tracked
-            // by the job itself; decode cannot run while borrowed since
-            // its ids overlap — enforced by `decode_can_run`).
+            // Remove from the free pool; the job returns them when it
+            // completes. The decode group's GPUs are never in the pool.
             self.free_gpus.retain(|g| !gpus.contains(g));
             self.waiting.pop_front();
             self.lifecycle.admit(id);
@@ -167,10 +151,6 @@ impl LoongServe {
         }
     }
 
-    fn decode_can_run(&self) -> bool {
-        true // the decode group's GPUs are never lent out
-    }
-
     fn on_prefill_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
         let job = self.jobs.remove(&tag).expect("known job");
         ctx.gpu.remove_context(job.group, job.ctx_id);
@@ -184,89 +164,48 @@ impl LoongServe {
         if ctx.tokens_emitted(job.id) == 0 {
             ctx.emit_tokens(job.id, 1);
         }
-        // Migrate to the decode group; the source copy is released
-        // immediately (LoongServe keeps no spare KV).
-        let spec = ctx.request(job.id).clone();
-        let context = spec.input_tokens() + 1;
+        // Migrate to the decode group, whose pool allocates the context
+        // at admission; the source copy is released immediately
+        // (LoongServe keeps no spare KV).
+        let context = ctx.request(job.id).input_tokens() + 1;
         let bytes = context as f64 * self.model.kv_bytes_per_token() / self.tp as f64;
         let t = self.next_tag;
         self.next_tag += 1;
-        ctx.gpu.submit_transfer(self.link.expect("link"), bytes, t);
-        self.transferring.insert(
-            t,
-            Admit {
-                id: job.id,
-                context,
-            },
-        );
+        let handoff = Handoff {
+            id: job.id,
+            context,
+            reserved: false,
+        };
+        let link = self.link.expect("link");
+        self.decode.send(ctx, link, t, bytes, handoff);
         self.try_start_prefills(ctx);
     }
 
-    fn try_admit_decode(&mut self, ctx: &mut ServeCtx) {
-        if self.d_down {
-            // Migrated contexts buffer without leases while the decode
-            // group is down; a permanent crash then leaks nothing.
-            return;
-        }
-        while let Some(&admit) = self.pending_admit.front() {
-            let table = self.d_table.as_mut().expect("table");
-            let Some(lease) = table.try_lease_private(admit.context, ctx.now()) else {
-                break;
-            };
-            self.pending_admit.pop_front();
-            let spec = ctx.request(admit.id).clone();
-            let emitted = ctx.tokens_emitted(admit.id);
-            let remaining = spec.output_tokens.saturating_sub(emitted);
-            if remaining == 0 {
-                self.d_table.as_mut().expect("table").release(lease);
-                ctx.finish_request(admit.id);
-                self.lifecycle.finish(admit.id);
-                continue;
-            }
-            self.lifecycle.begin_decode(admit.id);
-            self.decode.push(DecodeSlot {
-                id: admit.id,
-                context: admit.context,
-                remaining_out: remaining,
-                lease,
-            });
-        }
-        self.launch_decode(ctx);
-    }
-
-    fn launch_decode(&mut self, ctx: &mut ServeCtx) {
-        if self.decode_inflight || self.decode.is_empty() || self.d_down || !self.decode_can_run() {
-            return;
-        }
-        let now = ctx.now();
+    /// Admits landed contexts and launches the next decode iteration.
+    /// Migrated contexts buffer without leases while the decode group is
+    /// down, so a permanent crash leaks nothing.
+    fn step_decode(&mut self, ctx: &mut ServeCtx) {
         let table = self.d_table.as_mut().expect("table");
-        for id in self.decode.grow_for_iteration(table, now) {
-            self.waiting.push_front(id);
-            self.lifecycle.requeue(id);
-        }
-        if self.decode.is_empty() {
+        self.decode.admit(table, &mut self.lifecycle, ctx);
+        if !self
+            .decode
+            .grow(table, &mut self.waiting, &mut self.lifecycle, ctx.now())
+        {
             return;
         }
-        let ctxs: Vec<u64> = self.decode.contexts().collect();
+        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
         let par = Parallelism::tp(self.tp, self.nvlink_gbs);
         let work = self.model.decode_iter_work(&ctxs, &par);
-        let ready = now + ctx.gpu.spec().graph_launch;
         let (g, c) = (self.d_group.expect("started"), self.d_ctx.expect("started"));
-        ctx.gpu.submit(g, c, work, ready, 0);
-        self.decode_inflight = true;
+        self.decode.launch(ctx, g, c, work, 0);
     }
 
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
-        self.decode_inflight = false;
-        for slot in self.decode.advance_iteration(ctx) {
-            // Everything is released — nothing is cached for the
-            // session's next turn.
-            self.d_table.as_mut().expect("table").release(slot.lease);
-            ctx.finish_request(slot.id);
-            self.lifecycle.finish(slot.id);
-        }
-        self.try_admit_decode(ctx);
-        self.launch_decode(ctx);
+        // Everything is released — nothing is cached for the session's
+        // next turn.
+        let table = self.d_table.as_mut().expect("table");
+        self.decode.iteration_done(table, &mut self.lifecycle, ctx);
+        self.step_decode(ctx);
         self.try_start_prefills(ctx);
     }
 }
@@ -296,9 +235,8 @@ impl Scheduler for LoongServe {
     }
 
     fn on_transfer_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
-        if let Some(admit) = self.transferring.remove(&tag) {
-            self.pending_admit.push_back(admit);
-            self.try_admit_decode(ctx);
+        if self.decode.landed(tag) {
+            self.step_decode(ctx);
         }
     }
 
@@ -340,23 +278,10 @@ impl Scheduler for LoongServe {
             // Decode group died: batched, pending and in-transit contexts
             // all lose their KV. LoongServe keeps no spare copy anywhere,
             // so every victim recomputes its full context.
-            self.d_down = true;
-            self.decode_inflight = false;
-            for slot in self.decode.drain() {
-                self.d_table.as_mut().expect("table").release(slot.lease);
-                self.lifecycle.requeue(slot.id);
-                victims.push(CrashVictim::reprefill(slot.id, slot.context));
-            }
-            // Drain in-transit contexts in tag order — victim order
-            // decides the requeue event order.
-            let inflight = serving::order::drain_sorted(&mut self.transferring);
-            for admit in std::mem::take(&mut self.pending_admit)
-                .into_iter()
-                .chain(inflight.into_iter().map(|(_, a)| a))
-            {
-                // Neither holds a lease yet (admission leases on join).
-                self.lifecycle.requeue(admit.id);
-                victims.push(CrashVictim::reprefill(admit.id, admit.context));
+            let table = self.d_table.as_mut().expect("table");
+            for (id, context) in self.decode.crash(table) {
+                self.lifecycle.requeue(id);
+                victims.push(CrashVictim::reprefill(id, context));
             }
         } else {
             // An elastic prefill GPU died. At most one job spans it (a
@@ -398,9 +323,8 @@ impl Scheduler for LoongServe {
                     return;
                 }
             }
-            self.d_down = false;
-            self.try_admit_decode(ctx);
-            self.launch_decode(ctx);
+            self.decode.recover();
+            self.step_decode(ctx);
         } else {
             if !self.free_gpus.contains(&gpu) {
                 self.free_gpus.push(gpu);

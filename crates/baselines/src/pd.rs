@@ -8,15 +8,14 @@
 //! below an aggregated deployment — the §2.3.1 drawback that shows up as
 //! stalls on cache-hungry workloads.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, ReqId, Scheduler, ServeCtx,
-    SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeSide, Handoff, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -31,13 +30,6 @@ struct PrefillReq {
     /// prefill stalls when the decode pool cannot host the context).
     /// Held raw in the decode table until the transfer lands.
     reserved: u64,
-}
-
-/// A migrated context waiting for (or holding) decode-pool space.
-#[derive(Debug, Clone, Copy)]
-struct Admit {
-    id: ReqId,
-    context: u64,
 }
 
 /// The static-disaggregation scheduler. See the [module docs](self).
@@ -57,16 +49,11 @@ pub struct SglangPd {
     lifecycle: Lifecycle,
     waiting: VecDeque<ReqId>,
     prefill: Option<Vec<PrefillReq>>,
-    transferring: HashMap<u64, Admit>,
-    pending_admit: VecDeque<Admit>,
-    decode: DecodeBatch,
-    decode_inflight: bool,
+    decode: DecodeSide,
     next_tag: u64,
     max_prefill_batch_tokens: u64,
     /// The prefill instance lost a device; prefill launches halt.
     p_down: bool,
-    /// The decode instance lost a device; decode launches halt.
-    d_down: bool,
 }
 
 impl SglangPd {
@@ -100,14 +87,10 @@ impl SglangPd {
             lifecycle: Lifecycle::new(),
             waiting: VecDeque::new(),
             prefill: None,
-            transferring: HashMap::new(),
-            pending_admit: VecDeque::new(),
-            decode: DecodeBatch::new(),
-            decode_inflight: false,
+            decode: DecodeSide::new(),
             next_tag: 1,
             max_prefill_batch_tokens: 16_384,
             p_down: false,
-            d_down: false,
         }
     }
 
@@ -125,7 +108,8 @@ impl SglangPd {
     fn try_start_prefill(&mut self, ctx: &mut ServeCtx) {
         // A dead decode instance also stalls prefill: the up-front
         // decode-slot reservation has nowhere to land.
-        if self.prefill.is_some() || self.waiting.is_empty() || self.p_down || self.d_down {
+        if self.prefill.is_some() || self.waiting.is_empty() || self.p_down || self.decode.is_down()
+        {
             return;
         }
         let mut reqs = Vec::new();
@@ -155,7 +139,7 @@ impl SglangPd {
                 }
             }
             let Some(lease) = lease else {
-                if reqs.is_empty() && self.prefill.is_none() && self.idle_everywhere() {
+                if reqs.is_empty() && self.prefill.is_none() && self.decode.is_idle() {
                     self.waiting.pop_front();
                     ctx.finish_request(id);
                     self.lifecycle.drop_request(id);
@@ -193,13 +177,6 @@ impl SglangPd {
         self.prefill = Some(reqs);
     }
 
-    fn idle_everywhere(&self) -> bool {
-        self.decode.is_empty()
-            && self.transferring.is_empty()
-            && self.pending_admit.is_empty()
-            && !self.decode_inflight
-    }
-
     fn on_prefill_done(&mut self, ctx: &mut ServeCtx) {
         let reqs = self.prefill.take().expect("prefill in flight");
         for r in reqs {
@@ -218,67 +195,35 @@ impl SglangPd {
             let bytes = context as f64 * self.model.kv_bytes_per_token() / self.par.tp as f64;
             let tag = self.next_tag;
             self.next_tag += 1;
-            ctx.gpu
-                .submit_transfer(self.link.expect("link"), bytes, tag);
             debug_assert_eq!(r.reserved, context, "reservation covers the context");
-            self.transferring.insert(tag, Admit { id: r.id, context });
+            let handoff = Handoff {
+                id: r.id,
+                context,
+                reserved: true,
+            };
+            let link = self.link.expect("link");
+            self.decode.send(ctx, link, tag, bytes, handoff);
         }
         self.try_start_prefill(ctx);
     }
 
-    fn try_admit_decode(&mut self, ctx: &mut ServeCtx) {
-        while let Some(&admit) = self.pending_admit.front() {
-            // Space was reserved at prefill admission; join directly.
-            self.pending_admit.pop_front();
-            let spec = ctx.request(admit.id).clone();
-            let emitted = ctx.tokens_emitted(admit.id);
-            let remaining = spec.output_tokens.saturating_sub(emitted);
-            if remaining == 0 {
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(admit.context);
-                ctx.finish_request(admit.id);
-                self.lifecycle.finish(admit.id);
-                continue;
-            }
-            self.lifecycle.begin_decode(admit.id);
-            let lease = self
-                .d_table
-                .as_mut()
-                .expect("table")
-                .lease_private(admit.context);
-            self.decode.push(DecodeSlot {
-                id: admit.id,
-                context: admit.context,
-                remaining_out: remaining,
-                lease,
-            });
-        }
-        self.launch_decode(ctx);
-    }
-
-    fn launch_decode(&mut self, ctx: &mut ServeCtx) {
-        if self.decode_inflight || self.decode.is_empty() || self.d_down {
-            return;
-        }
-        let now = ctx.now();
+    /// Admits landed contexts (space was reserved at prefill admission,
+    /// so every one fits) and launches the next decode iteration.
+    fn step_decode(&mut self, ctx: &mut ServeCtx) {
+        let table = self.d_table.as_mut().expect("table");
+        self.decode.admit(table, &mut self.lifecycle, ctx);
         // Decode pool exhausted: requeue the newest contexts to the
         // prefill instance (full recompute there).
-        let table = self.d_table.as_mut().expect("table");
-        for id in self.decode.grow_for_iteration(table, now) {
-            self.waiting.push_front(id);
-            self.lifecycle.requeue(id);
-        }
-        if self.decode.is_empty() {
+        if !self
+            .decode
+            .grow(table, &mut self.waiting, &mut self.lifecycle, ctx.now())
+        {
             return;
         }
-        let ctxs: Vec<u64> = self.decode.contexts().collect();
+        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
         let work = self.model.decode_iter_work(&ctxs, &self.par);
-        let ready = now + ctx.gpu.spec().graph_launch;
         let (g, c) = (self.d_group.expect("started"), self.d_ctx.expect("started"));
-        ctx.gpu.submit(g, c, work, ready, u64::MAX);
-        self.decode_inflight = true;
+        self.decode.launch(ctx, g, c, work, u64::MAX);
     }
 
     /// Books one decode-side crash victim: protects its cached prompt in
@@ -291,14 +236,9 @@ impl SglangPd {
     }
 
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
-        self.decode_inflight = false;
-        for slot in self.decode.advance_iteration(ctx) {
-            self.d_table.as_mut().expect("table").release(slot.lease);
-            ctx.finish_request(slot.id);
-            self.lifecycle.finish(slot.id);
-        }
-        self.try_admit_decode(ctx);
-        self.launch_decode(ctx);
+        let table = self.d_table.as_mut().expect("table");
+        self.decode.iteration_done(table, &mut self.lifecycle, ctx);
+        self.step_decode(ctx);
         self.try_start_prefill(ctx);
     }
 }
@@ -333,9 +273,8 @@ impl Scheduler for SglangPd {
     }
 
     fn on_transfer_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
-        if let Some(admit) = self.transferring.remove(&tag) {
-            self.pending_admit.push_back(admit);
-            self.try_admit_decode(ctx);
+        if self.decode.landed(tag) {
+            self.step_decode(ctx);
         }
     }
 
@@ -397,31 +336,12 @@ impl Scheduler for SglangPd {
             }
         } else {
             // Decode instance died: every active context — batched,
-            // awaiting admission, or mid-transfer — loses its KV and must
-            // re-prefill from the prefill instance's cached prompt.
-            self.d_down = true;
-            self.decode_inflight = false;
-            for slot in self.decode.drain() {
-                self.d_table.as_mut().expect("table").release(slot.lease);
-                victims.push(self.revoke_decode_victim(slot.id, slot.context, ctx));
-            }
-            for admit in std::mem::take(&mut self.pending_admit) {
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(admit.context);
-                victims.push(self.revoke_decode_victim(admit.id, admit.context, ctx));
-            }
-            // In-flight transfers have no destination any more: drop the
-            // reservation and let the orphaned tag complete into a no-op.
-            // Drain in tag order — victim order decides the requeue
-            // event order.
-            for (_, admit) in serving::order::drain_sorted(&mut self.transferring) {
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(admit.context);
-                victims.push(self.revoke_decode_victim(admit.id, admit.context, ctx));
+            // awaiting admission, or mid-transfer — loses its KV (and its
+            // reservation) and must re-prefill from the prefill
+            // instance's cached prompt.
+            let d_table = self.d_table.as_mut().expect("table");
+            for (id, context) in self.decode.crash(d_table) {
+                victims.push(self.revoke_decode_victim(id, context, ctx));
             }
         }
         victims
@@ -443,9 +363,8 @@ impl Scheduler for SglangPd {
                     return;
                 }
             }
-            self.d_down = false;
-            self.try_admit_decode(ctx);
-            self.launch_decode(ctx);
+            self.decode.recover();
+            self.step_decode(ctx);
             self.try_start_prefill(ctx);
         }
     }

@@ -20,8 +20,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, RecoveryClass, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, RecoveryClass, ReqId,
+    Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -95,40 +95,6 @@ impl Common {
         Some(PrefillReq { id, seq, lease })
     }
 
-    fn finish_prefill(&mut self, mut r: PrefillReq, ctx: &mut ServeCtx) {
-        let spec = ctx.request(r.id).clone();
-        if ctx.tokens_emitted(r.id) == 0 {
-            ctx.emit_tokens(r.id, 1);
-        }
-        let emitted = ctx.tokens_emitted(r.id);
-        let remaining = spec.output_tokens.saturating_sub(emitted);
-        let table = self.table.as_mut().expect("table");
-        let blocks = spec.content.blocks(table.block_size());
-        table.migrate(&mut r.lease, &blocks, ctx.now());
-        let slot = DecodeSlot {
-            id: r.id,
-            context: spec.input_tokens() + emitted,
-            remaining_out: remaining,
-            lease: r.lease,
-        };
-        if remaining == 0 {
-            self.retire(slot, ctx);
-        } else {
-            self.lifecycle.begin_decode(slot.id);
-            self.decode.push(slot);
-        }
-    }
-
-    fn retire(&mut self, slot: DecodeSlot, ctx: &mut ServeCtx) {
-        let spec = ctx.request(slot.id).clone();
-        let table = self.table.as_mut().expect("table");
-        let mut committed = spec.content.clone();
-        committed.push(spec.session, ctx.tokens_emitted(slot.id));
-        table.release_and_commit(slot.lease, &committed.blocks(table.block_size()), ctx.now());
-        ctx.finish_request(slot.id);
-        self.lifecycle.finish(slot.id);
-    }
-
     /// Allocates the per-iteration decode KV growth, requeueing victims
     /// when the pool runs dry. Returns `false` when the batch emptied.
     fn grow_decode_kv(&mut self, ctx: &mut ServeCtx) -> bool {
@@ -142,8 +108,9 @@ impl Common {
     }
 
     fn advance_decode(&mut self, ctx: &mut ServeCtx) {
+        let table = self.table.as_mut().expect("table");
         for slot in self.decode.advance_iteration(ctx) {
-            self.retire(slot, ctx);
+            retire(table, &mut self.lifecycle, ctx, slot);
         }
     }
 
@@ -260,7 +227,11 @@ impl Scheduler for WindServe {
             self.common.decode_inflight = false;
             self.common.advance_decode(ctx);
         } else if let Some(r) = self.prefill.take() {
-            self.common.finish_prefill(r, ctx);
+            let c = &mut self.common;
+            let table = c.table.as_mut().expect("table");
+            if let Some(slot) = join_decode(table, &mut c.lifecycle, ctx, r.id, r.lease) {
+                c.decode.push(slot);
+            }
             self.try_start_prefill(ctx);
         }
         self.launch_decode(ctx);
@@ -466,7 +437,12 @@ impl Scheduler for TemporalMux {
                 self.layers_inflight = 0;
                 if self.layers_done >= self.common.model.num_layers {
                     if let Some(r) = self.prefill.take() {
-                        self.common.finish_prefill(r, ctx);
+                        let c = &mut self.common;
+                        let table = c.table.as_mut().expect("table");
+                        if let Some(slot) = join_decode(table, &mut c.lifecycle, ctx, r.id, r.lease)
+                        {
+                            c.decode.push(slot);
+                        }
                     }
                 }
             }

@@ -10,8 +10,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    computed_in_batch, kv_pool_capacity_tokens, CrashVictim, DecodeBatch, DecodeSlot, FaultKind,
-    RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
+    computed_in_batch, join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch,
+    DecodeSlot, FaultKind, RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::{SimDuration, SimTime};
 
@@ -751,47 +751,13 @@ impl MuxWise {
     /// batch (query-based synchronization: they join at the next decode
     /// launch without stalling it).
     fn complete_prefill_job(&mut self, job: PrefillJob, ctx: &mut ServeCtx) {
-        for mut r in job.reqs {
-            let spec = ctx.request(r.id).clone();
-            let already = ctx.tokens_emitted(r.id);
-            if already == 0 {
-                ctx.emit_tokens(r.id, 1);
-            }
-            let emitted = ctx.tokens_emitted(r.id);
-            let remaining = spec.output_tokens.saturating_sub(emitted);
-            // The freshly computed prompt KV enters the shared radix
-            // immediately (as SGLang's tree does), so concurrent and
-            // later turns can reuse it before this request finishes.
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.migrate(&mut r.lease, &blocks, ctx.now());
-            let slot = DecodeSlot {
-                id: r.id,
-                context: spec.input_tokens() + emitted,
-                remaining_out: remaining,
-                lease: r.lease,
-            };
-            if remaining == 0 {
-                self.retire_slot(slot, ctx);
-            } else {
-                self.lifecycle.begin_decode(slot.id);
+        let table = self.table.as_mut().expect("table");
+        for r in job.reqs {
+            if let Some(slot) = join_decode(table, &mut self.lifecycle, ctx, r.id, r.lease) {
                 self.pending_join.push(slot);
             }
         }
         self.launch_decode(ctx);
-    }
-
-    /// Commits a finished request's context (input + generated tokens) to
-    /// the shared pool for future-turn reuse, and releases its resources.
-    fn retire_slot(&mut self, slot: DecodeSlot, ctx: &mut ServeCtx) {
-        let spec = ctx.request(slot.id).clone();
-        let table = self.table.as_mut().expect("table");
-        let mut committed = spec.content.clone();
-        committed.push(spec.session, ctx.tokens_emitted(slot.id));
-        let blocks = committed.blocks(table.block_size());
-        table.release_and_commit(slot.lease, &blocks, ctx.now());
-        ctx.finish_request(slot.id);
-        self.lifecycle.finish(slot.id);
     }
 
     // ---- decode side ----------------------------------------------------------
@@ -916,8 +882,9 @@ impl MuxWise {
             // describes the batch.
             self.macro_armed = false;
         }
+        let table = self.table.as_mut().expect("table");
         for slot in retired.drain(..) {
-            self.retire_slot(slot, ctx);
+            retire(table, &mut self.lifecycle, ctx, slot);
         }
         self.retired_scratch = retired;
         if !self.cfg.query_sync && self.prefill.is_some() {

@@ -147,11 +147,6 @@ impl FailoverEngine {
         }
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> &FailoverConfig {
-        &self.cfg
-    }
-
     /// The next instant the fleet must wake this engine: the earliest
     /// due migration or the next patrol tick (while the patrol window is
     /// open). `None` once both are exhausted — the fleet may drain.

@@ -14,8 +14,11 @@
 //! (the driver checks every [`LeaseTable`] when a run drains), [`lifecycle`]
 //! is the canonical request state machine whose [`EngineCounters`] land
 //! in every [`Report`], and [`batch`] is the common decode-batch
-//! container with the per-iteration grow/advance loops, plus the
-//! in-batch prefix test engines apply while forming a prefill batch.
+//! container with the per-iteration grow/advance loops, the
+//! prefill-to-decode handoff of the shared-pool engines
+//! ([`join_decode`], [`retire`]), the disaggregated engines' one decode
+//! side ([`DecodeSide`]), and the in-batch prefix test engines apply
+//! while forming a prefill batch.
 //!
 //! Metrics follow the paper (§4.1):
 //!
@@ -54,7 +57,9 @@ pub mod order;
 pub mod recovery;
 pub mod request;
 
-pub use batch::{computed_in_batch, DecodeBatch, DecodeSlot};
+pub use batch::{
+    computed_in_batch, join_decode, retire, DecodeBatch, DecodeSide, DecodeSlot, Handoff,
+};
 pub use capacity::kv_pool_capacity_tokens;
 pub use driver::{Driver, Scheduler, ServeCtx, WatchdogConfig};
 pub use faults::{FaultKind, FaultPlan, FaultWindow};
