@@ -8,8 +8,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, DecodeSlot, ReqId,
-    Scheduler, ServeCtx, SloSpec,
+    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, DecodeSlot, FaultKind,
+    ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -346,6 +346,13 @@ impl ChunkedPrefill {
         self.inflight = Some(pieces);
     }
 
+    /// Retries what a down group or a smaller pool blocked (after a
+    /// recovery, and on every fault-window change).
+    fn resume(&mut self, ctx: &mut ServeCtx) {
+        self.admit_waiting(ctx);
+        self.launch_iteration(ctx);
+    }
+
     // simlint: hot
     fn on_iteration_done(&mut self, ctx: &mut ServeCtx) {
         let pieces = self.inflight.take().unwrap_or_default();
@@ -478,8 +485,11 @@ impl Scheduler for ChunkedPrefill {
         }
         self.down = false;
         self.macro_armed = false;
-        self.admit_waiting(ctx);
-        self.launch_iteration(ctx);
+        self.resume(ctx);
+    }
+
+    fn on_fault(&mut self, _active: &[FaultKind], ctx: &mut ServeCtx) {
+        self.resume(ctx);
     }
 }
 

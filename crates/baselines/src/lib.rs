@@ -65,8 +65,13 @@
 //!   crash; the engine keeps only where prefill runs and what it
 //!   submits.
 //!
-//! So a new scheduler is ~the admission policy, the kernel-submission
-//! logic, and nothing else. [`SglangPd`] is the smallest complete disaggregated
+//! Capacity can also come back without a completion to announce it:
+//! when a KV-shrink window closes, only `Scheduler::on_fault` fires.
+//! Treat it as a wake-up that retries every admission and launch the
+//! smaller pool blocked (each engine here runs the same resume sequence
+//! as after a GPU recovery), or the run strands requests. So a new
+//! scheduler is ~the admission policy, the kernel-submission logic, and
+//! nothing else. [`SglangPd`] is the smallest complete disaggregated
 //! template, [`related::WindServe`] the smallest shared-pool one.
 //!
 //! # Examples

@@ -15,7 +15,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::LeaseTable;
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeSide, Handoff, ReqId, Scheduler, ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeSide, FaultKind, Handoff, ReqId, Scheduler,
+    ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -332,6 +333,11 @@ impl Scheduler for LoongServe {
             }
             self.try_start_prefills(ctx);
         }
+    }
+
+    fn on_fault(&mut self, _active: &[FaultKind], ctx: &mut ServeCtx) {
+        // Only decode admission waits on the pool; prefill needs GPUs.
+        self.step_decode(ctx);
     }
 }
 

@@ -15,7 +15,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeSide, Handoff, ReqId, Scheduler, ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, CrashVictim, DecodeSide, FaultKind, Handoff, ReqId, Scheduler,
+    ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -226,6 +227,13 @@ impl SglangPd {
         self.decode.launch(ctx, g, c, work, u64::MAX);
     }
 
+    /// Retries what a down instance or a smaller pool blocked (after a
+    /// recovery, and on every fault-window change).
+    fn resume(&mut self, ctx: &mut ServeCtx) {
+        self.step_decode(ctx);
+        self.try_start_prefill(ctx);
+    }
+
     /// Books one decode-side crash victim: protects its cached prompt in
     /// the prefill pool and requeues it for a full re-prefill.
     fn revoke_decode_victim(&mut self, id: ReqId, context: u64, ctx: &mut ServeCtx) -> CrashVictim {
@@ -348,25 +356,25 @@ impl Scheduler for SglangPd {
     }
 
     fn on_gpu_recovered(&mut self, gpu: u32, ctx: &mut ServeCtx) {
-        let half = ctx.gpu.num_gpus() / 2;
-        if gpu < half {
-            if let Some(g) = self.p_group {
-                if ctx.gpu.group_has_dead_gpu(g) {
-                    return;
-                }
-            }
-            self.p_down = false;
-            self.try_start_prefill(ctx);
+        let prefill_side = gpu < ctx.gpu.num_gpus() / 2;
+        let group = if prefill_side {
+            self.p_group
         } else {
-            if let Some(g) = self.d_group {
-                if ctx.gpu.group_has_dead_gpu(g) {
-                    return;
-                }
-            }
-            self.decode.recover();
-            self.step_decode(ctx);
-            self.try_start_prefill(ctx);
+            self.d_group
+        };
+        if group.is_some_and(|g| ctx.gpu.group_has_dead_gpu(g)) {
+            return;
         }
+        if prefill_side {
+            self.p_down = false;
+        } else {
+            self.decode.recover();
+        }
+        self.resume(ctx);
+    }
+
+    fn on_fault(&mut self, _active: &[FaultKind], ctx: &mut ServeCtx) {
+        self.resume(ctx);
     }
 }
 

@@ -20,8 +20,8 @@ use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, RecoveryClass, ReqId,
-    Scheduler, ServeCtx, SloSpec,
+    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, FaultKind,
+    RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
 
@@ -185,6 +185,13 @@ impl WindServe {
         self.prefill = Some(r);
     }
 
+    /// Retries what a down group or a smaller pool blocked (after a
+    /// recovery, and on every fault-window change).
+    fn resume(&mut self, ctx: &mut ServeCtx) {
+        self.try_start_prefill(ctx);
+        self.launch_decode(ctx);
+    }
+
     fn launch_decode(&mut self, ctx: &mut ServeCtx) {
         if self.common.decode_inflight || self.common.decode.is_empty() || self.common.down {
             return;
@@ -294,8 +301,11 @@ impl Scheduler for WindServe {
             }
         }
         self.common.down = false;
-        self.try_start_prefill(ctx);
-        self.launch_decode(ctx);
+        self.resume(ctx);
+    }
+
+    fn on_fault(&mut self, _active: &[FaultKind], ctx: &mut ServeCtx) {
+        self.resume(ctx);
     }
 }
 
@@ -514,6 +524,10 @@ impl Scheduler for TemporalMux {
             }
         }
         self.common.down = false;
+        self.schedule(ctx);
+    }
+
+    fn on_fault(&mut self, _active: &[FaultKind], ctx: &mut ServeCtx) {
         self.schedule(ctx);
     }
 }

@@ -16,7 +16,9 @@
 //! plus output when it finishes. A disaggregated engine hands it to its
 //! [`DecodeSide`] as a [`Handoff`], which admits, grows, launches,
 //! retires and, on a crash, drains it; the engine keeps only where
-//! prefill runs.
+//! prefill runs. Either way, the engine must retry admission when a
+//! KV-shrink window closes ([`crate::Scheduler::on_fault`]): no
+//! completion announces the restored capacity.
 //!
 //! [`computed_in_batch`] is the prefill-side counterpart: the overlap
 //! test an engine applies while forming a prefill batch.

@@ -162,6 +162,12 @@ pub trait Scheduler: Send {
     /// empty means the hardware just recovered. Engines may switch to a
     /// conservative configuration here; they must NOT read ground-truth
     /// slowdowns (those arrive only as observed latency).
+    ///
+    /// It is also a wake-up. A closing `KvShrink` window restores pool
+    /// capacity with no completion event to announce it, so an engine
+    /// must retry here any admission or launch the smaller pool blocked;
+    /// an engine that went idle waiting for space otherwise strands its
+    /// requests when the run drains.
     fn on_fault(&mut self, _active: &[FaultKind], _ctx: &mut ServeCtx) {}
     /// The driver's watchdog asks the scheduler to shed a request whose
     /// TTFT deadline is unmeetable. Return `true` after removing it from

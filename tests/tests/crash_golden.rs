@@ -6,7 +6,10 @@
 //! These lines pin the values themselves. They were captured before the
 //! engines' crash bookkeeping (prefix protection, victim packaging,
 //! watchdog shedding, retry backoff) was consolidated, and every engine
-//! and fleet must keep reproducing them bit for bit.
+//! and fleet must keep reproducing them bit for bit. The `crash-shrink`
+//! lines of LoongServe, SGLang-PD, WindServe and HybridPd were re-pinned
+//! when those engines began retrying their admissions as a KV-shrink
+//! window closes, instead of at their next arrival or completion.
 
 use baselines::{ChunkedPrefill, HybridPd, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::{ContentionGuard, SoloPredictor};
@@ -373,11 +376,11 @@ const SINGLE_INSTANCE: &[&str] = &[
     "muxwise/crash-shrink-gpu0/conversation: ttft_p99=7.25960349374 tbt_p99=0.007384002 tokens=17234 makespan=16.587595922 util=0.18329284826308567 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13522 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "chunked/crash-shrink-gpu0/conversation: ttft_p99=7.1858581314 tbt_p99=0.03835345 tokens=17234 makespan=16.771703357 util=0.3106479121219837 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13816 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "nanoflow/crash-shrink-gpu0/conversation: ttft_p99=7.26056529223 tbt_p99=0.035704105 tokens=17234 makespan=18.297152839 util=0.30190831796395085 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13454 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
-    "loongserve/crash-shrink-gpu0/conversation: ttft_p99=2.90404145708 tbt_p99=0.01444536075 tokens=17234 makespan=22.974647558 util=0.1754906546549645 finished=48 shed=0 cancelled=0 victims=5 recovered=5 shed_on_crash=0 reprefill=32770 failover=(n=5 mean=0.25 max=0.25) migrated_out=0",
-    "sglang-pd/crash-shrink-gpu0/conversation: ttft_p99=7.427795994649999 tbt_p99=0.005277905 tokens=17234 makespan=16.850866963 util=0.2397926988203481 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
-    "windserve/crash-shrink-gpu0/conversation: ttft_p99=7.37394177643 tbt_p99=0.0033628009999999995 tokens=17234 makespan=15.46739452 util=0.21937539833041655 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13907 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
+    "loongserve/crash-shrink-gpu0/conversation: ttft_p99=2.90404145708 tbt_p99=0.014372627 tokens=17234 makespan=22.946004424 util=0.1757046765895449 finished=48 shed=0 cancelled=0 victims=5 recovered=5 shed_on_crash=0 reprefill=32770 failover=(n=5 mean=0.25 max=0.25) migrated_out=0",
+    "sglang-pd/crash-shrink-gpu0/conversation: ttft_p99=7.426880443650001 tbt_p99=0.005277644 tokens=17234 makespan=16.847746628 util=0.23981766903982016 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
+    "windserve/crash-shrink-gpu0/conversation: ttft_p99=7.3727281301300005 tbt_p99=0.003362888 tokens=17234 makespan=15.467165773 util=0.21937447404250623 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13907 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "temporal/crash-shrink-gpu0/conversation: ttft_p99=7.085802607530001 tbt_p99=0.046443943 tokens=17234 makespan=14.995747568 util=0.2429312161436885 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13930 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
-    "hybrid/crash-shrink-gpu0/conversation: ttft_p99=8.16012616191 tbt_p99=0.013218714 tokens=17234 makespan=21.51766303 util=0.22649925344103103 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
+    "hybrid/crash-shrink-gpu0/conversation: ttft_p99=8.156180290610001 tbt_p99=0.013217289 tokens=17234 makespan=21.511843523 util=0.2265539604414094 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
     "muxwise/crash-shrink-gpu7/sharegpt: ttft_p99=5.42431543264 tbt_p99=0.004184167 tokens=9578 makespan=13.640966138 util=0.04071619630066342 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=1524 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "chunked/crash-shrink-gpu7/sharegpt: ttft_p99=5.404201540640001 tbt_p99=0.002050131 tokens=9578 makespan=12.848313366 util=0.10828510994700385 finished=48 shed=0 cancelled=0 victims=1 recovered=1 shed_on_crash=0 reprefill=831 failover=(n=1 mean=0.25 max=0.25) migrated_out=0",
     "nanoflow/crash-shrink-gpu7/sharegpt: ttft_p99=5.40195415464 tbt_p99=0.009011332 tokens=9578 makespan=13.591515336 util=0.12962949945570154 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=1524 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
@@ -389,11 +392,11 @@ const SINGLE_INSTANCE: &[&str] = &[
     "muxwise/crash-shrink-gpu7/conversation: ttft_p99=7.25960349374 tbt_p99=0.007384002 tokens=17234 makespan=16.587595922 util=0.18329284826308567 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13522 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "chunked/crash-shrink-gpu7/conversation: ttft_p99=7.1858581314 tbt_p99=0.03835345 tokens=17234 makespan=16.771703357 util=0.3106479121219837 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13816 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "nanoflow/crash-shrink-gpu7/conversation: ttft_p99=7.26056529223 tbt_p99=0.035704105 tokens=17234 makespan=18.297152839 util=0.30190831796395085 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13454 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
-    "loongserve/crash-shrink-gpu7/conversation: ttft_p99=3.680999902810001 tbt_p99=0.013236434000000002 tokens=17234 makespan=19.722092574 util=0.24631041034633241 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
-    "sglang-pd/crash-shrink-gpu7/conversation: ttft_p99=7.5100274566500005 tbt_p99=0.005372611 tokens=17234 makespan=16.985139705 util=0.22358057908829948 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13542 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
-    "windserve/crash-shrink-gpu7/conversation: ttft_p99=7.37394177643 tbt_p99=0.0033628009999999995 tokens=17234 makespan=15.46739452 util=0.21937539833041655 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13907 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
+    "loongserve/crash-shrink-gpu7/conversation: ttft_p99=3.680999902810001 tbt_p99=0.013234466 tokens=17234 makespan=19.72034002 util=0.24627608836385864 finished=48 shed=0 cancelled=0 victims=0 recovered=0 shed_on_crash=0 reprefill=0 failover=(n=0 mean=0.0 max=0.0) migrated_out=0",
+    "sglang-pd/crash-shrink-gpu7/conversation: ttft_p99=7.509841943650001 tbt_p99=0.005372631 tokens=17234 makespan=16.985139704 util=0.22358057909336754 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13542 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
+    "windserve/crash-shrink-gpu7/conversation: ttft_p99=7.3727281301300005 tbt_p99=0.003362888 tokens=17234 makespan=15.467165773 util=0.21937447404250623 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13907 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "temporal/crash-shrink-gpu7/conversation: ttft_p99=7.085802607530001 tbt_p99=0.046443943 tokens=17234 makespan=14.995747568 util=0.2429312161436885 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=13930 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
-    "hybrid/crash-shrink-gpu7/conversation: ttft_p99=1.9955166053600004 tbt_p99=0.0136323383899998 tokens=16613 makespan=23.167014805 util=0.13098390071790167 finished=48 shed=0 cancelled=0 victims=5 recovered=5 shed_on_crash=0 reprefill=37089 failover=(n=5 mean=0.25 max=0.25) migrated_out=0",
+    "hybrid/crash-shrink-gpu7/conversation: ttft_p99=1.9955166053600004 tbt_p99=0.0136327703899998 tokens=16613 makespan=23.156074471 util=0.1310321237859837 finished=48 shed=0 cancelled=0 victims=5 recovered=5 shed_on_crash=0 reprefill=37089 failover=(n=5 mean=0.25 max=0.25) migrated_out=0",
     "muxwise/gen1/sharegpt: ttft_p99=1.8598264856400002 tbt_p99=0.020971601 tokens=9578 makespan=13.588869959 util=0.14917376807209132 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=1431 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",
     "chunked/gen1/sharegpt: ttft_p99=1.8638076016400003 tbt_p99=0.017753503 tokens=9578 makespan=13.157851131 util=0.20419047727838405 finished=48 shed=0 cancelled=0 victims=1 recovered=1 shed_on_crash=0 reprefill=779 failover=(n=1 mean=0.25 max=0.25) migrated_out=0",
     "nanoflow/gen1/sharegpt: ttft_p99=1.8652060646400002 tbt_p99=0.035787486 tokens=9578 makespan=14.67462251 util=0.22296637964356666 finished=48 shed=0 cancelled=0 victims=3 recovered=3 shed_on_crash=0 reprefill=1428 failover=(n=3 mean=0.25 max=0.25) migrated_out=0",

@@ -173,7 +173,9 @@ fn every_engine_reproduces_its_decode_goldens() {
 }
 
 /// `engine/load` lines, in `lines` order, captured before the
-/// disaggregated engines shared one decode side.
+/// disaggregated engines shared one decode side. `loongserve/shrink` was
+/// re-pinned when LoongServe began admitting as the shrink window closes
+/// rather than at its next decode completion.
 const GOLDEN: &[&str] = &[
     "muxwise/toolagent: ttft_p99=1.3539629053199989 tbt_p99=0.011647291 tokens=49596 makespan=30.713381629 util=0.5385277223278309 finished=240 shed=0 requeues=0 drops=0",
     "chunked/toolagent: ttft_p99=24.0447665121 tbt_p99=0.055044925 tokens=49596 makespan=52.24775695 util=0.7428687283216354 finished=240 shed=0 requeues=0 drops=0",
@@ -186,7 +188,7 @@ const GOLDEN: &[&str] = &[
     "muxwise/shrink: ttft_p99=0.21012617190999996 tbt_p99=0.004670088 tokens=602991 makespan=120.0 util=0.188972535152299 finished=80 shed=0 requeues=0 drops=0",
     "chunked/shrink: ttft_p99=0.029885800879999994 tbt_p99=0.004586348 tokens=602991 makespan=120.0 util=0.22516801211501283 finished=80 shed=0 requeues=0 drops=0",
     "nanoflow/shrink: ttft_p99=0.026107773789999997 tbt_p99=0.006084467 tokens=602991 makespan=131.493022625 util=0.2769873896397236 finished=80 shed=0 requeues=0 drops=0",
-    "loongserve/shrink: ttft_p99=0.09293531854999998 tbt_p99=0.011972911 tokens=602991 makespan=318.187422399 util=0.27993088712399994 finished=80 shed=0 requeues=587 drops=0",
+    "loongserve/shrink: ttft_p99=0.09293531854999998 tbt_p99=0.01197271 tokens=602991 makespan=318.186499972 util=0.27992884730988876 finished=80 shed=0 requeues=587 drops=0",
     "sglang-pd/shrink: ttft_p99=0.04514068343999999 tbt_p99=0.007826498 tokens=602991 makespan=157.753747039 util=0.13880905627995108 finished=80 shed=0 requeues=210 drops=0",
     "windserve/shrink: ttft_p99=0.04738328255999998 tbt_p99=0.005379379 tokens=602991 makespan=120.0 util=0.13404741983304003 finished=80 shed=0 requeues=0 drops=0",
     "temporal/shrink: ttft_p99=0.028419521289999996 tbt_p99=0.004588736 tokens=602991 makespan=120.0 util=0.20610090991488209 finished=80 shed=0 requeues=0 drops=0",

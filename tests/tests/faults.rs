@@ -13,16 +13,21 @@ use simcore::{SimDuration, SimRng, SimTime};
 use workload::{generate, WorkloadKind};
 
 fn engines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
+    engines_on(&ModelSpec::llama8b(), SloSpec::llama8b())
+}
+
+/// All eight engine configurations serving `model` on one DGX-A100.
+fn engines_on(model: &ModelSpec, slo: SloSpec) -> Vec<(&'static str, Box<dyn Scheduler>)> {
     let cluster = ClusterSpec::dgx_a100();
-    let model = ModelSpec::llama8b();
-    let slo = SloSpec::llama8b();
-    let est = Estimators::profile(&model, &cluster, 8);
+    // LoongServe's TP degree: 4 for 70B-class models, 2 for 8B-class.
+    let loongserve_tp = if model.hidden >= 8192 { 4 } else { 2 };
+    let est = Estimators::profile(model, &cluster, 8);
     let par = Parallelism::tp(8, cluster.nvlink_gbs);
     vec![
         (
             "muxwise",
             Box::new(MuxWise::new(
-                &model,
+                model,
                 &cluster,
                 8,
                 slo,
@@ -32,39 +37,39 @@ fn engines() -> Vec<(&'static str, Box<dyn Scheduler>)> {
         ),
         (
             "chunked",
-            Box::new(ChunkedPrefill::tuned(&model, &cluster, 8, slo)),
+            Box::new(ChunkedPrefill::tuned(model, &cluster, 8, slo)),
         ),
         (
             "nanoflow",
-            Box::new(ChunkedPrefill::nanoflow(&model, &cluster, 8, slo)),
+            Box::new(ChunkedPrefill::nanoflow(model, &cluster, 8, slo)),
         ),
         (
             "loongserve",
-            Box::new(LoongServe::new(&model, &cluster, 2, slo)),
+            Box::new(LoongServe::new(model, &cluster, loongserve_tp, slo)),
         ),
-        ("sglang-pd", Box::new(SglangPd::new(&model, &cluster, slo))),
+        ("sglang-pd", Box::new(SglangPd::new(model, &cluster, slo))),
         (
             "windserve",
-            Box::new(WindServe::new(&model, &cluster, 8, slo)),
+            Box::new(WindServe::new(model, &cluster, 8, slo)),
         ),
         (
             "temporal",
             Box::new(TemporalMux::new(
-                &model,
+                model,
                 &cluster,
                 8,
                 slo,
-                SoloPredictor::profile(&model, &cluster, &par, &[cluster.gpu.sm_count]),
+                SoloPredictor::profile(model, &cluster, &par, &[cluster.gpu.sm_count]),
             )),
         ),
         (
             "hybrid",
             Box::new(HybridPd::new(
-                &model,
+                model,
                 &cluster,
                 slo,
                 SoloPredictor::profile(
-                    &model,
+                    model,
                     &cluster,
                     &Parallelism::tp(4, cluster.nvlink_gbs),
                     &[16, 48, 92, 108],
@@ -207,6 +212,46 @@ fn admission_reserves_what_its_lease_holds_when_the_peeked_prefix_is_evicted() {
         for table in engine.lease_tables() {
             assert_eq!(table.pool().private_tokens(), 0, "{name}");
             table.pool().check_invariants();
+        }
+    }
+}
+
+/// A baseline blocked on a shrunken KV pool used to go idle and never
+/// retry: nothing announced the capacity restored when the window
+/// closed, so once all arrivals were in, the run ended at the window's
+/// end with requests neither finished nor shed (and, in chunked prefill,
+/// still holding their leases). Every engine now retries its admissions
+/// in `Scheduler::on_fault`. Each case stranded several engines before.
+#[test]
+fn every_engine_drains_after_a_kv_shrink_window_closes() {
+    let cases = [
+        (ModelSpec::llama8b(), SloSpec::llama8b(), 0.99),
+        (ModelSpec::llama70b(), SloSpec::llama70b(), 0.97),
+    ];
+    let cluster = ClusterSpec::dgx_a100();
+    for (model, slo, fraction) in cases {
+        let plan = FaultPlan::single(
+            FaultKind::KvShrink { fraction },
+            SimTime::from_secs(2.0),
+            SimTime::from_secs(120.0),
+        );
+        for (name, mut engine) in engines_on(&model, slo) {
+            let reqs = generate(
+                WorkloadKind::ToolAgent,
+                120,
+                10.0,
+                &mut SimRng::seed_from(0xD15A),
+            );
+            let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo)
+                .with_faults(plan.clone())
+                .run(engine.as_mut());
+            let case = format!("{name} on {} at {fraction}", model.name);
+            assert_eq!(rep.counters.leaked_leases, 0, "{case}: leaked leases");
+            assert_eq!(
+                rep.finished + rep.shed,
+                rep.total,
+                "{case}: requests neither finished nor shed"
+            );
         }
     }
 }
