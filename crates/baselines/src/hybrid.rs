@@ -283,8 +283,7 @@ impl HybridPd {
             context,
             reserved: true,
         });
-        self.step_decode(ctx);
-        self.try_dispatch_prefills(ctx);
+        self.resume(ctx);
     }
 
     /// Chooses the decode partition: smallest configuration meeting the
@@ -354,12 +353,13 @@ impl HybridPd {
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
         let table = self.d_table.as_mut().expect("table");
         self.decode.iteration_done(table, &mut self.lifecycle, ctx);
-        self.step_decode(ctx);
-        self.try_dispatch_prefills(ctx);
+        self.resume(ctx);
     }
 
-    /// Retries what a down instance or a smaller pool blocked (after a
-    /// recovery, and on every fault-window change).
+    /// Admits and launches whatever can run now: decode first, then
+    /// prefill. Runs after each decode iteration and overflow prefill, a
+    /// recovery, and every fault-window change (a closing shrink frees
+    /// space silently).
     fn resume(&mut self, ctx: &mut ServeCtx) {
         self.step_decode(ctx);
         self.try_dispatch_prefills(ctx);

@@ -227,8 +227,9 @@ impl SglangPd {
         self.decode.launch(ctx, g, c, work, u64::MAX);
     }
 
-    /// Retries what a down instance or a smaller pool blocked (after a
-    /// recovery, and on every fault-window change).
+    /// Admits and launches whatever can run now: decode first, then
+    /// prefill. Runs after each decode iteration, a recovery, and every
+    /// fault-window change (a closing shrink frees space silently).
     fn resume(&mut self, ctx: &mut ServeCtx) {
         self.step_decode(ctx);
         self.try_start_prefill(ctx);
@@ -246,8 +247,7 @@ impl SglangPd {
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
         let table = self.d_table.as_mut().expect("table");
         self.decode.iteration_done(table, &mut self.lifecycle, ctx);
-        self.step_decode(ctx);
-        self.try_start_prefill(ctx);
+        self.resume(ctx);
     }
 }
 

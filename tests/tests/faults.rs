@@ -216,12 +216,12 @@ fn admission_reserves_what_its_lease_holds_when_the_peeked_prefix_is_evicted() {
     }
 }
 
-/// A baseline blocked on a shrunken KV pool used to go idle and never
-/// retry: nothing announced the capacity restored when the window
-/// closed, so once all arrivals were in, the run ended at the window's
-/// end with requests neither finished nor shed (and, in chunked prefill,
-/// still holding their leases). Every engine now retries its admissions
-/// in `Scheduler::on_fault`. Each case stranded several engines before.
+/// When a KV-shrink window closes, only `Scheduler::on_fault` announces
+/// the restored capacity. An engine that went idle blocked on the
+/// smaller pool and ignores it strands its requests: once all arrivals
+/// are in, the run ends at the window's end with requests neither
+/// finished nor shed (chunked prefill's still holding their leases).
+/// Each case stranded several baselines before they retried there.
 #[test]
 fn every_engine_drains_after_a_kv_shrink_window_closes() {
     let cases = [
