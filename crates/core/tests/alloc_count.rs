@@ -1,12 +1,15 @@
-//! Heap allocations made by building an engine: the offline contention
-//! profile is made once per model and machine, so every engine built
-//! from one `Estimators` shares its grid instead of copying it.
+//! Heap allocations made by profiling and by building an engine. The
+//! offline profile is made once per model and machine: every engine
+//! built from one `Estimators` shares its contention grid and its fitted
+//! predictor instead of copying them, and the profile itself builds its
+//! grid once and fits it without per-row allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use estimator::SoloPredictor;
 use gpusim::ClusterSpec;
-use modelspec::ModelSpec;
+use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
 use serving::SloSpec;
 
@@ -77,6 +80,8 @@ fn engines_built_from_one_profile_share_its_grid() {
 
     let (_, made, _) = allocations(|| est.guard.clone());
     assert_eq!(made, 0, "cloning the guard allocated {made} times");
+    let (_, made, _) = allocations(|| est.predictor.clone());
+    assert_eq!(made, 0, "cloning the predictor allocated {made} times");
 
     // Any table holding the grid stores at least a key and a factor,
     // 16 bytes, per cell.
@@ -89,4 +94,35 @@ fn engines_built_from_one_profile_share_its_grid() {
         est.guard.num_cells()
     );
     assert_eq!(second.guard_cells(), est.guard.num_cells());
+}
+
+#[test]
+fn profiling_builds_its_grid_once_and_fits_in_place() {
+    let model = ModelSpec::llama70b();
+    let cluster = ClusterSpec::dgx_a100();
+    let par = Parallelism::tp(8, cluster.nvlink_gbs);
+    // The partitions `Estimators::profile` fits: every decode
+    // configuration, its prefill complement, and the whole GPU.
+    let configs = cluster.gpu.partition_configs();
+    let mut partitions = configs.clone();
+    partitions.extend(configs.iter().map(|&sms| cluster.gpu.sm_count - sms));
+    partitions.push(cluster.gpu.sm_count);
+    partitions.sort_unstable();
+    partitions.dedup();
+    assert_eq!(partitions.len(), 13);
+
+    let profile = |parts: &[u32]| SoloPredictor::profile(&model, &cluster, &par, parts);
+    let (_, one, _) = allocations(|| profile(&partitions[..1]));
+    let (all, made, _) = allocations(|| profile(&partitions));
+    assert_eq!(all.partitions(), partitions);
+    assert!(
+        made <= 1_000,
+        "profiling {} partitions allocated {made} times",
+        partitions.len()
+    );
+    let per_partition = (made - one) / (partitions.len() - 1);
+    assert!(
+        per_partition <= 20,
+        "each partition past the first allocated {per_partition} times ({one} for one, {made} for all)"
+    );
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpusim::{ClusterSpec, GpuSim, GroupId};
+use gpusim::{ClusterSpec, GpuSim, KernelId, WorkItem};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use simcore::SimTime;
 
@@ -123,33 +123,46 @@ impl ContentionGuard {
         assert!(!decode_partitions.is_empty());
         const TOKENS: [u64; 4] = [2_048, 8_192, 32_768, 131_072];
         const BATCHES: [usize; 5] = [1, 8, 32, 128, 256];
+        // Every co-run's model work, built once: the prefills within the
+        // context window (§3.3.2 excludes 128K new + 128K reused), and
+        // the decodes.
+        let mut prefills = Vec::with_capacity(TOKENS.len() * TOKENS.len());
+        for &p_new in &TOKENS {
+            for &p_reused in &TOKENS {
+                if p_new + p_reused <= model.max_context {
+                    let work = model.prefill_full_work(&[SeqState::new(p_new, p_reused)], par);
+                    prefills.push((p_new, p_reused, work));
+                }
+            }
+        }
+        let mut decodes = Vec::with_capacity(BATCHES.len() * TOKENS.len());
+        let mut contexts = Vec::new();
+        for &bs in &BATCHES {
+            for &d_ctx in &TOKENS {
+                contexts.clear();
+                contexts.resize(bs, d_ctx);
+                decodes.push((bs, d_ctx, model.decode_iter_work(&contexts, par)));
+            }
+        }
         let mut guard = ContentionGuard::flat(1.0);
+        let mut done = Vec::new();
         for &sms in decode_partitions {
             let prefill_sms = cluster.gpu.sm_count - sms;
             if prefill_sms == 0 {
                 continue;
             }
-            for &p_new in &TOKENS {
-                for &p_reused in &TOKENS {
-                    // §3.3.2 excludes 128K new + 128K reused (exceeds the
-                    // context window).
-                    if p_new + p_reused > model.max_context {
-                        continue;
-                    }
-                    for &bs in &BATCHES {
-                        for &d_ctx in &TOKENS {
-                            let q = GuardQuery {
-                                prefill_new: p_new,
-                                prefill_reused: p_reused,
-                                decode_batch: bs,
-                                decode_context: d_ctx,
-                                decode_sms: sms,
-                            };
-                            let slow =
-                                measure_decode_corun_slowdown(model, cluster, par, &q, prefill_sms);
-                            guard.observe(&q, slow);
-                        }
-                    }
+            for &(p_new, p_reused, prefill) in &prefills {
+                for &(bs, d_ctx, decode) in &decodes {
+                    let q = GuardQuery {
+                        prefill_new: p_new,
+                        prefill_reused: p_reused,
+                        decode_batch: bs,
+                        decode_context: d_ctx,
+                        decode_sms: sms,
+                    };
+                    let slow =
+                        corun_slowdown(cluster, decode, sms, prefill, prefill_sms, &mut done);
+                    guard.observe(&q, slow);
                 }
             }
         }
@@ -253,38 +266,60 @@ pub fn measure_decode_corun_slowdown(
     q: &GuardQuery,
     prefill_sms: u32,
 ) -> f64 {
+    let decode = model.decode_iter_work(&vec![q.decode_context; q.decode_batch], par);
+    let prefill = model.prefill_full_work(&[SeqState::new(q.prefill_new, q.prefill_reused)], par);
+    corun_slowdown(
+        cluster,
+        decode,
+        q.decode_sms,
+        prefill,
+        prefill_sms,
+        &mut Vec::new(),
+    )
+}
+
+/// The co-run of [`measure_decode_corun_slowdown`] on built work:
+/// `decode` on `decode_sms` SMs next to `prefill`, repeated until it
+/// covers the decode, on `prefill_sms` SMs. `done` is a completion
+/// buffer reused across co-runs.
+fn corun_slowdown(
+    cluster: &ClusterSpec,
+    decode: WorkItem,
+    decode_sms: u32,
+    prefill: WorkItem,
+    prefill_sms: u32,
+    done: &mut Vec<(KernelId, u64)>,
+) -> f64 {
     let mut sim = GpuSim::from_cluster(cluster);
     let group = sim.create_group((0..cluster.num_gpus).collect());
-    let d_ctx = sim.set_context(group, q.decode_sms);
+    let d_ctx = sim.set_context(group, decode_sms);
     let p_ctx = sim.set_context(group, prefill_sms);
-
-    let decode_work = model.decode_iter_work(&vec![q.decode_context; q.decode_batch], par);
-    let solo = sim.solo_duration(q.decode_sms, &decode_work);
+    let solo = sim.solo_duration(decode_sms, &decode);
 
     // A prefill long enough to cover the decode iteration completely.
-    let prefill_batch = [SeqState::new(q.prefill_new, q.prefill_reused)];
-    let mut prefill_work = model.prefill_full_work(&prefill_batch, par);
+    let mut prefill = prefill;
     let min_cover = solo * 4.0;
-    let one_pass = sim.solo_duration(prefill_sms, &prefill_work);
+    let one_pass = sim.solo_duration(prefill_sms, &prefill);
     if one_pass < min_cover {
-        prefill_work = prefill_work.scaled((min_cover / one_pass).ceil());
+        prefill = prefill.scaled((min_cover / one_pass).ceil());
     }
 
     let start = SimTime::from_secs(0.001);
-    sim.submit(group, p_ctx, prefill_work, start, 1);
-    sim.submit(group, d_ctx, decode_work, start, 2);
-    let finish = run_until_tag(&mut sim, group, 2);
+    sim.submit(group, p_ctx, prefill, start, 1);
+    sim.submit(group, d_ctx, decode, start, 2);
+    let finish = run_until_tag(&mut sim, 2, done);
     let corun = (finish - start).as_secs();
     (corun / solo).max(1.0)
 }
 
-fn run_until_tag(sim: &mut GpuSim, _group: GroupId, tag: u64) -> SimTime {
+fn run_until_tag(sim: &mut GpuSim, tag: u64, done: &mut Vec<(KernelId, u64)>) -> SimTime {
     loop {
         let t = sim
             .next_event_time()
             .expect("kernel must eventually finish");
         sim.advance_to(t);
-        if sim.drain_completed().iter().any(|&(_, t)| t == tag) {
+        sim.drain_completed_into(done);
+        if done.iter().any(|&(_, t)| t == tag) {
             return sim.now();
         }
     }

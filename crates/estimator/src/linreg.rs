@@ -1,6 +1,11 @@
 //! Tiny dense least-squares solver (normal equations + Gaussian
 //! elimination with partial pivoting). The predictor models have at most
-//! four coefficients, so nothing heavier is warranted.
+//! four coefficients, so nothing heavier is warranted: the solver works
+//! in fixed-size arrays on the stack, and a fit allocates only the
+//! coefficient vectors it returns.
+
+/// The widest feature row the solver accepts.
+const MAX_K: usize = 8;
 
 /// Fits `y ≈ X·θ` by ordinary least squares. `rows` holds feature
 /// vectors; all must have the same length `k ≤ 8`.
@@ -10,8 +15,8 @@
 ///
 /// # Panics
 ///
-/// Panics if `rows` and `targets` have different lengths or rows have
-/// inconsistent widths.
+/// Panics if `rows` and `targets` have different lengths, rows have
+/// inconsistent widths, or rows are wider than 8.
 ///
 /// # Examples
 ///
@@ -25,17 +30,29 @@
 /// ```
 pub fn least_squares(rows: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
     assert_eq!(rows.len(), targets.len(), "rows/targets length mismatch");
-    let n = rows.len();
-    if n == 0 {
-        return None;
-    }
-    let k = rows[0].len();
-    assert!(rows.iter().all(|r| r.len() == k), "ragged feature rows");
+    let k = width(rows)?;
+    let theta = fit_rows(k, rows.iter().zip(targets))?;
+    Some(theta[..k].to_vec())
+}
 
+/// The common width of `rows`; `None` when there are none.
+fn width(rows: &[Vec<f64>]) -> Option<usize> {
+    let k = rows.first()?.len();
+    assert!(rows.iter().all(|r| r.len() == k), "ragged feature rows");
+    Some(k)
+}
+
+/// Least squares over `k`-wide `(row, target)` samples, summed in the
+/// order given; the first `k` entries of the result are the fit.
+fn fit_rows<'a>(
+    k: usize,
+    samples: impl Iterator<Item = (&'a Vec<f64>, &'a f64)>,
+) -> Option<[f64; MAX_K]> {
+    assert!(k <= MAX_K, "at most {MAX_K} features, got {k}");
     // Normal equations: (XᵀX) θ = Xᵀy.
-    let mut ata = vec![vec![0.0; k]; k];
-    let mut aty = vec![0.0; k];
-    for (row, &y) in rows.iter().zip(targets) {
+    let mut ata = [[0.0; MAX_K]; MAX_K];
+    let mut aty = [0.0; MAX_K];
+    for (row, &y) in samples {
         for i in 0..k {
             aty[i] += row[i] * y;
             for j in 0..k {
@@ -43,12 +60,12 @@ pub fn least_squares(rows: &[Vec<f64>], targets: &[f64]) -> Option<Vec<f64>> {
             }
         }
     }
-    solve(ata, aty)
+    solve(k, ata, aty)
 }
 
-/// Solves `A x = b` by Gaussian elimination with partial pivoting.
-fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let k = b.len();
+/// Solves the leading `k`×`k` system `A x = b` by Gaussian elimination
+/// with partial pivoting.
+fn solve(k: usize, mut a: [[f64; MAX_K]; MAX_K], mut b: [f64; MAX_K]) -> Option<[f64; MAX_K]> {
     for col in 0..k {
         // Pivot.
         let pivot = (col..k).max_by(|&i, &j| {
@@ -63,21 +80,21 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
         a.swap(col, pivot);
         b.swap(col, pivot);
         // Eliminate below.
-        let pivot_row = a[col].clone();
+        let pivot_row = a[col];
         for row in col + 1..k {
             let f = a[row][col] / pivot_row[col];
-            for (j, v) in a[row].iter_mut().enumerate().skip(col) {
-                *v -= f * pivot_row[j];
+            for (v, p) in a[row][col..k].iter_mut().zip(&pivot_row[col..k]) {
+                *v -= f * p;
             }
             b[row] -= f * b[col];
         }
     }
     // Back-substitution.
-    let mut x = vec![0.0; k];
+    let mut x = [0.0; MAX_K];
     for col in (0..k).rev() {
         let mut acc = b[col];
-        for j in col + 1..k {
-            acc -= a[col][j] * x[j];
+        for (a, x) in a[col][col + 1..k].iter().zip(&x[col + 1..k]) {
+            acc -= a * x;
         }
         x[col] = acc / a[col][col];
     }
@@ -102,9 +119,7 @@ pub fn fit_max_affine(
 ) -> Option<Vec<Vec<f64>>> {
     assert!(k > 0, "need at least one plane");
     assert_eq!(rows.len(), targets.len());
-    if rows.is_empty() {
-        return None;
-    }
+    let dim = width(rows)?;
     if k == 1 {
         return least_squares(rows, targets).map(|t| vec![t]);
     }
@@ -116,34 +131,46 @@ pub fn fit_max_affine(
     for (pos, &i) in order.iter().enumerate() {
         assign[i] = pos * k / rows.len();
     }
-    let mut planes: Vec<Vec<f64>> = Vec::new();
+    let mut planes: Vec<[f64; MAX_K]> = Vec::with_capacity(k);
     for _ in 0..iters {
-        planes = (0..k)
-            .map(|p| {
-                let idx: Vec<usize> = (0..rows.len()).filter(|&i| assign[i] == p).collect();
-                if idx.len() >= rows[0].len() {
-                    let r: Vec<Vec<f64>> = idx.iter().map(|&i| rows[i].clone()).collect();
-                    let t: Vec<f64> = idx.iter().map(|&i| targets[i]).collect();
-                    least_squares(&r, &t)
-                } else {
-                    None
-                }
-            })
-            .collect::<Option<Vec<_>>>()
-            .or_else(|| least_squares(rows, targets).map(|t| vec![t; k]))?;
+        // Refit each plane from the rows assigned to it, in row order;
+        // if any is singular, every plane takes the fit of all rows.
+        planes.clear();
+        for p in 0..k {
+            let members = || {
+                rows.iter()
+                    .zip(targets)
+                    .zip(&assign)
+                    .filter(|(_, &a)| a == p)
+            };
+            let plane = if members().count() >= dim {
+                fit_rows(dim, members().map(|(sample, _)| sample))
+            } else {
+                None
+            };
+            match plane {
+                Some(plane) => planes.push(plane),
+                None => break,
+            }
+        }
+        if planes.len() < k {
+            let all = fit_rows(dim, rows.iter().zip(targets))?;
+            planes.clear();
+            planes.resize(k, all);
+        }
         // Reassign each point to the plane that predicts highest there
         // (the plane that would represent it in the max).
         let mut changed = false;
-        for i in 0..rows.len() {
+        for (row, a) in rows.iter().zip(&mut assign) {
             let best = (0..k)
                 .max_by(|&a, &b| {
-                    predict(&planes[a], &rows[i])
-                        .partial_cmp(&predict(&planes[b], &rows[i]))
+                    predict(&planes[a][..dim], row)
+                        .partial_cmp(&predict(&planes[b][..dim], row))
                         .expect("NaN prediction")
                 })
                 .expect("k > 0");
-            if best != assign[i] {
-                assign[i] = best;
+            if best != *a {
+                *a = best;
                 changed = true;
             }
         }
@@ -151,7 +178,7 @@ pub fn fit_max_affine(
             break;
         }
     }
-    Some(planes)
+    Some(planes.iter().map(|p| p[..dim].to_vec()).collect())
 }
 
 /// Evaluates a max-affine model at a feature vector.

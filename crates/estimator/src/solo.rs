@@ -1,8 +1,9 @@
 //! The solo-run latency predictor (paper Eq. 1 and Eq. 2).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use gpusim::{ClusterSpec, GpuSim};
+use gpusim::{ClusterSpec, GpuSim, WorkItem};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 
 use crate::linreg::{fit_max_affine, least_squares, predict, predict_max_affine};
@@ -26,10 +27,34 @@ struct Coefficients {
 /// profiling per (model, machine) pair (§3.3.2); the profile takes
 /// seconds against the simulator where the paper's took hours on
 /// hardware.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// The fitted coefficients never change after profiling, so clones
+/// share one table behind an [`Arc`]. Equality compares the tables, and
+/// the saved form is the table's own.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoloPredictor {
+    fitted: Arc<Fitted>,
+}
+
+/// What a profile fits: one coefficient set per SM partition.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Fitted {
     model_layers: u32,
     by_partition: BTreeMap<u32, Coefficients>,
+}
+
+impl serde::Serialize for SoloPredictor {
+    fn to_value(&self) -> serde::Value {
+        self.fitted.to_value()
+    }
+}
+
+impl serde::Deserialize for SoloPredictor {
+    fn from_value(v: &serde::Value) -> Result<SoloPredictor, serde::DeError> {
+        Ok(SoloPredictor {
+            fitted: Arc::new(Fitted::from_value(v)?),
+        })
+    }
 }
 
 /// Profiling grid for `n` (new tokens) and `r` (reused tokens).
@@ -39,6 +64,69 @@ const TOKEN_GRID: [u64; 8] = [128, 512, 2048, 8192, 16_384, 32_768, 65_536, 131_
 const BATCH_GRID: [usize; 17] = [
     1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 192, 224, 256, 320,
 ];
+
+/// The profiled points of one model: each point's feature row and model
+/// work. Neither depends on the SM partition, so a profile builds them
+/// once and times the work on every partition.
+#[derive(Default)]
+struct Grid {
+    features: Vec<Vec<f64>>,
+    work: Vec<WorkItem>,
+}
+
+impl Grid {
+    fn push(&mut self, features: Vec<f64>, work: WorkItem) {
+        self.features.push(features);
+        self.work.push(work);
+    }
+
+    /// Full prefill phases over the `(n, r)` grid at batch size 1, plus
+    /// `r = 0` rows for short prompts.
+    fn prefill(model: &ModelSpec, par: &Parallelism) -> Grid {
+        let mut grid = Grid::default();
+        for &n in &TOKEN_GRID {
+            for &r in &TOKEN_GRID {
+                if n + r > model.max_context {
+                    continue;
+                }
+                let work = model.prefill_full_work(&[SeqState::new(n, r)], par);
+                let nf = n as f64;
+                let rf = r as f64;
+                grid.push(vec![nf * nf, nf * rf, nf, 1.0], work);
+            }
+        }
+        for &n in &[32u64, 64] {
+            let work = model.prefill_full_work(&[SeqState::new(n, 0)], par);
+            let nf = n as f64;
+            grid.push(vec![nf * nf, 0.0, nf, 1.0], work);
+        }
+        grid
+    }
+
+    /// Decode iterations over the (batch size, per-request context) grid.
+    fn decode(model: &ModelSpec, par: &Parallelism) -> Grid {
+        let mut grid = Grid::default();
+        let mut ctx = Vec::new();
+        for &bs in &BATCH_GRID {
+            for &r in &TOKEN_GRID {
+                if r > model.max_context {
+                    continue;
+                }
+                ctx.clear();
+                ctx.resize(bs, r);
+                let work = model.decode_iter_work(&ctx, par);
+                grid.push(vec![(r * bs as u64) as f64, bs as f64, 1.0], work);
+            }
+        }
+        grid
+    }
+
+    /// Writes every point's solo duration on `sms` SMs into `secs`.
+    fn time(&self, sim: &GpuSim, sms: u32, secs: &mut Vec<f64>) {
+        secs.clear();
+        secs.extend(self.work.iter().map(|w| sim.solo_duration(sms, w)));
+    }
+}
 
 impl SoloPredictor {
     /// Profiles solo runs of `model` on `cluster` for each SM partition in
@@ -56,67 +144,36 @@ impl SoloPredictor {
     ) -> SoloPredictor {
         assert!(!partitions.is_empty(), "no partitions to profile");
         let sim = GpuSim::from_cluster(cluster);
+        let prefill_grid = Grid::prefill(model, par);
+        let decode_grid = Grid::decode(model, par);
+        let mut secs = Vec::with_capacity(prefill_grid.work.len().max(decode_grid.work.len()));
         let mut by_partition = BTreeMap::new();
         for &sms in partitions {
-            // --- prefill samples: full phase over (n, r) grid, bs = 1.
-            let mut p_rows = Vec::new();
-            let mut p_y = Vec::new();
-            for &n in &TOKEN_GRID {
-                for &r in &TOKEN_GRID {
-                    if n + r > model.max_context {
-                        continue;
-                    }
-                    let batch = [SeqState::new(n, r)];
-                    let work = model.prefill_full_work(&batch, par);
-                    let secs = sim.solo_duration(sms, &work);
-                    let nf = n as f64;
-                    let rf = r as f64;
-                    p_rows.push(vec![nf * nf, nf * rf, nf, 1.0]);
-                    p_y.push(secs);
-                }
-            }
-            // Also r = 0 rows for short prompts.
-            for &n in &[32u64, 64] {
-                let work = model.prefill_full_work(&[SeqState::new(n, 0)], par);
-                let secs = sim.solo_duration(sms, &work);
-                let nf = n as f64;
-                p_rows.push(vec![nf * nf, 0.0, nf, 1.0]);
-                p_y.push(secs);
-            }
-            let prefill = least_squares(&p_rows, &p_y).expect("prefill fit is well-posed");
-
-            // --- decode samples: (bs, per-request context) grid.
-            let mut d_rows = Vec::new();
-            let mut d_y = Vec::new();
-            for &bs in &BATCH_GRID {
-                for &r in &TOKEN_GRID {
-                    if r > model.max_context {
-                        continue;
-                    }
-                    let ctx = vec![r; bs];
-                    let work = model.decode_iter_work(&ctx, par);
-                    let secs = sim.solo_duration(sms, &work);
-                    d_rows.push(vec![(r * bs as u64) as f64, bs as f64, 1.0]);
-                    d_y.push(secs);
-                }
-            }
-            let decode = fit_max_affine(&d_rows, &d_y, 2, 20).expect("decode fit is well-posed");
+            prefill_grid.time(&sim, sms, &mut secs);
+            let prefill =
+                least_squares(&prefill_grid.features, &secs).expect("prefill fit is well-posed");
+            decode_grid.time(&sim, sms, &mut secs);
+            let decode = fit_max_affine(&decode_grid.features, &secs, 2, 20)
+                .expect("decode fit is well-posed");
             by_partition.insert(sms, Coefficients { prefill, decode });
         }
         SoloPredictor {
-            model_layers: model.num_layers,
-            by_partition,
+            fitted: Arc::new(Fitted {
+                model_layers: model.num_layers,
+                by_partition,
+            }),
         }
     }
 
     fn coef(&self, sms: u32) -> &Coefficients {
         // Nearest profiled partition (conservative choice: the one with
         // fewer or equal SMs, falling back to the smallest).
-        self.by_partition
+        let by_partition = &self.fitted.by_partition;
+        by_partition
             .range(..=sms)
             .next_back()
             .map(|(_, c)| c)
-            .unwrap_or_else(|| self.by_partition.values().next().expect("non-empty"))
+            .unwrap_or_else(|| by_partition.values().next().expect("non-empty"))
     }
 
     /// Predicted solo latency (seconds) of the **full prefill phase** of
@@ -138,7 +195,7 @@ impl SoloPredictor {
     /// layers (the phase latency scaled by `layers / N_T`; launch
     /// constants are per-phase and scale accordingly).
     pub fn prefill_layers_latency(&self, sms: u32, batch: &[SeqState], layers: u32) -> f64 {
-        self.prefill_latency(sms, batch) * layers as f64 / self.model_layers as f64
+        self.prefill_latency(sms, batch) * layers as f64 / self.fitted.model_layers as f64
     }
 
     /// Predicted solo latency (seconds) of **one decode iteration** with
@@ -173,12 +230,12 @@ impl SoloPredictor {
 
     /// The number of transformer layers of the profiled model.
     pub fn num_layers(&self) -> u32 {
-        self.model_layers
+        self.fitted.model_layers
     }
 
     /// The partitions that were profiled.
     pub fn partitions(&self) -> Vec<u32> {
-        self.by_partition.keys().copied().collect()
+        self.fitted.by_partition.keys().copied().collect()
     }
 }
 
@@ -262,6 +319,21 @@ mod tests {
             pred.prefill_latency(8, &batch),
             pred.prefill_latency(16, &batch)
         );
+    }
+
+    #[test]
+    fn clones_share_one_fitted_table() {
+        let (_, _, _, pred) = setup();
+        let copy = pred.clone();
+        assert!(
+            Arc::ptr_eq(&pred.fitted, &copy.fitted),
+            "clones copy no table"
+        );
+        assert_eq!(copy, pred);
+        let json = serde_json::to_string(&pred).expect("serializes");
+        let back: SoloPredictor = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, pred);
+        assert!(!Arc::ptr_eq(&back.fitted, &pred.fitted));
     }
 
     #[test]
