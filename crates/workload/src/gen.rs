@@ -155,15 +155,23 @@ fn calibrate(kind: WorkloadKind) -> Lengths {
     }
 }
 
-/// Generates the turns of one session (single-turn workloads yield one
-/// request). Arrivals are left at `SimTime::ZERO`; callers assign them.
-fn session_turns(kind: WorkloadKind, session: u64, rng: &mut SimRng) -> Vec<RequestSpec> {
+/// Appends the turns of one session to `out` (single-turn workloads
+/// yield one request), up to `cap` requests in `out`. Every turn's
+/// lengths are drawn even past `cap`, so the stream's later draws do not
+/// depend on where the trace is cut. Arrivals are left at
+/// `SimTime::ZERO` and ids at 0; callers assign them.
+fn push_session(
+    kind: WorkloadKind,
+    session: u64,
+    rng: &mut SimRng,
+    out: &mut Vec<RequestSpec>,
+    cap: usize,
+) {
     let l = lengths(kind);
     let n_turns = match &l.turns {
         Some(d) => d.sample(rng) as u32,
         None => 1,
     };
-    let mut out = Vec::with_capacity(n_turns as usize);
     let mut context = ContentSpec::default();
     if l.system_prompt {
         context.push(SYSTEM_STREAM, SYSTEM_PROMPT_TOKENS);
@@ -176,19 +184,20 @@ fn session_turns(kind: WorkloadKind, session: u64, rng: &mut SimRng) -> Vec<Requ
         let new = l.new_input.sample_tokens(rng);
         context.push(session, new);
         let output = l.output.sample_tokens(rng);
-        out.push(RequestSpec {
-            id: 0,
-            arrival: SimTime::ZERO,
-            session,
-            turn,
-            content: context.clone(),
-            prior_context: prior,
-            output_tokens: output,
-        });
+        if out.len() < cap {
+            out.push(RequestSpec {
+                id: 0,
+                arrival: SimTime::ZERO,
+                session,
+                turn,
+                content: context.clone(),
+                prior_context: prior,
+                output_tokens: output,
+            });
+        }
         // The model's output joins the session context for the next turn.
         context.push(session, output);
     }
-    out
 }
 
 /// Generates `n` requests with homogeneous Poisson arrivals at
@@ -201,14 +210,7 @@ fn session_turns(kind: WorkloadKind, session: u64, rng: &mut SimRng) -> Vec<Requ
 /// Panics if `rate` is not positive.
 pub fn generate(kind: WorkloadKind, n: usize, rate: f64, rng: &mut SimRng) -> Vec<RequestSpec> {
     assert!(rate > 0.0, "non-positive rate");
-    let mut reqs = Vec::with_capacity(n);
-    let mut session = 1u64;
-    while reqs.len() < n {
-        let turns = session_turns(kind, session, rng);
-        session += 1;
-        reqs.extend(turns);
-    }
-    reqs.truncate(n);
+    let mut reqs = generate_turns(kind, n, rng);
     let mut t = SimTime::ZERO;
     for (i, r) in reqs.iter_mut().enumerate() {
         t += simcore::SimDuration::from_secs(rng.exponential(rate));
@@ -238,18 +240,48 @@ pub fn generate_sessions(
     let mut t0 = SimTime::ZERO;
     for session in 1..=n_sessions as u64 {
         t0 += simcore::SimDuration::from_secs(rng.exponential(session_rate));
+        let first = reqs.len();
+        // A session's lengths are drawn first, then its think times.
+        push_session(kind, session, rng, &mut reqs, usize::MAX);
         let mut t = t0;
-        for mut turn in session_turns(kind, session, rng) {
+        for turn in &mut reqs[first..] {
             turn.arrival = t;
-            reqs.push(turn);
             t += simcore::SimDuration::from_secs(rng.exponential(1.0 / think_secs));
         }
     }
-    reqs.sort_by_key(|r| (r.arrival, r.session, r.turn));
+    // Generation order is session-major, turn-minor, so ordering by
+    // arrival and then generation index is ordering by the unique
+    // `(arrival, session, turn)` key. Sorting that as one compact
+    // integer, then moving each spec once, beats sorting the specs.
+    let mut keys: Vec<u128> = reqs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (u128::from(r.arrival.as_nanos()) << 64) | i as u128)
+        .collect();
+    keys.sort_unstable();
+    gather(
+        &mut reqs,
+        keys.into_iter().map(|k| k as u64 as usize).collect(),
+    );
     for (i, r) in reqs.iter_mut().enumerate() {
         r.id = i as u64;
     }
     reqs
+}
+
+/// Reorders `reqs` so that position `i` holds the spec that was at
+/// `from[i]` (a permutation), by following its cycles.
+fn gather(reqs: &mut [RequestSpec], mut from: Vec<usize>) {
+    for start in 0..from.len() {
+        let mut at = start;
+        while from[at] != start {
+            let next = from[at];
+            reqs.swap(at, next);
+            from[at] = at;
+            at = next;
+        }
+        from[at] = at;
+    }
 }
 
 /// Generates a fleet-level arrival stream: one global session trace
@@ -367,10 +399,9 @@ pub fn generate_turns(kind: WorkloadKind, n: usize, rng: &mut SimRng) -> Vec<Req
     let mut reqs = Vec::with_capacity(n);
     let mut session = 1u64;
     while reqs.len() < n {
-        reqs.extend(session_turns(kind, session, rng));
+        push_session(kind, session, rng, &mut reqs, n);
         session += 1;
     }
-    reqs.truncate(n);
     reqs
 }
 
@@ -456,6 +487,19 @@ mod tests {
         for (i, r) in reqs.iter().enumerate() {
             assert_eq!(r.id, i as u64);
         }
+    }
+
+    #[test]
+    fn gather_applies_a_permutation_of_several_cycles() {
+        let mut rng = SimRng::seed_from(9);
+        let mut reqs = generate_turns(WorkloadKind::ShareGpt, 7, &mut rng);
+        let want: Vec<u64> = reqs.iter().map(|r| r.output_tokens).collect();
+        // Cycles (0 3 5), (1 6), (2) and (4).
+        let from = vec![3, 6, 2, 5, 4, 0, 1];
+        gather(&mut reqs, from.clone());
+        let got: Vec<u64> = reqs.iter().map(|r| r.output_tokens).collect();
+        let moved: Vec<u64> = from.iter().map(|&i| want[i]).collect();
+        assert_eq!(got, moved);
     }
 
     #[test]
