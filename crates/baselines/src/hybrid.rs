@@ -293,10 +293,12 @@ impl HybridPd {
         if self.decode.batch().is_empty() {
             return configs[0];
         }
-        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
+        let batch = self.decode.batch();
         let budget = self.slo.tbt.as_secs() * 0.9 - ctx.gpu.spec().graph_launch.as_secs();
         for &sms in &configs {
-            let solo = self.predictor.decode_latency(sms, &ctxs);
+            let solo = self
+                .predictor
+                .decode_latency_agg(sms, batch.context_sum(), batch.len());
             let q = GuardQuery {
                 prefill_new: self
                     .mux_inflight
@@ -304,8 +306,8 @@ impl HybridPd {
                     .map(|r| r.seq.new_tokens)
                     .unwrap_or(0),
                 prefill_reused: 0,
-                decode_batch: ctxs.len(),
-                decode_context: ctxs.iter().sum::<u64>() / ctxs.len() as u64,
+                decode_batch: batch.len(),
+                decode_context: batch.context_sum() / batch.len() as u64,
                 decode_sms: sms,
             };
             if solo * self.guard.factor(&q) <= budget {
@@ -345,8 +347,7 @@ impl HybridPd {
             }
             self.decode_sms = desired;
         }
-        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
-        let work = self.model.decode_iter_work(&ctxs, &self.par);
+        let work = self.decode.iteration_work(&self.model, &self.par);
         self.decode.launch(ctx, g, dc, work, TAG_DECODE);
     }
 

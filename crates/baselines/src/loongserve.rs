@@ -194,9 +194,8 @@ impl LoongServe {
         {
             return;
         }
-        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
         let par = Parallelism::tp(self.tp, self.nvlink_gbs);
-        let work = self.model.decode_iter_work(&ctxs, &par);
+        let work = self.decode.iteration_work(&self.model, &par);
         let (g, c) = (self.d_group.expect("started"), self.d_ctx.expect("started"));
         self.decode.launch(ctx, g, c, work, 0);
     }

@@ -221,8 +221,7 @@ impl SglangPd {
         {
             return;
         }
-        let ctxs: Vec<u64> = self.decode.batch().contexts().collect();
-        let work = self.model.decode_iter_work(&ctxs, &self.par);
+        let work = self.decode.iteration_work(&self.model, &self.par);
         let (g, c) = (self.d_group.expect("started"), self.d_ctx.expect("started"));
         self.decode.launch(ctx, g, c, work, u64::MAX);
     }

@@ -15,7 +15,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use estimator::SoloPredictor;
-use gpusim::{ClusterSpec, CtxId, GroupId, KernelKind};
+use gpusim::{ClusterSpec, CtxId, GroupId, KernelKind, WorkItem};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::{KvLease, LeaseTable};
 use serving::lifecycle::{EngineCounters, Lifecycle};
@@ -46,6 +46,8 @@ struct Common {
     decode_inflight: bool,
     /// The all-GPU group lost a device; launches halt until recovery.
     down: bool,
+    /// Reused context list for [`Common::decode_work`].
+    ctx_scratch: Vec<u64>,
 }
 
 impl Common {
@@ -62,7 +64,16 @@ impl Common {
             decode: DecodeBatch::new(),
             decode_inflight: false,
             down: false,
+            ctx_scratch: Vec::new(),
         }
+    }
+
+    /// The work of one decode iteration of the batch; its context list
+    /// goes into a reused buffer.
+    fn decode_work(&mut self) -> WorkItem {
+        self.ctx_scratch.clear();
+        self.ctx_scratch.extend(self.decode.contexts());
+        self.model.decode_iter_work(&self.ctx_scratch, &self.par)
     }
 
     fn admit_one(&mut self, ctx: &mut ServeCtx) -> Option<PrefillReq> {
@@ -199,8 +210,7 @@ impl WindServe {
         if !self.common.grow_decode_kv(ctx) {
             return;
         }
-        let ctxs: Vec<u64> = self.common.decode.contexts().collect();
-        let work = self.common.model.decode_iter_work(&ctxs, &self.common.par);
+        let work = self.common.decode_work();
         let ready = ctx.now() + ctx.gpu.spec().graph_launch;
         ctx.gpu.submit(
             self.group.expect("started"),
@@ -370,10 +380,11 @@ impl TemporalMux {
             }
         }
         let (group, c) = (self.group.expect("started"), self.ctx_id.expect("started"));
-        let ctxs: Vec<u64> = self.common.decode.contexts().collect();
-        let have_decode = !ctxs.is_empty();
+        let decode = &self.common.decode;
+        let have_decode = !decode.is_empty();
         let t_decode = if have_decode {
-            self.predictor.decode_latency(self.sm_count, &ctxs)
+            self.predictor
+                .decode_latency_agg(self.sm_count, decode.context_sum(), decode.len())
         } else {
             0.0
         };
@@ -412,8 +423,7 @@ impl TemporalMux {
             if !self.common.grow_decode_kv(ctx) {
                 return;
             }
-            let ctxs: Vec<u64> = self.common.decode.contexts().collect();
-            let work = self.common.model.decode_iter_work(&ctxs, &self.common.par);
+            let work = self.common.decode_work();
             let ready = ctx.now() + ctx.gpu.spec().graph_launch;
             ctx.gpu.submit(group, c, work, ready, TAG_DECODE);
             self.common.decode_inflight = true;

@@ -32,6 +32,7 @@ use crate::order::drain_sorted;
 use crate::request::ReqId;
 use gpusim::{CtxId, GroupId, LinkId, WorkItem};
 use kvcache::Block;
+use modelspec::{ModelSpec, Parallelism};
 use simcore::SimTime;
 
 /// Whether a prompt already admitted to a prefill batch computes the
@@ -292,6 +293,8 @@ pub struct DecodeSide {
     down: bool,
     /// Reused eviction buffer for [`DecodeSide::grow`].
     victims: Vec<ReqId>,
+    /// Reused context list for [`DecodeSide::iteration_work`].
+    contexts: Vec<u64>,
 }
 
 impl DecodeSide {
@@ -407,6 +410,16 @@ impl DecodeSide {
             lifecycle.requeue(id);
         }
         !self.batch.is_empty()
+    }
+
+    /// The work of one decode iteration of the batch under `model` and
+    /// `par`. The batch's context lengths go into a reused buffer, so a
+    /// launch allocates nothing for them once the buffer has grown to
+    /// the batch.
+    pub fn iteration_work(&mut self, model: &ModelSpec, par: &Parallelism) -> WorkItem {
+        self.contexts.clear();
+        self.contexts.extend(self.batch.contexts());
+        model.decode_iter_work(&self.contexts, par)
     }
 
     /// Submits one decode iteration of `work` on `group`/`ctx_id` after

@@ -1,13 +1,22 @@
-//! Heap allocations made by recording inter-token gaps: a recorder that
-//! knows its requests' output lengths writes every gap into one buffer,
-//! so recording costs a constant number of allocations, not a few per
-//! request.
+//! Heap allocations made by recording inter-token gaps and by launching
+//! decode iterations. A recorder that knows its requests' output lengths
+//! writes every gap into one buffer, so recording costs a constant
+//! number of allocations, not a few per request. A decode side writes
+//! its batch's context list into one reused buffer, so a warm launch
+//! allocates nothing for it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
-use serving::{MetricsRecorder, SloSpec};
+use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId};
+use modelspec::{ModelSpec, Parallelism};
+use serving::{
+    DecodeSide, Driver, Handoff, LeaseTable, Lifecycle, MetricsRecorder, ReqId, Scheduler,
+    ServeCtx, SloSpec,
+};
 use simcore::{SimDuration, SimTime};
+use workload::{ContentSpec, RequestSpec};
 
 /// Counts allocations made on the current thread, and the largest of
 /// them, so tests running in parallel do not see each other's.
@@ -84,5 +93,119 @@ fn recording_gaps_allocates_once_per_trace_not_per_request() {
     assert!(
         largest < gaps * std::mem::size_of::<f64>(),
         "building the report made a {largest}-byte allocation: the samples were copied"
+    );
+}
+
+/// A decode-only engine on one [`DecodeSide`]: each arrival's context
+/// lands on the decode side already prefilled, and every launch counts
+/// the allocations its iteration work takes.
+struct DecodeOnly {
+    model: ModelSpec,
+    par: Parallelism,
+    table: LeaseTable,
+    lifecycle: Lifecycle,
+    waiting: VecDeque<ReqId>,
+    side: DecodeSide,
+    stream: Option<(GroupId, CtxId)>,
+    /// The widest batch launched so far.
+    widest: usize,
+    /// Launches no wider than an earlier one, and their allocations.
+    warm: usize,
+    warm_allocs: usize,
+    cold_allocs: usize,
+}
+
+impl DecodeOnly {
+    fn step(&mut self, ctx: &mut ServeCtx) {
+        self.side.admit(&mut self.table, &mut self.lifecycle, ctx);
+        let now = ctx.now();
+        if !self
+            .side
+            .grow(&mut self.table, &mut self.waiting, &mut self.lifecycle, now)
+        {
+            return;
+        }
+        let width = self.side.batch().len();
+        let before = allocs();
+        let work = self.side.iteration_work(&self.model, &self.par);
+        let made = allocs() - before;
+        if width <= self.widest {
+            self.warm += 1;
+            self.warm_allocs += made;
+        } else {
+            self.cold_allocs += made;
+            self.widest = width;
+        }
+        let (group, stream) = self.stream.expect("started");
+        self.side.launch(ctx, group, stream, work, 0);
+    }
+}
+
+impl Scheduler for DecodeOnly {
+    fn on_start(&mut self, ctx: &mut ServeCtx) {
+        let group = ctx.gpu.create_group(vec![0]);
+        let sms = ctx.gpu.spec().sm_count;
+        self.stream = Some((group, ctx.gpu.set_context(group, sms)));
+    }
+
+    fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
+        self.lifecycle.admit(id);
+        let context = ctx.request(id).input_tokens();
+        self.side.queue(Handoff {
+            id,
+            context,
+            reserved: false,
+        });
+        self.step(ctx);
+    }
+
+    fn on_kernel_done(&mut self, _tag: u64, ctx: &mut ServeCtx) {
+        self.side
+            .iteration_done(&mut self.table, &mut self.lifecycle, ctx);
+        self.step(ctx);
+    }
+}
+
+#[test]
+fn a_warm_decode_launch_allocates_nothing_for_its_context_list() {
+    const REQUESTS: usize = 48;
+    let reqs: Vec<RequestSpec> = (0..REQUESTS)
+        .map(|i| RequestSpec {
+            id: i as u64,
+            arrival: SimTime::from_secs(0.005 * i as f64),
+            session: i as u64,
+            turn: 0,
+            content: ContentSpec::single(i as u64, 200 + 10 * i as u64),
+            prior_context: 0,
+            output_tokens: 160,
+        })
+        .collect();
+    let cluster = ClusterSpec::single_a100();
+    let mut engine = DecodeOnly {
+        model: ModelSpec::llama8b(),
+        par: Parallelism::tp(1, cluster.nvlink_gbs),
+        table: LeaseTable::new(1 << 20, 64),
+        lifecycle: Lifecycle::new(),
+        waiting: VecDeque::new(),
+        side: DecodeSide::new(),
+        stream: None,
+        widest: 0,
+        warm: 0,
+        warm_allocs: 0,
+        cold_allocs: 0,
+    };
+    let report =
+        Driver::new(GpuSim::from_cluster(&cluster), reqs, SloSpec::llama8b()).run(&mut engine);
+    assert_eq!(report.finished, REQUESTS);
+    assert!(engine.widest > 1, "the batch never grew");
+    assert!(
+        engine.cold_allocs > 0,
+        "widening the batch grows the buffer"
+    );
+    assert!(engine.warm >= 100, "only {} warm launches", engine.warm);
+    assert_eq!(
+        engine.warm_allocs, 0,
+        "{} warm launches allocated {} times for their context lists",
+        engine.warm, engine.warm_allocs
     );
 }
