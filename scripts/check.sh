@@ -8,6 +8,7 @@
 #                                      # (decode_golden: requeues, overflow prefills, KV shrink)
 #   ./scripts/check.sh crash           # crash and decode goldens, recovery/fault/fleet suites, crash and fleet smokes
 #   ./scripts/check.sh alloc           # every crate's alloc_count test (heap allocations and sizes)
+#   ./scripts/check.sh setup           # estimator and workload tests, the set-up golden, every alloc_count test
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -50,6 +51,13 @@ if [[ "${1:-}" == "crash" ]]; then
 fi
 
 if [[ "${1:-}" == "alloc" ]]; then
+    cargo test -q --workspace --test alloc_count
+    exit 0
+fi
+
+if [[ "${1:-}" == "setup" ]]; then
+    cargo test -q -p estimator -p workload
+    cargo test -q -p integration-tests --test setup_golden
     cargo test -q --workspace --test alloc_count
     exit 0
 fi
