@@ -68,17 +68,10 @@ pub fn find_goodput(
     mut run_at: impl FnMut(f64) -> Report,
 ) -> GoodputResult {
     assert_ascending(rates);
-    let mut points = Vec::new();
-    for &rate in rates {
-        let report = run_at(rate);
-        let point = GoodputPoint::from_report(rate, &report);
-        let pass = point.passes(tbt_slo_secs);
-        points.push(point);
-        if !pass && points.iter().any(|p| p.passes(tbt_slo_secs)) {
-            break;
-        }
-    }
-    finalize(points, tbt_slo_secs)
+    let points = rates
+        .iter()
+        .map(|&rate| GoodputPoint::from_report(rate, &run_at(rate)));
+    sweep(points, tbt_slo_secs)
 }
 
 /// Builds a [`GoodputResult`] from points that were evaluated eagerly
@@ -93,15 +86,7 @@ pub fn find_goodput(
 pub fn assemble_goodput(points: Vec<GoodputPoint>, tbt_slo_secs: f64) -> GoodputResult {
     let rates: Vec<f64> = points.iter().map(|p| p.rate).collect();
     assert_ascending(&rates);
-    let mut kept = Vec::with_capacity(points.len());
-    for point in points {
-        let pass = point.passes(tbt_slo_secs);
-        kept.push(point);
-        if !pass && kept.iter().any(|p| p.passes(tbt_slo_secs)) {
-            break;
-        }
-    }
-    finalize(kept, tbt_slo_secs)
+    sweep(points, tbt_slo_secs)
 }
 
 /// A goodput knee measured twice: on healthy hardware and at a fixed
@@ -156,7 +141,21 @@ fn assert_ascending(rates: &[f64]) {
     );
 }
 
-fn finalize(points: Vec<GoodputPoint>, tbt_slo_secs: f64) -> GoodputResult {
+/// The one early-stop rule: takes the `evaluated` points in rate order
+/// up to and including the first failing rate beyond a passing one, and
+/// reports the highest passing rate. `evaluated` is pulled lazily, so a
+/// sweep that runs each point on demand runs no point past the stop.
+fn sweep(evaluated: impl IntoIterator<Item = GoodputPoint>, tbt_slo_secs: f64) -> GoodputResult {
+    let mut points = Vec::new();
+    let mut passed = false;
+    for point in evaluated {
+        let pass = point.passes(tbt_slo_secs);
+        points.push(point);
+        if !pass && passed {
+            break;
+        }
+        passed |= pass;
+    }
     let best = points.iter().rfind(|p| p.passes(tbt_slo_secs));
     let (rate, toks, util) = best
         .map(|p| (p.rate, p.token_throughput, p.utilization))
@@ -196,12 +195,18 @@ mod tests {
     #[test]
     fn finds_knee_rate() {
         let rates = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0];
-        let res = find_goodput(&rates, 0.100, fake_report);
+        let mut runs = 0;
+        let res = find_goodput(&rates, 0.100, |rate| {
+            runs += 1;
+            fake_report(rate)
+        });
         // TBT crosses 100ms at rate 8 (0.02+0.08=0.10 ok) and fails at
         // rate 10 (0.12) — and rate 10 is also unstable.
         assert_eq!(res.goodput_rate, 8.0);
-        // Sweep stops after first failure beyond a pass.
+        // Sweep stops after first failure beyond a pass, without running
+        // the rates past it.
         assert_eq!(res.points.len(), 5);
+        assert_eq!(runs, 5);
     }
 
     #[test]
