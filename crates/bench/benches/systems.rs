@@ -11,6 +11,7 @@ use simcore::SimRng;
 use std::time::Duration;
 use workload::{generate, WorkloadKind};
 
+use bench::harness::{stability_run, Faults};
 use bench::sweep::{run_sweep, SweepJob};
 use bench::systems::{SystemKind, Testbed};
 
@@ -96,13 +97,14 @@ fn bench_sweep_runner(c: &mut Criterion) {
                 n: 60,
                 rate,
                 seed: 0xBE,
+                faults: Faults::Healthy,
             })
         })
         .collect();
     let mut group = c.benchmark_group("sweep_runner");
     group.sample_size(10);
     group.bench_function("sequential_4jobs", |b| {
-        b.iter(|| black_box(jobs.iter().map(SweepJob::run).collect::<Vec<_>>()))
+        b.iter(|| black_box(jobs.iter().map(stability_run).collect::<Vec<_>>()))
     });
     group.bench_function("parallel_4jobs", |b| b.iter(|| black_box(run_sweep(&jobs))));
     group.finish();

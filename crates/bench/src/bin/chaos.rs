@@ -13,9 +13,11 @@
 //! × a GPU fail-stop on each cluster half) asserting fail-stop failover
 //! works end to end (used by `scripts/check.sh recovery-smoke`).
 
-use bench::chaos::{run_chaos, ChaosJob, ChaosRow};
+use bench::harness::{stability_run, CrashSpec, Faults};
+use bench::sweep::{run_sweep, SweepJob};
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
+use serving::Report;
 use workload::WorkloadKind;
 
 const SEED: u64 = 0xC4A05;
@@ -24,6 +26,20 @@ const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 const KNEE_ATTAINMENT: f64 = 0.9;
 /// Rate-doubling rounds in the knee probe (base × 2^5 ceiling).
 const KNEE_ROUNDS: usize = 6;
+
+/// One point of the chaos experiment: `n` ShareGPT requests at `rate`
+/// from [`SEED`], under `faults`.
+fn job(tb: &Testbed, kind: SystemKind, n: usize, rate: f64, faults: Faults) -> SweepJob<'_> {
+    SweepJob {
+        tb,
+        kind,
+        workload: WorkloadKind::ShareGpt,
+        n,
+        rate,
+        seed: SEED,
+        faults,
+    }
+}
 
 /// Per-system saturation probe: starting from `base`, double each
 /// system's healthy (intensity-0) arrival rate until TBT attainment
@@ -43,25 +59,16 @@ fn knee_rates(tb: &Testbed, label: &str, n: usize, base: f64) -> Vec<(SystemKind
         if live.is_empty() {
             break;
         }
-        let jobs: Vec<ChaosJob<'_>> = live
+        let jobs: Vec<SweepJob<'_>> = live
             .iter()
-            .map(|&i| ChaosJob {
-                tb,
-                kind: kinds[i],
-                workload: WorkloadKind::ShareGpt,
-                n,
-                rate: rate[i],
-                seed: SEED,
-                intensity: 0.0,
-            })
+            .map(|&i| job(tb, kinds[i], n, rate[i], Faults::Generated(0.0)))
             .collect();
-        let reports = run_chaos(&jobs);
-        for (&i, report) in live.iter().zip(reports) {
-            match report {
+        for (&i, run) in live.iter().zip(run_sweep(&jobs)) {
+            match run {
                 // Unsupported on this testbed; the sweep will skip it too.
                 None => climbing[i] = false,
-                Some(rep) => {
-                    if rep.tbt_attainment() >= KNEE_ATTAINMENT && rep.is_stable() {
+                Some(run) => {
+                    if run.report.tbt_attainment() >= KNEE_ATTAINMENT && run.report.is_stable() {
                         best[i] = Some(rate[i]);
                         rate[i] *= 2.0;
                     } else {
@@ -84,44 +91,136 @@ fn knee_rates(tb: &Testbed, label: &str, n: usize, base: f64) -> Vec<(SystemKind
         .collect()
 }
 
+/// One row of the chaos table (also the `results/chaos.jsonl` record).
+struct ChaosRow {
+    system: String,
+    intensity: f64,
+    /// Output-token throughput (tokens/s) — the goodput proxy.
+    throughput: f64,
+    /// Fraction of TBT samples within the SLO target.
+    attainment: f64,
+    tbt_p99_ms: f64,
+    /// Whether the system kept up with the (served) load.
+    stable: bool,
+    finished: usize,
+    /// Requests intentionally shed by the watchdog.
+    shed: usize,
+    /// Arrivals deferred during severe fault windows.
+    fault_retries: u64,
+    /// Running requests requeued under pressure.
+    requeues: u64,
+    /// Requests dropped (includes shed).
+    drops: u64,
+    /// KV leases still held after a drained run (must be 0).
+    leaked_leases: u64,
+    /// Seconds past the last fault window until P99 TBT re-entered the
+    /// SLO (0 = immediate; absent on healthy runs).
+    recovery_secs: Option<f64>,
+    /// Requests whose leases were revoked by a GPU fail-stop.
+    crash_victims: u64,
+    /// Crash victims that finished after failover.
+    recovered: u64,
+    /// Crash victims given up on (retry budget / TTFT deadline).
+    shed_on_crash: u64,
+    /// Prompt tokens recomputed to re-materialize lost KV.
+    reprefill_tokens: u64,
+}
+
+impl ChaosRow {
+    fn from_report(system: &str, intensity: f64, r: &Report) -> ChaosRow {
+        ChaosRow {
+            system: system.to_string(),
+            intensity,
+            throughput: r.token_throughput(),
+            attainment: r.tbt_attainment(),
+            tbt_p99_ms: r.tbt.p99() * 1e3,
+            stable: r.is_stable(),
+            finished: r.finished,
+            shed: r.shed,
+            fault_retries: r.counters.fault_retries,
+            requeues: r.counters.requeues,
+            drops: r.counters.drops,
+            leaked_leases: r.counters.leaked_leases,
+            recovery_secs: r.recovery_secs,
+            crash_victims: r.recovery.crash_victims,
+            recovered: r.recovery.recovered,
+            shed_on_crash: r.recovery.shed_on_crash,
+            reprefill_tokens: r.recovery.reprefill_tokens,
+        }
+    }
+
+    fn print_header() {
+        println!(
+            "{:<11} {:>5} {:>10} {:>7} {:>9} {:>6} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>8}  state",
+            "system",
+            "fault",
+            "tok/s",
+            "attain",
+            "tbtP99",
+            "fin",
+            "shed",
+            "retries",
+            "requeue",
+            "drops",
+            "crash",
+            "recov",
+            "recovery"
+        );
+    }
+
+    fn print(&self) {
+        println!(
+            "{:<11} {:>5.2} {:>10.1} {:>6.1}% {:>7.1}ms {:>6} {:>5} {:>7} {:>7} {:>6} {:>5} {:>5} {:>8}  {}",
+            self.system,
+            self.intensity,
+            self.throughput,
+            self.attainment * 1e2,
+            self.tbt_p99_ms,
+            self.finished,
+            self.shed,
+            self.fault_retries,
+            self.requeues,
+            self.drops,
+            self.crash_victims,
+            self.recovered,
+            self.recovery_secs
+                .map(|s| format!("{s:.2}s"))
+                .unwrap_or_else(|| "-".to_string()),
+            if self.stable { "stable" } else { "DEGRADED" }
+        );
+    }
+}
+
 fn sweep(tb: &Testbed, label: &str, n: usize, rates: &[(SystemKind, f64)]) -> Vec<ChaosRow> {
     banner(&format!("Chaos sweep — {label}"));
-    let jobs: Vec<ChaosJob<'_>> = rates
+    let points: Vec<(SystemKind, f64, f64)> = rates
         .iter()
-        .flat_map(|&(kind, rate)| {
-            INTENSITIES.iter().map(move |&intensity| ChaosJob {
-                tb,
-                kind,
-                workload: WorkloadKind::ShareGpt,
-                n,
-                rate,
-                seed: SEED,
-                intensity,
-            })
-        })
+        .flat_map(|&(kind, rate)| INTENSITIES.map(|intensity| (kind, rate, intensity)))
         .collect();
-    let reports = run_chaos(&jobs);
+    let jobs: Vec<SweepJob<'_>> = points
+        .iter()
+        .map(|&(kind, rate, intensity)| job(tb, kind, n, rate, Faults::Generated(intensity)))
+        .collect();
     ChaosRow::print_header();
     let mut rows = Vec::new();
-    for (job, report) in jobs.iter().zip(reports) {
-        let Some(report) = report else {
-            println!("{:<11} (unsupported)", job.kind.name());
+    for (&(kind, rate, intensity), run) in points.iter().zip(run_sweep(&jobs)) {
+        let Some(run) = run else {
+            println!("{:<11} (unsupported)", kind.name());
             continue;
         };
         assert_eq!(
-            report.counters.leaked_leases,
+            run.report.counters.leaked_leases,
             0,
-            "{} leaked KV leases at intensity {}",
-            job.kind.name(),
-            job.intensity
+            "{} leaked KV leases at intensity {intensity}",
+            kind.name(),
         );
-        let row = ChaosRow::from_report(job.kind.name(), job.intensity, &report);
+        let row = ChaosRow::from_report(kind.name(), intensity, &run.report);
         row.print();
         save_record(
             "chaos",
             &serde_json::json!({
                 "testbed": label, "system": row.system, "intensity": row.intensity,
-                "rate": job.rate,
+                "rate": rate,
                 "tokens_per_s": row.throughput, "attainment": row.attainment,
                 "tbt_p99_ms": row.tbt_p99_ms, "stable": row.stable,
                 "finished": row.finished, "shed": row.shed,
@@ -145,16 +244,8 @@ fn smoke() {
     let tb = Testbed::llama8b_a100();
     for kind in [SystemKind::MuxWise, SystemKind::SglangPd] {
         for intensity in [0.0, 0.5, 1.0] {
-            let report = bench::chaos::chaos_run(
-                &tb,
-                kind,
-                WorkloadKind::ShareGpt,
-                40,
-                3.0,
-                SEED,
-                intensity,
-            )
-            .expect("buildable");
+            let run = stability_run(&job(&tb, kind, 40, 3.0, Faults::Generated(intensity)));
+            let report = run.expect("buildable").report;
             assert_eq!(
                 report.counters.leaked_leases,
                 0,
@@ -187,20 +278,13 @@ fn recovery_smoke() {
     let tb = Testbed::llama8b_a100();
     for kind in [SystemKind::MuxWise, SystemKind::SglangPd] {
         for gpu in [0u32, 7] {
-            let report = bench::chaos::recovery_run(
-                &tb,
-                kind,
-                WorkloadKind::ShareGpt,
-                40,
-                3.0,
-                SEED,
-                bench::chaos::CrashSpec {
-                    gpu,
-                    at_secs: 2.0,
-                    down_secs: 5.0,
-                },
-            )
-            .expect("buildable");
+            let crash = CrashSpec {
+                gpu,
+                at_secs: 2.0,
+                down_secs: 5.0,
+            };
+            let run = stability_run(&job(&tb, kind, 40, 3.0, Faults::Crash(crash)));
+            let report = run.expect("buildable").report;
             assert_eq!(
                 report.counters.leaked_leases,
                 0,

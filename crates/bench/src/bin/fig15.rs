@@ -16,8 +16,8 @@
 //! (`BENCH_goodput_faulty.json`) — the capacity a deployment actually
 //! keeps when a device can die mid-trace.
 
-use bench::chaos::chaos_run;
-use bench::sweep::parallel_goodput;
+use bench::harness::{stability_run, Faults};
+use bench::sweep::{parallel_goodput, SweepJob};
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
 use serving::find_goodput_faulty;
@@ -122,8 +122,16 @@ fn faulty_sweep(tb: &Testbed, label: &str, n_reqs: usize, rates: &[f64], intensi
     let mut rows = Vec::new();
     for kind in [SystemKind::MuxWise, SystemKind::SglangPd] {
         let fg = find_goodput_faulty(rates, tb.slo.tbt.as_secs(), intensity, |rate, i| {
-            chaos_run(tb, kind, WorkloadKind::ToolAgent, n_reqs, rate, SEED, i)
-                .expect("supported system")
+            let job = SweepJob {
+                tb,
+                kind,
+                workload: WorkloadKind::ToolAgent,
+                n: n_reqs,
+                rate,
+                seed: SEED,
+                faults: Faults::Generated(i),
+            };
+            stability_run(&job).expect("supported system").report
         });
         assert!(
             fg.faulty.goodput_rate <= fg.healthy.goodput_rate,

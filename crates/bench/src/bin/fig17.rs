@@ -5,6 +5,7 @@
 //! Each panel's (system × rate) grid and its mid-rate snapshot run on
 //! the sweep pool; printed output matches the sequential sweep.
 
+use bench::harness::{Faults, Run};
 use bench::sweep::{parallel_goodput, run_sweep, SweepJob};
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
@@ -62,10 +63,11 @@ fn panel(tb: &Testbed, workload: WorkloadKind, n: usize, rates: &[f64]) {
             n,
             rate: mid,
             seed: 0xF17,
+            faults: Faults::Healthy,
         })
         .to_vec();
-    for (job, rep) in jobs.iter().zip(run_sweep(&jobs)) {
-        if let Some(rep) = rep {
+    for (job, run) in jobs.iter().zip(run_sweep(&jobs)) {
+        if let Some(Run { report: rep, .. }) = run {
             save_record(
                 "fig17_snapshot",
                 &serde_json::json!({

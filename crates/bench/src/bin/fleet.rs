@@ -16,14 +16,13 @@
 //! thread-count identity) — wired into `scripts/check.sh` as
 //! `fleet-smoke`.
 
-use bench::sweep::wall_timed;
+use bench::fleet_harness::{check_books, FleetPoint, FleetRun, MemberPlan, Tiers, THINK_SECS};
+use bench::sweep::num_threads;
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
-use fleet::{Fleet, FleetReport, PathClass, PrefixAffinity, RoundRobin, RoutePolicy};
-use gpusim::GpuSim;
-use serving::{Driver, FaultPlan, WatchdogConfig};
-use simcore::{SimDuration, SimRng, SimTime};
-use workload::{generate_fleet_stream, RequestSpec, WorkloadKind};
+use fleet::{FleetReport, PathClass, PrefixAffinity, RoundRobin, RoutePolicy};
+use serving::FaultPlan;
+use simcore::{SimDuration, SimTime};
 
 const SEED: u64 = 0xF1EE7;
 /// Sessions per instance in the global stream (each session is
@@ -31,22 +30,68 @@ const SEED: u64 = 0xF1EE7;
 /// a router which re-prefills session context from scratch pays for it
 /// in queueing delay.
 const SESSIONS_PER_INSTANCE: usize = 16;
-/// Mean think time between a session's turns, seconds.
-const THINK_SECS: f64 = 8.0;
+const POLICIES: [&str; 2] = ["round-robin", "prefix-affinity"];
 
-/// One fleet configuration to run.
-struct FleetPoint {
-    size: usize,
-    /// Sessions per instance in the generated stream.
-    sessions: usize,
-    /// Session arrival rate per instance (sessions/second).
-    rate: f64,
+/// One fleet configuration to run: a point, its router policy and its
+/// member mix.
+#[derive(Clone, Copy)]
+struct Row {
+    point: FleetPoint,
     policy: &'static str,
     /// Every k-th instance gets a GPU fail-stop mid-trace.
     crash_every: Option<usize>,
     /// Every k-th instance is an SGLang-PD split-path instance.
     split_every: Option<usize>,
-    threads: usize,
+}
+
+impl Row {
+    /// A row of `size` members at `rate` under `policy`, on every
+    /// thread, with no crashes and no split members.
+    fn new(size: usize, rate: f64, policy: &'static str) -> Row {
+        Row {
+            point: FleetPoint {
+                size,
+                sessions: SESSIONS_PER_INSTANCE,
+                rate,
+                seed: SEED,
+                threads: num_threads(),
+                tiers: Tiers::default(),
+            },
+            policy,
+            crash_every: None,
+            split_every: None,
+        }
+    }
+
+    fn member(&self, tb: &Testbed, i: usize) -> MemberPlan {
+        let split = self.split_every.is_some_and(|k| i.is_multiple_of(k));
+        let (kind, class) = if split {
+            (SystemKind::SglangPd, PathClass::Split)
+        } else {
+            (SystemKind::MuxWise, PathClass::SingleNode)
+        };
+        let faults = if self.crash_every.is_some_and(|k| i.is_multiple_of(k)) {
+            // Stagger the failing device across instances so reroutes are
+            // not all identical.
+            FaultPlan::crash(
+                (i as u32) % tb.cluster.num_gpus,
+                SimTime::from_secs(5.0),
+                SimDuration::from_secs(10.0),
+            )
+        } else {
+            FaultPlan::none()
+        };
+        MemberPlan {
+            kind,
+            class,
+            faults,
+        }
+    }
+
+    fn run(&self, tb: &Testbed) -> FleetRun {
+        let mut policy = make_policy(self.policy);
+        self.point.run(tb, policy.as_mut(), |i| self.member(tb, i))
+    }
 }
 
 fn make_policy(name: &str) -> Box<dyn RoutePolicy> {
@@ -57,85 +102,10 @@ fn make_policy(name: &str) -> Box<dyn RoutePolicy> {
     }
 }
 
-fn build_fleet(tb: &Testbed, p: &FleetPoint) -> Fleet {
-    let mut fleet = Fleet::new().with_threads(p.threads);
-    for i in 0..p.size {
-        let split = p.split_every.is_some_and(|k| i % k == 0);
-        let (kind, class) = if split {
-            (SystemKind::SglangPd, PathClass::Split)
-        } else {
-            (SystemKind::MuxWise, PathClass::SingleNode)
-        };
-        let engine = tb.build(kind).expect("fleet systems fit the testbed");
-        let mut driver = Driver::new(GpuSim::from_cluster(&tb.cluster), Vec::new(), tb.slo)
-            .with_watchdog(WatchdogConfig::default());
-        if p.crash_every.is_some_and(|k| i % k == 0) {
-            // Stagger the failing device across instances so reroutes are
-            // not all identical.
-            driver = driver.with_faults(FaultPlan::crash(
-                (i as u32) % tb.cluster.num_gpus,
-                SimTime::from_secs(5.0),
-                SimDuration::from_secs(10.0),
-            ));
-        }
-        fleet.push(driver, engine, class, format!("{}#{i}", kind.name()));
-    }
-    fleet
-}
-
-fn trace_for(size: usize, sessions: usize, rate: f64) -> Vec<RequestSpec> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate_fleet_stream(
-        WorkloadKind::Conversation,
-        size,
-        sessions,
-        rate,
-        THINK_SECS,
-        &mut rng,
-    )
-}
-
-/// Runs one point and returns its report with the wall-clock seconds of
-/// the fleet run alone (trace generation and fleet set-up excluded), and
-/// the process's peak resident memory while the point ran, set-up
-/// included (MB; 0 where `/proc` is missing). Writing `5` to
-/// `clear_refs` first resets the kernel's high-water mark (`VmHWM`) to
-/// the current RSS, so the figure covers this point only, on top of
-/// whatever the process already held.
-fn run_point(tb: &Testbed, p: &FleetPoint) -> (FleetReport, f64, f64) {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-    let trace = trace_for(p.size, p.sessions, p.rate);
-    let mut policy = make_policy(p.policy);
-    let fleet = build_fleet(tb, p);
-    let (report, wall_s) = wall_timed(|| fleet.run(&trace, policy.as_mut()));
-    let peak_kb = std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
-                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        })
-        .unwrap_or(0.0);
-    (report, wall_s, peak_kb / 1024.0)
-}
-
-fn assert_invariants(label: &str, report: &FleetReport) {
-    assert_eq!(report.leaked_leases(), 0, "{label}: fleet leaked KV leases");
-    assert_eq!(
-        report.finished() + report.shed(),
-        report.total(),
-        "{label}: fleet lost requests"
-    );
-}
-
-fn row_json(
-    p: &FleetPoint,
-    report: &FleetReport,
-    wall_s: f64,
-    peak_rss_mb: f64,
-) -> serde_json::Value {
+fn row_json(row: &Row, run: &FleetRun) -> serde_json::Value {
+    let (p, report) = (&row.point, &run.report);
     serde_json::json!({
-        "size": p.size, "policy": p.policy, "rate_per_instance": p.rate,
+        "size": p.size, "policy": row.policy, "rate_per_instance": p.rate,
         "requests": report.total(), "finished": report.finished(),
         "shed": report.shed(), "tokens": report.total_tokens(),
         "goodput_tokens_per_s": report.goodput_tokens_per_sec(),
@@ -150,13 +120,13 @@ fn row_json(
         "events": report.total_events(),
         // Wall-clock cost of the fleet run on the recording host (see
         // `threads`); not replay-stable, unlike every other column.
-        "wall_s": wall_s,
-        "events_per_wall_s": report.total_events() as f64 / wall_s,
+        "wall_s": run.wall_s,
+        "events_per_wall_s": report.total_events() as f64 / run.wall_s,
         // The process's peak resident memory while this row ran (rows
         // run one at a time), counting what it still held from earlier
         // rows; like `wall_s`, host-dependent.
-        "peak_rss_mb": peak_rss_mb,
-        "crashed_instances": p.crash_every.map_or(0, |k| p.size.div_ceil(k)),
+        "peak_rss_mb": run.peak_rss_mb,
+        "crashed_instances": row.crash_every.map_or(0, |k| p.size.div_ceil(k)),
         "threads": p.threads,
         // Fleet failover tier: migrated-victim recovery-class split. A
         // migrated victim either re-enters as a full re-prefill
@@ -175,12 +145,13 @@ fn row_json(
     })
 }
 
-fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64, peak_rss_mb: f64) {
+fn print_row(row: &Row, run: &FleetRun) {
+    let report = &run.report;
     println!(
         "{:>5} inst  {:<15} rate {:>4.2}/s  goodput {:>9.0} tok/s  ttft-att {:>5.1}%  hit {:>5.1}%  imbal {:>4.2}  reroutes {:>3}  split {:>4}  shed {:>4}  migr {:>3} ({:>2} cached / {:>2} reprefill)  wall {:>6.2} s  peak {:>4.0} MB",
-        p.size,
-        p.policy,
-        p.rate,
+        row.point.size,
+        row.policy,
+        row.point.rate,
         report.goodput_tokens_per_sec(),
         report.ttft_attainment() * 100.0,
         report.prefix_hit_rate() * 100.0,
@@ -191,9 +162,26 @@ fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64, peak_rss_mb: f64
         report.failover.migrated,
         report.failover.replica_hit,
         report.failover.reprefill,
-        wall_s,
-        peak_rss_mb,
+        run.wall_s,
+        run.peak_rss_mb,
     );
+}
+
+/// Runs one sweep row, checks its books, prints it, and appends it to
+/// `rows` and to `results/fleet.jsonl`.
+fn sweep_row(
+    tb: &Testbed,
+    row: Row,
+    label: &str,
+    rows: &mut Vec<serde_json::Value>,
+) -> FleetReport {
+    let run = row.run(tb);
+    check_books(label, &run.report);
+    print_row(&row, &run);
+    let json = row_json(&row, &run);
+    save_record("fleet", &json);
+    rows.push(json);
+    run.report
 }
 
 /// Tiny fleet for CI (`scripts/check.sh fleet-smoke`): asserts zero KV
@@ -201,21 +189,17 @@ fn print_row(p: &FleetPoint, report: &FleetReport, wall_s: f64, peak_rss_mb: f64
 fn smoke() {
     banner("Fleet smoke");
     let tb = Testbed::llama8b_a100();
-    for policy in ["round-robin", "prefix-affinity"] {
-        let p = FleetPoint {
-            size: 4,
-            sessions: 4,
-            rate: 0.5,
-            policy,
-            crash_every: None,
-            split_every: Some(4),
-            threads: 1,
-        };
-        let (one, _, _) = run_point(&tb, &p);
-        assert_invariants(&format!("smoke/{policy}"), &one);
-        let (two, _, _) = run_point(&tb, &FleetPoint { threads: 2, ..p });
+    for policy in POLICIES {
+        let mut p = Row::new(4, 0.5, policy);
+        p.point.sessions = 4;
+        p.point.threads = 1;
+        p.split_every = Some(4);
+        let one = p.run(&tb).report;
+        check_books(&format!("smoke/{policy}"), &one);
+        p.point.threads = 2;
         assert_eq!(
-            one, two,
+            one,
+            p.run(&tb).report,
             "smoke/{policy}: thread count changed the fleet report"
         );
         println!(
@@ -240,109 +224,48 @@ fn main() {
     banner("Fleet sweep — size × policy (Llama-70B / 8xA100 per instance)");
     let sizes = [4usize, 16, 100, 400, 1000];
     for &size in &sizes {
-        for policy in ["round-robin", "prefix-affinity"] {
-            let p = FleetPoint {
-                size,
-                sessions: SESSIONS_PER_INSTANCE,
-                rate: 0.5,
-                policy,
-                crash_every: None,
-                split_every: None,
-                threads: bench::sweep::num_threads(),
-            };
-            let (report, wall, peak) = run_point(&tb, &p);
-            assert_invariants(&format!("{size}/{policy}"), &report);
-            print_row(&p, &report, wall, peak);
-            let row = row_json(&p, &report, wall, peak);
-            save_record("fleet", &row);
-            rows.push(row);
+        for policy in POLICIES {
+            let row = Row::new(size, 0.5, policy);
+            sweep_row(&tb, row, &format!("{size}/{policy}"), &mut rows);
         }
     }
 
     banner("Fleet sweep — arrival rate (16 instances)");
     for rate in [0.25, 1.0] {
-        for policy in ["round-robin", "prefix-affinity"] {
-            let p = FleetPoint {
-                size: 16,
-                sessions: SESSIONS_PER_INSTANCE,
-                rate,
-                policy,
-                crash_every: None,
-                split_every: None,
-                threads: bench::sweep::num_threads(),
-            };
-            let (report, wall, peak) = run_point(&tb, &p);
-            assert_invariants(&format!("rate{rate}/{policy}"), &report);
-            print_row(&p, &report, wall, peak);
-            let row = row_json(&p, &report, wall, peak);
-            save_record("fleet", &row);
-            rows.push(row);
+        for policy in POLICIES {
+            let row = Row::new(16, rate, policy);
+            sweep_row(&tb, row, &format!("rate{rate}/{policy}"), &mut rows);
         }
     }
 
     banner("Fleet sweep — crash reroutes (16 instances, every 8th crashes)");
-    for policy in ["round-robin", "prefix-affinity"] {
-        let p = FleetPoint {
-            size: 16,
-            sessions: SESSIONS_PER_INSTANCE,
-            rate: 0.5,
-            policy,
+    for policy in POLICIES {
+        let row = Row {
             crash_every: Some(8),
-            split_every: None,
-            threads: bench::sweep::num_threads(),
+            ..Row::new(16, 0.5, policy)
         };
-        let (report, wall, peak) = run_point(&tb, &p);
-        assert_invariants(&format!("crash/{policy}"), &report);
+        let report = sweep_row(&tb, row, &format!("crash/{policy}"), &mut rows);
         assert!(
             report.routing.rerouted_on_crash > 0,
             "{policy}: a 10s outage on 2 instances should force reroutes"
         );
-        print_row(&p, &report, wall, peak);
-        let row = row_json(&p, &report, wall, peak);
-        save_record("fleet", &row);
-        rows.push(row);
     }
 
     banner("Fleet sweep — mixed single-node/split paths (16 instances, every 4th split)");
-    {
-        let p = FleetPoint {
-            size: 16,
-            sessions: SESSIONS_PER_INSTANCE,
-            rate: 0.5,
-            policy: "prefix-affinity",
-            crash_every: None,
-            split_every: Some(4),
-            threads: bench::sweep::num_threads(),
-        };
-        let (report, wall, peak) = run_point(&tb, &p);
-        assert_invariants("mixed", &report);
-        print_row(&p, &report, wall, peak);
-        let row = row_json(&p, &report, wall, peak);
-        save_record("fleet", &row);
-        rows.push(row);
-    }
+    let row = Row {
+        split_every: Some(4),
+        ..Row::new(16, 0.5, "prefix-affinity")
+    };
+    sweep_row(&tb, row, "mixed", &mut rows);
 
     // Determinism: the 100-instance headline point must replay
     // bit-identically at any thread count.
     banner("Thread-count replay identity (100 instances)");
-    let headline = FleetPoint {
-        size: 100,
-        sessions: SESSIONS_PER_INSTANCE,
-        rate: 0.5,
-        policy: "prefix-affinity",
-        crash_every: None,
-        split_every: None,
-        threads: 1,
-    };
-    let (sequential, _, _) = run_point(&tb, &headline);
-    let (threaded, _, _) = run_point(
-        &tb,
-        &FleetPoint {
-            threads: 4,
-            ..headline
-        },
-    );
-    let identical = sequential == threaded;
+    let mut headline = Row::new(100, 0.5, "prefix-affinity");
+    headline.point.threads = 1;
+    let sequential = headline.run(&tb).report;
+    headline.point.threads = 4;
+    let identical = sequential == headline.run(&tb).report;
     assert!(identical, "fleet replay diverged across thread counts");
     println!("threads 1 vs 4: identical_results = {identical}");
 

@@ -40,22 +40,18 @@
 //! `scripts/check.sh` as `fleet-chaos-smoke`. `--gray-smoke` does the
 //! same for the gray tier (`scripts/check.sh gray-smoke`).
 
+use bench::fleet_harness::{check_books, FleetPoint, MemberPlan, Tiers, THINK_SECS};
+use bench::sweep::num_threads;
 use bench::systems::{SystemKind, Testbed};
 use bench::{banner, save_record};
-use fleet::{
-    Fleet, FleetReport, HedgeConfig, PathClass, PrefixAffinity, ReplicationConfig, RoutePolicy,
-};
-use gpusim::GpuSim;
-use serving::{Driver, FaultKind, FaultPlan, WatchdogConfig};
-use simcore::{SimDuration, SimRng, SimTime};
-use workload::{generate_fleet_stream, RequestSpec, WorkloadKind};
+use fleet::{FleetReport, HedgeConfig, PathClass, PrefixAffinity, ReplicationConfig};
+use serving::{FaultKind, FaultPlan};
+use simcore::{SimDuration, SimTime};
 
 const SEED: u64 = 0xC4405;
 /// Sessions per instance; multi-turn so later turns carry reusable
 /// context worth replicating.
 const SESSIONS_PER_INSTANCE: usize = 8;
-/// Mean think time between a session's turns, seconds.
-const THINK_SECS: f64 = 8.0;
 /// First fail-stop instant. Late enough that sessions have come back
 /// for second and third turns, so the heat table has had real repeats
 /// to count and the replicator has mirrored the hot prefixes — a crash
@@ -67,92 +63,90 @@ const FIRST_CRASH_SECS: f64 = 25.0;
 /// regime for health-gated target picking.
 const CRASH_STAGGER_SECS: f64 = 0.75;
 
+/// A point of this binary: `size` MuxWise members, each running
+/// [`SESSIONS_PER_INSTANCE`] sessions at `rate`, on every thread.
+fn point(size: usize, rate: f64, tiers: Tiers) -> FleetPoint {
+    FleetPoint {
+        size,
+        sessions: SESSIONS_PER_INSTANCE,
+        rate,
+        seed: SEED,
+        threads: num_threads(),
+        tiers,
+    }
+}
+
+/// A MuxWise member on the single-node path under `faults`.
+fn muxwise(faults: FaultPlan) -> MemberPlan {
+    MemberPlan {
+        kind: SystemKind::MuxWise,
+        class: PathClass::SingleNode,
+        faults,
+    }
+}
+
 /// One chaos grid point.
 #[derive(Clone, Copy)]
 struct ChaosPoint {
-    size: usize,
-    sessions: usize,
-    rate: f64,
+    point: FleetPoint,
     /// Fraction of members struck by a permanent GPU fail-stop.
     intensity: f64,
-    /// Mirror hot prefixes onto a second member (R=2) when true.
-    replication: bool,
-    /// Fleet failover tier armed when true.
-    failover: bool,
-    threads: usize,
 }
 
 impl ChaosPoint {
-    fn crashed(&self) -> usize {
-        (self.size as f64 * self.intensity).round() as usize
-    }
-
-    fn arm(&self) -> &'static str {
-        match (self.failover, self.replication) {
-            (false, _) => "failover-off",
-            (true, false) => "failover",
-            (true, true) => "failover+R2",
-        }
-    }
-}
-
-fn build_fleet(tb: &Testbed, p: &ChaosPoint) -> Fleet {
-    let mut fleet = Fleet::new().with_threads(p.threads);
-    if !p.failover {
-        fleet = fleet.without_failover();
-    }
-    if p.replication {
-        fleet = fleet.with_replication(ReplicationConfig {
+    /// `size` members at 0.5 sessions/s, failover armed when
+    /// `failover`, hot prefixes mirrored onto a second member (R=2) when
+    /// `replication`.
+    fn new(size: usize, intensity: f64, failover: bool, replication: bool) -> ChaosPoint {
+        let r2 = ReplicationConfig {
             factor: 2,
             top_k: 16,
             sweep_every: 4,
             ..ReplicationConfig::default()
-        });
+        };
+        let tiers = Tiers {
+            failover,
+            replication: replication.then_some(r2),
+            hedging: None,
+        };
+        ChaosPoint {
+            point: point(size, 0.5, tiers),
+            intensity,
+        }
     }
-    for i in 0..p.size {
-        let engine = tb
-            .build(SystemKind::MuxWise)
-            .expect("muxwise fits the testbed");
-        let mut driver = Driver::new(GpuSim::from_cluster(&tb.cluster), Vec::new(), tb.slo)
-            .with_watchdog(WatchdogConfig::default());
-        if i < p.crashed() {
+
+    fn crashed(&self) -> usize {
+        (self.point.size as f64 * self.intensity).round() as usize
+    }
+
+    fn arm(&self) -> &'static str {
+        match (self.point.tiers.failover, self.point.tiers.replication) {
+            (false, _) => "failover-off",
+            (true, None) => "failover",
+            (true, Some(_)) => "failover+R2",
+        }
+    }
+
+    fn run(&self, tb: &Testbed) -> FleetReport {
+        let member = |i: usize| {
+            if i >= self.crashed() {
+                return muxwise(FaultPlan::none());
+            }
             // Stagger the wave so the survivor set shifts mid-drain,
             // and rotate the failing device across members.
             let start = FIRST_CRASH_SECS + i as f64 * CRASH_STAGGER_SECS;
-            driver = driver.with_faults(FaultPlan::single(
+            muxwise(FaultPlan::single(
                 FaultKind::GpuFailStopPermanent {
                     gpu: (i as u32) % tb.cluster.num_gpus,
                 },
                 SimTime::from_secs(start),
                 SimTime::from_secs(1e9),
-            ));
-        }
-        fleet.push(
-            driver,
-            engine,
-            PathClass::SingleNode,
-            format!("muxwise#{i}"),
-        );
+            ))
+        };
+        self.point
+            .run(tb, &mut PrefixAffinity::default(), member)
+            .report
     }
-    fleet
-}
-
-fn trace_for(p: &ChaosPoint) -> Vec<RequestSpec> {
-    let mut rng = SimRng::seed_from(SEED);
-    generate_fleet_stream(
-        WorkloadKind::Conversation,
-        p.size,
-        p.sessions,
-        p.rate,
-        THINK_SECS,
-        &mut rng,
-    )
-}
-
-fn run_point(tb: &Testbed, p: &ChaosPoint) -> FleetReport {
-    let trace = trace_for(p);
-    let mut policy: Box<dyn RoutePolicy> = Box::new(PrefixAffinity::default());
-    build_fleet(tb, p).run(&trace, policy.as_mut())
 }
 
 /// Victims revoked by fail-stops, summed across members.
@@ -163,15 +157,6 @@ fn victims(r: &FleetReport) -> u64 {
 /// Victims shed rather than recovered, summed across members.
 fn crash_shed(r: &FleetReport) -> u64 {
     r.reports.iter().map(|m| m.recovery.shed_on_crash).sum()
-}
-
-fn assert_invariants(label: &str, report: &FleetReport) {
-    assert_eq!(report.leaked_leases(), 0, "{label}: fleet leaked KV leases");
-    assert_eq!(
-        report.finished() + report.shed() + report.cancelled(),
-        report.total(),
-        "{label}: fleet lost requests"
-    );
 }
 
 /// With failover on, no request may end its run stranded on a member
@@ -186,12 +171,13 @@ fn assert_nothing_stranded(label: &str, report: &FleetReport) {
 }
 
 fn row_json(p: &ChaosPoint, report: &FleetReport) -> serde_json::Value {
+    let tiers = &p.point.tiers;
     serde_json::json!({
-        "size": p.size, "intensity": p.intensity, "arm": p.arm(),
+        "size": p.point.size, "intensity": p.intensity, "arm": p.arm(),
         "crashed_instances": p.crashed(),
-        "replication_factor": if p.replication { 2 } else { 0 },
-        "failover": p.failover,
-        "rate_per_instance": p.rate,
+        "replication_factor": tiers.replication.map_or(0, |r| r.factor),
+        "failover": tiers.failover,
+        "rate_per_instance": p.point.rate,
         "requests": report.total(), "finished": report.finished(),
         "shed": report.shed(), "tokens": report.total_tokens(),
         "goodput_tokens_per_s": report.goodput_tokens_per_sec(),
@@ -211,14 +197,14 @@ fn row_json(p: &ChaosPoint, report: &FleetReport) -> serde_json::Value {
         "ejections": report.health.ejections,
         "probes": report.health.probes,
         "makespan_s": report.makespan_secs(),
-        "threads": p.threads,
+        "threads": p.point.threads,
     })
 }
 
 fn print_row(p: &ChaosPoint, report: &FleetReport) {
     println!(
         "{:>4} inst  int {:>4.2}  {:<12}  victims {:>4}  shed-on-crash {:>4}  migrated {:>4}  finished {:>4}  cached {:>3}  reprefill {:>3}  gave-up {:>3}  eject {:>3}  goodput {:>9.0} tok/s",
-        p.size,
+        p.point.size,
         p.intensity,
         p.arm(),
         victims(report),
@@ -240,17 +226,10 @@ fn print_row(p: &ChaosPoint, report: &FleetReport) {
 fn smoke() {
     banner("Fleet chaos smoke");
     let tb = Testbed::llama8b_a100();
-    let p = ChaosPoint {
-        size: 8,
-        sessions: SESSIONS_PER_INSTANCE,
-        rate: 0.5,
-        intensity: 0.5,
-        replication: true,
-        failover: true,
-        threads: 1,
-    };
-    let one = run_point(&tb, &p);
-    assert_invariants("chaos-smoke", &one);
+    let mut p = ChaosPoint::new(8, 0.5, true, true);
+    p.point.threads = 1;
+    let one = p.run(&tb);
+    check_books("chaos-smoke", &one);
     assert_nothing_stranded("chaos-smoke", &one);
     assert!(
         one.failover.migrated_finished >= 1,
@@ -267,8 +246,8 @@ fn smoke() {
         "permanent fail-stops must eject members: {:?}",
         one.health
     );
-    let two = run_point(&tb, &ChaosPoint { threads: 2, ..p });
-    assert_eq!(one, two, "chaos smoke diverged across thread counts");
+    p.point.threads = 2;
+    assert_eq!(one, p.run(&tb), "chaos smoke diverged across thread counts");
     println!(
         "{} requests, {} finished, {} shed; {} victims, {} migrated ({} finished, {} cached resumes), {} ejections — ok",
         one.total(),
@@ -289,93 +268,71 @@ const GRAY_START_SECS: f64 = 15.0;
 /// Gray window length, seconds — spans the bulk of the arrival stream.
 const GRAY_LEN_SECS: f64 = 90.0;
 
+/// Fraction of members struck by a gray window.
+const GRAY_FRACTION: f64 = 0.5;
+
 /// One gray-failure grid point: latency/bandwidth-only fault windows
 /// (no GPU ever dies, no severe flag fires) on a member subset, with
 /// hedged dispatch on or off.
 #[derive(Clone, Copy)]
 struct GrayPoint {
-    size: usize,
-    sessions: usize,
-    rate: f64,
-    /// Fraction of members struck by a gray window.
-    gray_fraction: f64,
-    hedging: bool,
-    threads: usize,
+    point: FleetPoint,
 }
 
 impl GrayPoint {
+    /// `size` members at `rate` sessions/s, hedged when `hedging`.
+    fn new(size: usize, rate: f64, hedging: bool) -> GrayPoint {
+        let tiers = Tiers {
+            hedging: hedging.then(HedgeConfig::default),
+            ..Tiers::default()
+        };
+        GrayPoint {
+            point: point(size, rate, tiers),
+        }
+    }
+
     fn gray_members(&self) -> usize {
-        (self.size as f64 * self.gray_fraction).round() as usize
+        (self.point.size as f64 * GRAY_FRACTION).round() as usize
     }
 
     fn arm(&self) -> &'static str {
-        if self.hedging {
+        if self.point.tiers.hedging.is_some() {
             "gray+hedge"
         } else {
             "gray"
         }
     }
-}
 
-/// The gray fault mix: even-indexed victims take a kernel latency spike
-/// (driver stutter / thermal throttle), odd-indexed ones an HBM
-/// bandwidth degrade — both leave every GPU alive, which is exactly
-/// what makes them invisible to the fail-stop breaker path.
-fn gray_plan(i: usize) -> FaultPlan {
-    let kind = if i.is_multiple_of(2) {
-        FaultKind::KernelLatencySpike {
-            mult: 20.0,
-            duration: SimDuration::from_secs(GRAY_LEN_SECS),
-        }
-    } else {
-        FaultKind::HbmDegrade {
-            gpu: 0,
-            bw_fraction: 0.05,
-        }
-    };
-    FaultPlan::single(
-        kind,
-        SimTime::from_secs(GRAY_START_SECS),
-        SimTime::from_secs(GRAY_START_SECS + GRAY_LEN_SECS),
-    )
-}
-
-fn build_gray_fleet(tb: &Testbed, p: &GrayPoint) -> Fleet {
-    let mut fleet = Fleet::new().with_threads(p.threads);
-    if p.hedging {
-        fleet = fleet.with_hedging(HedgeConfig::default());
+    /// The gray fault mix: even-indexed victims take a kernel latency
+    /// spike (driver stutter / thermal throttle), odd-indexed ones an
+    /// HBM bandwidth degrade — both leave every GPU alive, which is
+    /// exactly what makes them invisible to the fail-stop breaker path.
+    fn run(&self, tb: &Testbed) -> FleetReport {
+        let member = |i: usize| {
+            if i >= self.gray_members() {
+                return muxwise(FaultPlan::none());
+            }
+            let kind = if i.is_multiple_of(2) {
+                FaultKind::KernelLatencySpike {
+                    mult: 20.0,
+                    duration: SimDuration::from_secs(GRAY_LEN_SECS),
+                }
+            } else {
+                FaultKind::HbmDegrade {
+                    gpu: 0,
+                    bw_fraction: 0.05,
+                }
+            };
+            muxwise(FaultPlan::single(
+                kind,
+                SimTime::from_secs(GRAY_START_SECS),
+                SimTime::from_secs(GRAY_START_SECS + GRAY_LEN_SECS),
+            ))
+        };
+        self.point
+            .run(tb, &mut PrefixAffinity::default(), member)
+            .report
     }
-    for i in 0..p.size {
-        let engine = tb
-            .build(SystemKind::MuxWise)
-            .expect("muxwise fits the testbed");
-        let mut driver = Driver::new(GpuSim::from_cluster(&tb.cluster), Vec::new(), tb.slo)
-            .with_watchdog(WatchdogConfig::default());
-        if i < p.gray_members() {
-            driver = driver.with_faults(gray_plan(i));
-        }
-        fleet.push(
-            driver,
-            engine,
-            PathClass::SingleNode,
-            format!("muxwise#{i}"),
-        );
-    }
-    fleet
-}
-
-fn run_gray_point(tb: &Testbed, p: &GrayPoint) -> FleetReport {
-    let mut rng = SimRng::seed_from(SEED);
-    let trace = generate_fleet_stream(
-        WorkloadKind::Conversation,
-        p.size,
-        p.sessions,
-        p.rate,
-        THINK_SECS,
-        &mut rng,
-    );
-    let mut policy: Box<dyn RoutePolicy> = Box::new(PrefixAffinity::default());
-    build_gray_fleet(tb, p).run(&trace, policy.as_mut())
 }
 
 /// TTFT-weighted goodput: tokens weighted by their instance's TTFT
@@ -396,10 +353,10 @@ fn ttft_goodput(r: &FleetReport) -> f64 {
 
 fn gray_row_json(p: &GrayPoint, report: &FleetReport) -> serde_json::Value {
     serde_json::json!({
-        "size": p.size, "gray_fraction": p.gray_fraction, "arm": p.arm(),
+        "size": p.point.size, "gray_fraction": GRAY_FRACTION, "arm": p.arm(),
         "gray_instances": p.gray_members(),
-        "hedging": p.hedging,
-        "rate_per_instance": p.rate,
+        "hedging": p.point.tiers.hedging.is_some(),
+        "rate_per_instance": p.point.rate,
         "requests": report.total(), "finished": report.finished(),
         "shed": report.shed(), "cancelled": report.cancelled(),
         "tokens": report.total_tokens(),
@@ -418,15 +375,15 @@ fn gray_row_json(p: &GrayPoint, report: &FleetReport) -> serde_json::Value {
         "budget_spent_hedge": report.overload.budget_spent_hedge,
         "ingress_shed": report.overload.ingress_shed,
         "makespan_s": report.makespan_secs(),
-        "threads": p.threads,
+        "threads": p.point.threads,
     })
 }
 
 fn print_gray_row(p: &GrayPoint, report: &FleetReport) {
     println!(
         "{:>4} inst  gray {:>4.2}  {:<12}  trips {:>3}  hedges {:>4}  wins {:>4}  cancelled {:>4}  ttft-att {:>5.3}  ttft-goodput {:>9.0} tok/s",
-        p.size,
-        p.gray_fraction,
+        p.point.size,
+        GRAY_FRACTION,
         p.arm(),
         report.health.gray_trips,
         report.hedge.launched,
@@ -444,16 +401,10 @@ fn print_gray_row(p: &GrayPoint, report: &FleetReport) {
 fn gray_smoke() {
     banner("Fleet gray-failure smoke");
     let tb = Testbed::llama8b_a100();
-    let p = GrayPoint {
-        size: 6,
-        sessions: SESSIONS_PER_INSTANCE,
-        rate: 0.5,
-        gray_fraction: 0.5,
-        hedging: true,
-        threads: 1,
-    };
-    let one = run_gray_point(&tb, &p);
-    assert_invariants("gray-smoke", &one);
+    let mut p = GrayPoint::new(6, 0.5, true);
+    p.point.threads = 1;
+    let one = p.run(&tb);
+    check_books("gray-smoke", &one);
     assert_nothing_stranded("gray-smoke", &one);
     assert!(
         one.health.gray_trips >= 1,
@@ -465,8 +416,8 @@ fn gray_smoke() {
         "a degraded member must draw at least one hedge: {:?}",
         one.hedge
     );
-    let two = run_gray_point(&tb, &GrayPoint { threads: 2, ..p });
-    assert_eq!(one, two, "gray smoke diverged across thread counts");
+    p.point.threads = 2;
+    assert_eq!(one, p.run(&tb), "gray smoke diverged across thread counts");
     println!(
         "{} requests, {} finished, {} shed, {} cancelled; {} gray trips, {} hedges ({} hedge wins) — ok",
         one.total(),
@@ -491,15 +442,6 @@ fn main() {
     }
     let tb = Testbed::llama8b_a100();
     let mut rows = Vec::new();
-    let base = ChaosPoint {
-        size: 0,
-        sessions: SESSIONS_PER_INSTANCE,
-        rate: 0.5,
-        intensity: 0.0,
-        replication: false,
-        failover: true,
-        threads: bench::sweep::num_threads(),
-    };
     let arms: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
     let sizes = [4usize, 8, 16];
     let intensities = [0.0, 0.25, 0.5];
@@ -509,15 +451,9 @@ fn main() {
         let mut crash_free: Vec<FleetReport> = Vec::new();
         for &intensity in &intensities {
             for (failover, replication) in arms {
-                let p = ChaosPoint {
-                    size,
-                    intensity,
-                    failover,
-                    replication,
-                    ..base
-                };
-                let report = run_point(&tb, &p);
-                assert_invariants(&format!("{size}/{intensity}/{}", p.arm()), &report);
+                let p = ChaosPoint::new(size, intensity, failover, replication);
+                let report = p.run(&tb);
+                check_books(&format!("{size}/{intensity}/{}", p.arm()), &report);
                 print_row(&p, &report);
                 let row = row_json(&p, &report);
                 save_record("fleet_chaos", &row);
@@ -595,23 +531,11 @@ fn main() {
     // Determinism: the headline chaos point replays bit-identically
     // across thread counts.
     banner("Thread-count replay identity (8 instances, intensity 0.5, R=2)");
-    let headline = ChaosPoint {
-        size: 8,
-        intensity: 0.5,
-        failover: true,
-        replication: true,
-        threads: 1,
-        ..base
-    };
-    let sequential = run_point(&tb, &headline);
-    let threaded = run_point(
-        &tb,
-        &ChaosPoint {
-            threads: 4,
-            ..headline
-        },
-    );
-    let identical = sequential == threaded;
+    let mut headline = ChaosPoint::new(8, 0.5, true, true);
+    headline.point.threads = 1;
+    let sequential = headline.run(&tb);
+    headline.point.threads = 4;
+    let identical = sequential == headline.run(&tb);
     assert!(identical, "chaos replay diverged across thread counts");
     println!("threads 1 vs 4: identical_results = {identical}");
 
@@ -620,23 +544,12 @@ fn main() {
     // must win back a measurable share of the TTFT-weighted goodput the
     // gray windows cost, without losing a request.
     banner("Gray failures — hedging off vs on (8 instances, half gray)");
-    let gray_base = GrayPoint {
-        size: 8,
-        sessions: SESSIONS_PER_INSTANCE,
-        rate: 1.5,
-        gray_fraction: 0.5,
-        hedging: false,
-        threads: bench::sweep::num_threads(),
-    };
     let mut gray_rows = Vec::new();
     let mut gray_goodputs = [0.0f64; 2];
     for (k, hedging) in [false, true].into_iter().enumerate() {
-        let p = GrayPoint {
-            hedging,
-            ..gray_base
-        };
-        let report = run_gray_point(&tb, &p);
-        assert_invariants(&format!("gray/{}", p.arm()), &report);
+        let p = GrayPoint::new(8, 1.5, hedging);
+        let report = p.run(&tb);
+        check_books(&format!("gray/{}", p.arm()), &report);
         assert!(
             report.health.gray_trips >= 1,
             "{}: gray windows must trip the breaker: {:?}",
@@ -671,22 +584,11 @@ fn main() {
     );
 
     // Gray determinism: the hedged gray point replays bit-identically.
-    let gray_seq = run_gray_point(
-        &tb,
-        &GrayPoint {
-            hedging: true,
-            threads: 1,
-            ..gray_base
-        },
-    );
-    let gray_thr = run_gray_point(
-        &tb,
-        &GrayPoint {
-            hedging: true,
-            threads: 4,
-            ..gray_base
-        },
-    );
+    let mut gray_headline = GrayPoint::new(8, 1.5, true);
+    gray_headline.point.threads = 1;
+    let gray_seq = gray_headline.run(&tb);
+    gray_headline.point.threads = 4;
+    let gray_thr = gray_headline.run(&tb);
     let gray_identical = gray_seq == gray_thr;
     assert!(gray_identical, "gray replay diverged across thread counts");
     println!("gray threads 1 vs 4: identical_results = {gray_identical}");

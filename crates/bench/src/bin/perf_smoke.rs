@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use bench::banner;
+use bench::harness::{stability_run, Faults};
 use bench::sweep::SweepJob;
 use bench::systems::{SystemKind, Testbed};
 use workload::WorkloadKind;
@@ -91,26 +92,27 @@ fn main() {
                     n: 150,
                     rate,
                     seed: 0x50_0E,
+                    faults: Faults::Healthy,
                 })
         })
         .collect();
 
     // Warm-up pass (page faults, lazy allocations).
-    let _ = jobs[0].run();
+    let _ = stability_run(&jobs[0]);
 
     let mut best = 0.0f64;
     let mut work = None;
     for pass in 0..repeats() {
         // simlint: allow(R2) reason="times one sequential grid pass; reporting-only"
         let t0 = Instant::now();
-        let results: Vec<_> = jobs.iter().map(SweepJob::run_full).collect();
+        let results: Vec<_> = jobs.iter().map(stability_run).collect();
         let wall = t0.elapsed().as_secs_f64();
         let runs = results.iter().flatten();
         let w = Work {
-            simulated_seconds: runs.clone().map(|(r, _, _)| r.makespan.as_secs()).sum(),
-            events: runs.clone().map(|(_, _, events)| events).sum(),
-            decode_iterations: runs.clone().map(|(_, (it, _), _)| it).sum(),
-            decode_iterations_coalesced: runs.map(|(_, (_, co), _)| co).sum(),
+            simulated_seconds: runs.clone().map(|r| r.report.makespan.as_secs()).sum(),
+            events: runs.clone().map(|r| r.events).sum(),
+            decode_iterations: runs.clone().map(|r| r.decode_iters.0).sum(),
+            decode_iterations_coalesced: runs.map(|r| r.decode_iters.1).sum(),
         };
         work = Some(w);
         let rate = w.simulated_seconds / wall;

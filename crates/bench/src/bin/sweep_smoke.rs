@@ -23,6 +23,7 @@
 use std::time::Instant;
 
 use bench::banner;
+use bench::harness::{stability_run, Faults};
 use bench::sweep::{num_threads, run_sweep, SweepJob};
 use bench::systems::{SystemKind, Testbed};
 use workload::WorkloadKind;
@@ -53,13 +54,14 @@ fn main() {
                     n: 150,
                     rate,
                     seed: 0x50_0E,
+                    faults: Faults::Healthy,
                 })
         })
         .collect();
 
     // Warm-up pass so neither timed pass pays one-time costs (page
     // faults, lazy allocations).
-    let _ = jobs[0].run();
+    let _ = stability_run(&jobs[0]);
 
     let reps = repeats();
 
@@ -74,16 +76,13 @@ fn main() {
     for rep in 0..reps {
         // simlint: allow(R2) reason="times the sequential baseline pass; reporting-only"
         let t0 = Instant::now();
-        let full: Vec<_> = jobs.iter().map(SweepJob::run_full).collect();
+        let runs: Vec<_> = jobs.iter().map(stability_run).collect();
         wall_seq = wall_seq.min(t0.elapsed().as_secs_f64());
         if rep == 0 {
-            total_events = full.iter().flatten().map(|(_, _, events)| events).sum();
-            decode_iters = full.iter().flatten().map(|(_, (it, _), _)| it).sum();
-            coalesced_iters = full.iter().flatten().map(|(_, (_, co), _)| co).sum();
-            sequential = full
-                .into_iter()
-                .map(|r| r.map(|(report, _, _)| report))
-                .collect();
+            total_events = runs.iter().flatten().map(|r| r.events).sum();
+            decode_iters = runs.iter().flatten().map(|r| r.decode_iters.0).sum();
+            coalesced_iters = runs.iter().flatten().map(|r| r.decode_iters.1).sum();
+            sequential = runs;
         }
     }
 
@@ -104,7 +103,7 @@ fn main() {
     let sim_secs: f64 = sequential
         .iter()
         .flatten()
-        .map(|r| r.makespan.as_secs())
+        .map(|r| r.report.makespan.as_secs())
         .sum();
     let threads = num_threads();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -1,10 +1,12 @@
-//! Run helpers: single traces, rate sweeps, formatted output.
+//! Run helpers: single traces, the one experiment-point recipe, the
+//! real-world traces, formatted output.
 
 use gpusim::GpuSim;
-use serving::{find_goodput, Driver, GoodputResult, Report};
-use simcore::{SimRng, SimTime};
+use serving::{Driver, FaultPlan, Report, WatchdogConfig};
+use simcore::{SimDuration, SimRng, SimTime};
 use workload::{generate, RequestSpec, WorkloadKind};
 
+use crate::sweep::SweepJob;
 use crate::systems::{SystemKind, Testbed};
 
 /// Runs one system over a fixed request trace.
@@ -14,100 +16,99 @@ pub fn run_trace(tb: &Testbed, kind: SystemKind, reqs: Vec<RequestSpec>) -> Opti
     Some(Driver::new(gpu, reqs, tb.slo).run(engine.as_mut()))
 }
 
-/// Runs one system over `n` requests of `workload` at a Poisson `rate`
-/// with a deterministic seed.
-pub fn run_poisson(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rate: f64,
-    seed: u64,
-) -> Option<Report> {
-    let mut rng = SimRng::seed_from(seed);
-    let reqs = generate(workload, n, rate, &mut rng);
-    run_trace(tb, kind, reqs)
+/// The fault setting of one experiment point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Faults {
+    /// No fault plan and no watchdog.
+    Healthy,
+    /// A [`FaultPlan::generate_with_crashes`] schedule at this intensity
+    /// in `[0, 1]`, with the driver watchdog on — at `0.0` too, so an
+    /// intensity-0 point is the chaos grid's control, not a healthy
+    /// point.
+    Generated(f64),
+    /// One crash-then-recover window, with the watchdog on; the outage
+    /// extends the service-time grace.
+    Crash(CrashSpec),
 }
 
-/// Runs one rate point with stability detection: the horizon grants
-/// enough grace for the workload's intrinsic service time (long-output
+/// One crash-then-recover window: `gpu` dies at `at_secs` for
+/// `down_secs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrashSpec {
+    /// Device that fail-stops.
+    pub gpu: u32,
+    /// Crash instant (seconds into the run).
+    pub at_secs: f64,
+    /// Outage length (seconds).
+    pub down_secs: f64,
+}
+
+/// What one experiment point produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The driver's report.
+    pub report: Report,
+    /// The engine's decode coalescing counters `(total iterations,
+    /// macro-coalesced iterations)`; zero for engines without a
+    /// macro-stepped fast path.
+    pub decode_iters: (u64, u64),
+    /// The simulator's boundary-event count, for events/wall-second
+    /// reporting.
+    pub events: u64,
+}
+
+/// Runs one experiment point with stability detection; `None` when the
+/// system cannot host the model. The trace comes from the job's seed
+/// (and so does a generated fault plan). The horizon grants enough
+/// grace for the workload's intrinsic service time (long-output
 /// workloads need minutes of decode after the last arrival), and queue
 /// divergence (P99 TTFT comparable to the trace span) marks the report
 /// unstable.
-pub fn stability_run(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rate: f64,
-    seed: u64,
-) -> Option<Report> {
-    stability_run_stats(tb, kind, workload, n, rate, seed).map(|(report, _)| report)
-}
-
-/// [`stability_run`] variant that also returns the engine's decode
-/// coalescing counters `(total iterations, macro-coalesced iterations)`
-/// — zero for engines without a macro-stepped fast path. The report is
-/// bit-identical to [`stability_run`]'s.
-pub fn stability_run_stats(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rate: f64,
-    seed: u64,
-) -> Option<(Report, (u64, u64))> {
-    stability_run_full(tb, kind, workload, n, rate, seed).map(|(report, iters, _)| (report, iters))
-}
-
-/// [`stability_run_stats`] variant that additionally returns the
-/// simulator's boundary-event count, for events/wall-second reporting.
-/// The report stays bit-identical to [`stability_run`]'s.
-pub fn stability_run_full(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rate: f64,
-    seed: u64,
-) -> Option<(Report, (u64, u64), u64)> {
-    let mut rng = SimRng::seed_from(seed);
-    let reqs = generate(workload, n, rate, &mut rng);
+pub fn stability_run(job: &SweepJob<'_>) -> Option<Run> {
+    let tb = job.tb;
+    let mut rng = SimRng::seed_from(job.seed);
+    let reqs = generate(job.workload, job.n, job.rate, &mut rng);
+    let span = job.n as f64 / job.rate;
+    let (plan, outage_secs) = match job.faults {
+        Faults::Healthy => (None, 0.0),
+        Faults::Generated(intensity) => {
+            let gpus = tb.cluster.num_gpus;
+            let plan = FaultPlan::generate_with_crashes(job.seed, intensity, span, gpus);
+            (Some(plan), 0.0)
+        }
+        Faults::Crash(crash) => {
+            let at = SimTime::from_secs(crash.at_secs);
+            let down = SimDuration::from_secs(crash.down_secs);
+            (Some(FaultPlan::crash(crash.gpu, at, down)), crash.down_secs)
+        }
+    };
     let max_out = reqs.iter().map(|r| r.output_tokens).max().unwrap_or(0) as f64;
     // Service-time allowance: even the longest response must be able to
     // finish after the last arrival; decode iterations run well under
     // the TBT target, so half the target per output token is a generous
     // bound. Overload is still caught by the TTFT-divergence check.
-    let grace = (60.0 + max_out * tb.slo.tbt.as_secs() * 0.35).min(1_800.0);
-    let span = n as f64 / rate;
+    let grace = (60.0 + outage_secs + max_out * tb.slo.tbt.as_secs() * 0.35).min(1_800.0);
     let horizon = reqs
         .last()
-        .map(|r| r.arrival + simcore::SimDuration::from_secs(grace))
+        .map(|r| r.arrival + SimDuration::from_secs(grace))
         .unwrap_or(SimTime::from_secs(grace));
-    let mut engine = tb.build(kind)?;
+    let mut engine = tb.build(job.kind)?;
     let gpu = GpuSim::from_cluster(&tb.cluster);
-    let (mut report, events) = Driver::new(gpu, reqs, tb.slo)
-        .with_max_sim_time(horizon)
-        .run_stats(engine.as_mut());
+    let mut driver = Driver::new(gpu, reqs, tb.slo).with_max_sim_time(horizon);
+    if let Some(plan) = plan {
+        driver = driver
+            .with_faults(plan)
+            .with_watchdog(WatchdogConfig::default());
+    }
+    let (mut report, events) = driver.run_stats(engine.as_mut());
     if report.ttft.p99() > 0.5 * span {
         report.diverged = true;
     }
-    Some((report, engine.decode_iter_stats(), events))
-}
-
-/// Goodput search for one system: sweeps the given rates (Fig. 15).
-pub fn goodput_sweep(
-    tb: &Testbed,
-    kind: SystemKind,
-    workload: WorkloadKind,
-    n: usize,
-    rates: &[f64],
-    seed: u64,
-) -> Option<GoodputResult> {
-    tb.build(kind)?;
-    Some(find_goodput(rates, tb.slo.tbt.as_secs(), |rate| {
-        stability_run(tb, kind, workload, n, rate, seed).expect("system buildable (checked above)")
-    }))
+    Some(Run {
+        report,
+        decode_iters: engine.decode_iter_stats(),
+        events,
+    })
 }
 
 /// Builds the two scaled real-world traces of Fig. 13/14 for the given
@@ -246,13 +247,41 @@ impl LatencyRow {
 mod tests {
     use super::*;
 
+    fn poisson(n: usize, rate: f64, seed: u64) -> Vec<RequestSpec> {
+        generate(
+            WorkloadKind::ShareGpt,
+            n,
+            rate,
+            &mut SimRng::seed_from(seed),
+        )
+    }
+
+    /// A ShareGPT point of `n` requests at `rate`.
+    fn point(
+        tb: &Testbed,
+        kind: SystemKind,
+        n: usize,
+        rate: f64,
+        seed: u64,
+        faults: Faults,
+    ) -> Report {
+        let job = SweepJob {
+            tb,
+            kind,
+            workload: WorkloadKind::ShareGpt,
+            n,
+            rate,
+            seed,
+            faults,
+        };
+        stability_run(&job).expect("buildable").report
+    }
+
     #[test]
     fn poisson_run_is_deterministic() {
         let tb = Testbed::llama8b_a100();
-        let a = run_poisson(&tb, SystemKind::Chunked, WorkloadKind::ShareGpt, 30, 2.0, 7)
-            .expect("buildable");
-        let b = run_poisson(&tb, SystemKind::Chunked, WorkloadKind::ShareGpt, 30, 2.0, 7)
-            .expect("buildable");
+        let a = run_trace(&tb, SystemKind::Chunked, poisson(30, 2.0, 7)).expect("buildable");
+        let b = run_trace(&tb, SystemKind::Chunked, poisson(30, 2.0, 7)).expect("buildable");
         assert_eq!(a.ttft.p99(), b.ttft.p99());
         assert_eq!(a.total_tokens, b.total_tokens);
         assert_eq!(a, b);
@@ -270,12 +299,54 @@ mod tests {
     #[test]
     fn latency_row_roundtrip() {
         let tb = Testbed::llama8b_a100();
-        let rep = run_poisson(&tb, SystemKind::MuxWise, WorkloadKind::ShareGpt, 30, 2.0, 9)
-            .expect("buildable");
+        let rep = run_trace(&tb, SystemKind::MuxWise, poisson(30, 2.0, 9)).expect("buildable");
         let row = LatencyRow::from_report("MuxWise", &rep);
         assert!(row.stable);
         assert!(row.tbt_p99_ms > 0.0);
         LatencyRow::print_header();
         row.print();
+    }
+
+    #[test]
+    fn generated_faults_are_deterministic_and_leak_free() {
+        let tb = Testbed::llama8b_a100();
+        let a = point(&tb, SystemKind::Chunked, 30, 2.0, 7, Faults::Generated(0.5));
+        let b = point(&tb, SystemKind::Chunked, 30, 2.0, 7, Faults::Generated(0.5));
+        assert_eq!(a, b);
+        assert_eq!(a.counters.leaked_leases, 0);
+        assert!(a.recovery_secs.is_some(), "faulty run reports recovery");
+    }
+
+    #[test]
+    fn crash_run_survives_and_accounts_for_victims() {
+        let tb = Testbed::llama8b_a100();
+        let crash = CrashSpec {
+            gpu: 0,
+            at_secs: 2.0,
+            down_secs: 4.0,
+        };
+        let r = point(&tb, SystemKind::MuxWise, 30, 3.0, 11, Faults::Crash(crash));
+        assert_eq!(r.counters.leaked_leases, 0);
+        assert_eq!(r.finished + r.shed, r.total);
+        assert_eq!(
+            r.recovery.crash_victims,
+            r.recovery.recovered + r.recovery.shed_on_crash
+        );
+    }
+
+    #[test]
+    fn zero_intensity_matches_watchdogless_healthy_run() {
+        // intensity 0 → empty plan → no recovery metric; the watchdog
+        // stays quiet on an unloaded trace.
+        let tb = Testbed::llama8b_a100();
+        let r = point(&tb, SystemKind::MuxWise, 20, 2.0, 9, Faults::Generated(0.0));
+        assert!(r.recovery_secs.is_none());
+        assert_eq!(r.shed, 0);
+        assert_eq!(r.counters.fault_retries, 0);
+        assert!(r.is_stable());
+        assert_eq!(
+            r,
+            point(&tb, SystemKind::MuxWise, 20, 2.0, 9, Faults::Healthy)
+        );
     }
 }

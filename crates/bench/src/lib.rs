@@ -5,10 +5,18 @@
 //! Each binary under `src/bin/` reproduces one artifact
 //! (`cargo run --release -p bench --bin fig14`), printing the paper-style
 //! rows to stdout and appending JSON-lines records under `results/`.
-//! The [`systems`] module is the registry of all serving systems;
-//! [`harness`] runs traces and rate sweeps against them.
+//!
+//! - [`systems`]: the registry of all serving systems and testbeds.
+//! - [`harness`]: the one single-instance recipe,
+//!   [`harness::stability_run`] (healthy, generated faults or one
+//!   crash), plus fixed-trace runs and the latency table.
+//! - [`sweep`]: the one job type, [`sweep::SweepJob`], and the
+//!   deterministic worker pool that runs grids of them
+//!   ([`sweep::run_sweep`], [`sweep::parallel_goodput`]).
+//! - [`fleet_harness`]: the one fleet point — build, stream, run and
+//!   books check — shared by the `fleet` and `fleet_chaos` binaries.
 
-pub mod chaos;
+pub mod fleet_harness;
 pub mod harness;
 pub mod sweep;
 pub mod systems;

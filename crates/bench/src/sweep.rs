@@ -16,19 +16,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use serving::{assemble_goodput, GoodputPoint, GoodputResult, Report};
+use serving::{assemble_goodput, GoodputPoint, GoodputResult};
 use workload::WorkloadKind;
 
-use crate::harness::stability_run;
+use crate::harness::{stability_run, Faults, Run};
 use crate::systems::{SystemKind, Testbed};
 
-// Workers share `&Testbed` across threads and send `Report`s back;
+// Workers share `&Testbed` across threads and send `Run`s back;
 // regressions in either bound should fail here, not in a distant caller.
 const _: () = {
     const fn require_sync<T: Sync>() {}
     const fn require_send<T: Send>() {}
     require_sync::<Testbed>();
-    require_send::<Report>();
+    require_send::<Run>();
 };
 
 /// Number of worker threads the sweep runner uses: the
@@ -112,7 +112,8 @@ where
 }
 
 /// One grid point of an experiment sweep: which system, on which
-/// testbed, over which workload, at what Poisson rate, with which seed.
+/// testbed, over which workload, at what Poisson rate, with which seed,
+/// under which faults. [`stability_run`] runs it.
 ///
 /// Jobs are self-contained and order-independent — each one seeds its
 /// own RNG — which is what makes the pool deterministic.
@@ -128,66 +129,25 @@ pub struct SweepJob<'a> {
     pub n: usize,
     /// Poisson arrival rate (requests/second).
     pub rate: f64,
-    /// RNG seed for trace generation.
+    /// RNG seed for trace generation and a generated fault plan.
     pub seed: u64,
-}
-
-impl SweepJob<'_> {
-    /// Runs the job (a [`stability_run`]); `None` when the system cannot
-    /// host the model.
-    pub fn run(&self) -> Option<Report> {
-        stability_run(
-            self.tb,
-            self.kind,
-            self.workload,
-            self.n,
-            self.rate,
-            self.seed,
-        )
-    }
-
-    /// Like [`SweepJob::run`] but also returns the engine's decode
-    /// coalescing counters `(total, coalesced)`; the report itself is
-    /// bit-identical.
-    pub fn run_with_stats(&self) -> Option<(Report, (u64, u64))> {
-        crate::harness::stability_run_stats(
-            self.tb,
-            self.kind,
-            self.workload,
-            self.n,
-            self.rate,
-            self.seed,
-        )
-    }
-
-    /// Like [`SweepJob::run_with_stats`] but also returns the
-    /// simulator's boundary-event count for events/wall-second
-    /// reporting; the report remains bit-identical.
-    pub fn run_full(&self) -> Option<(Report, (u64, u64), u64)> {
-        crate::harness::stability_run_full(
-            self.tb,
-            self.kind,
-            self.workload,
-            self.n,
-            self.rate,
-            self.seed,
-        )
-    }
+    /// The fault setting.
+    pub faults: Faults,
 }
 
 /// Runs a batch of sweep jobs on the worker pool; results come back in
-/// job order, identical to `jobs.iter().map(SweepJob::run)`.
-pub fn run_sweep(jobs: &[SweepJob<'_>]) -> Vec<Option<Report>> {
-    parallel_map(jobs, SweepJob::run)
+/// job order, identical to `jobs.iter().map(stability_run)`.
+pub fn run_sweep(jobs: &[SweepJob<'_>]) -> Vec<Option<Run>> {
+    parallel_map(jobs, stability_run)
 }
 
-/// Parallel version of [`crate::harness::goodput_sweep`] over several
-/// systems at once: every (system × rate) grid point runs concurrently,
-/// then each system's points are reassembled with the sequential sweep's
-/// early-stop truncation, so per-system results equal
-/// `goodput_sweep(tb, kind, ...)` exactly. Rates beyond the sequential
-/// stop point are evaluated speculatively (that is the price of the
-/// parallelism) but never reported.
+/// Goodput search over several systems at once (Fig. 15): every
+/// (system × rate) grid point of healthy [`stability_run`]s runs
+/// concurrently, then each system's points are reassembled with
+/// [`serving::find_goodput`]'s early-stop truncation, so per-system
+/// results equal that sequential sweep's exactly. Rates beyond the
+/// sequential stop point are evaluated speculatively (that is the price
+/// of the parallelism) but never reported.
 ///
 /// Returns one entry per input system; `None` where the system cannot
 /// host the model.
@@ -210,10 +170,11 @@ pub fn parallel_goodput(
                 n,
                 rate,
                 seed,
+                faults: Faults::Healthy,
             })
         })
         .collect();
-    let mut reports = run_sweep(&jobs).into_iter();
+    let mut runs = run_sweep(&jobs).into_iter();
 
     kinds
         .iter()
@@ -222,11 +183,11 @@ pub fn parallel_goodput(
             let points: Vec<GoodputPoint> = rates
                 .iter()
                 .map(|&rate| {
-                    let report = reports
+                    let run = runs
                         .next()
                         .expect("one job per supported (system, rate)")
                         .expect("stability_run succeeds for buildable systems");
-                    GoodputPoint::from_report(rate, &report)
+                    GoodputPoint::from_report(rate, &run.report)
                 })
                 .collect();
             Some(assemble_goodput(points, tb.slo.tbt.as_secs()))
@@ -237,7 +198,8 @@ pub fn parallel_goodput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::goodput_sweep;
+    use crate::harness::CrashSpec;
+    use serving::find_goodput;
 
     #[test]
     fn parallel_map_preserves_submission_order() {
@@ -265,25 +227,51 @@ mod tests {
 
     #[test]
     fn sweep_matches_sequential_bit_for_bit() {
+        // Healthy, generated-fault and crash points must stay pure
+        // functions of the job: a 4-worker pool run equals the
+        // sequential map bit for bit (raw latency samples, decode
+        // counters and event counts included), on any host.
         let tb = Testbed::llama8b_a100();
+        let crash = |gpu| {
+            Faults::Crash(CrashSpec {
+                gpu,
+                at_secs: 2.0,
+                down_secs: 4.0,
+            })
+        };
         let jobs: Vec<SweepJob<'_>> = [
-            (SystemKind::MuxWise, 2.0),
-            (SystemKind::Chunked, 2.0),
-            (SystemKind::MuxWise, 4.0),
-            (SystemKind::Chunked, 4.0),
+            (SystemKind::MuxWise, 40, 2.0, 0x5EED, Faults::Healthy),
+            (SystemKind::Chunked, 40, 2.0, 0x5EED, Faults::Healthy),
+            (SystemKind::MuxWise, 40, 4.0, 0x5EED, Faults::Healthy),
+            (SystemKind::Chunked, 40, 4.0, 0x5EED, Faults::Healthy),
+            (SystemKind::MuxWise, 30, 2.5, 0xFA17, Faults::Generated(0.5)),
+            (SystemKind::Chunked, 30, 2.5, 0xFA17, Faults::Generated(1.0)),
+            (SystemKind::MuxWise, 30, 2.5, 0xFA17, Faults::Generated(0.0)),
+            (
+                SystemKind::SglangPd,
+                30,
+                2.5,
+                0xFA17,
+                Faults::Generated(0.75),
+            ),
+            (SystemKind::MuxWise, 30, 3.0, 0xC7A5, crash(0)),
+            (SystemKind::SglangPd, 30, 3.0, 0xC7A5, crash(7)),
         ]
         .into_iter()
-        .map(|(kind, rate)| SweepJob {
+        .map(|(kind, n, rate, seed, faults)| SweepJob {
             tb: &tb,
             kind,
             workload: WorkloadKind::ShareGpt,
-            n: 40,
+            n,
             rate,
-            seed: 0x5EED,
+            seed,
+            faults,
         })
         .collect();
+        std::env::set_var("MUXWISE_BENCH_THREADS", "4");
         let parallel = run_sweep(&jobs);
-        let sequential: Vec<Option<Report>> = jobs.iter().map(SweepJob::run).collect();
+        std::env::remove_var("MUXWISE_BENCH_THREADS");
+        let sequential: Vec<Option<Run>> = jobs.iter().map(stability_run).collect();
         assert_eq!(parallel, sequential);
     }
 
@@ -293,9 +281,20 @@ mod tests {
         let kinds = [SystemKind::MuxWise, SystemKind::Chunked];
         let rates = [2.0, 5.0, 9.0, 14.0];
         let parallel = parallel_goodput(&tb, &kinds, WorkloadKind::ShareGpt, 60, &rates, 0x60D);
-        for (kind, got) in kinds.iter().zip(&parallel) {
-            let want = goodput_sweep(&tb, *kind, WorkloadKind::ShareGpt, 60, &rates, 0x60D);
-            assert_eq!(got, &want, "mismatch for {}", kind.name());
+        for (&kind, got) in kinds.iter().zip(&parallel) {
+            let want = find_goodput(&rates, tb.slo.tbt.as_secs(), |rate| {
+                let job = SweepJob {
+                    tb: &tb,
+                    kind,
+                    workload: WorkloadKind::ShareGpt,
+                    n: 60,
+                    rate,
+                    seed: 0x60D,
+                    faults: Faults::Healthy,
+                };
+                stability_run(&job).expect("buildable").report
+            });
+            assert_eq!(got.as_ref(), Some(&want), "mismatch for {}", kind.name());
         }
     }
 }

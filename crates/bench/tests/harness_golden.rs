@@ -6,17 +6,16 @@
 //! captured before the harness was collapsed into one recipe per kind
 //! of point. The harness may change shape; no simulated value may move.
 
-use bench::chaos::{chaos_run, recovery_run, CrashSpec};
-use bench::harness::stability_run;
+use bench::fleet_harness::{FleetPoint, MemberPlan, Tiers};
+use bench::harness::{stability_run, CrashSpec, Faults};
+use bench::sweep::SweepJob;
 use bench::systems::{SystemKind, Testbed};
 use fleet::{
-    Fleet, FleetReport, HedgeConfig, PathClass, PrefixAffinity, ReplicationConfig, RoundRobin,
-    RoutePolicy,
+    FleetReport, HedgeConfig, PathClass, PrefixAffinity, ReplicationConfig, RoundRobin, RoutePolicy,
 };
-use gpusim::GpuSim;
-use serving::{Driver, FaultKind, FaultPlan, WatchdogConfig};
-use simcore::{SimDuration, SimRng, SimTime};
-use workload::{generate_fleet_stream, RequestSpec, WorkloadKind};
+use serving::{FaultKind, FaultPlan};
+use simcore::{SimDuration, SimTime};
+use workload::WorkloadKind;
 
 /// 64-bit FNV-1a of a value's `Debug` form.
 fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
@@ -46,16 +45,28 @@ const RATE: f64 = 3.0;
 const BURST_N: usize = 600;
 const BURST_RATE: f64 = 10_000.0;
 
+/// The report of `n` ShareGPT requests at `rate` under `faults`.
+fn point_hash(tb: &Testbed, kind: SystemKind, n: usize, rate: f64, faults: Faults) -> u64 {
+    let job = SweepJob {
+        tb,
+        kind,
+        workload: WorkloadKind::ShareGpt,
+        n,
+        rate,
+        seed: SEED,
+        faults,
+    };
+    debug_hash(&stability_run(&job).expect("buildable").report)
+}
+
 #[test]
 fn single_instance_points_keep_their_bits() {
     let tb = Testbed::llama8b_a100();
     let mut got = Vec::new();
     for kind in [SystemKind::MuxWise, SystemKind::SglangPd] {
-        let healthy = stability_run(&tb, kind, WorkloadKind::ShareGpt, N, RATE, SEED);
-        got.push(debug_hash(&healthy.expect("buildable")));
+        got.push(point_hash(&tb, kind, N, RATE, Faults::Healthy));
         for intensity in [0.0, 0.5, 1.0] {
-            let chaos = chaos_run(&tb, kind, WorkloadKind::ShareGpt, N, RATE, SEED, intensity);
-            got.push(debug_hash(&chaos.expect("buildable")));
+            got.push(point_hash(&tb, kind, N, RATE, Faults::Generated(intensity)));
         }
         for gpu in [0, 7] {
             let crash = CrashSpec {
@@ -63,21 +74,16 @@ fn single_instance_points_keep_their_bits() {
                 at_secs: 2.0,
                 down_secs: 5.0,
             };
-            let recovery = recovery_run(&tb, kind, WorkloadKind::ShareGpt, N, RATE, SEED, crash);
-            got.push(debug_hash(&recovery.expect("buildable")));
+            got.push(point_hash(&tb, kind, N, RATE, Faults::Crash(crash)));
         }
-        let burst = stability_run(&tb, kind, WorkloadKind::ShareGpt, BURST_N, BURST_RATE, SEED);
-        got.push(debug_hash(&burst.expect("buildable")));
-        let burst = chaos_run(
+        got.push(point_hash(&tb, kind, BURST_N, BURST_RATE, Faults::Healthy));
+        got.push(point_hash(
             &tb,
             kind,
-            WorkloadKind::ShareGpt,
             BURST_N,
             BURST_RATE,
-            SEED,
-            0.0,
-        );
-        got.push(debug_hash(&burst.expect("buildable")));
+            Faults::Generated(0.0),
+        ));
     }
     assert_eq!(got, SINGLE, "got {}", literal(&got));
 }
@@ -104,27 +110,25 @@ const SINGLE: [u64; 16] = [
     0x51a191f52a738646,
 ];
 
-/// A fleet stream as both fleet binaries draw it.
-fn stream(seed: u64, size: usize, sessions: usize) -> Vec<RequestSpec> {
-    let mut rng = SimRng::seed_from(seed);
-    generate_fleet_stream(
-        WorkloadKind::Conversation,
+/// A point of `size` members, each running `sessions` sessions at 0.5
+/// sessions/s from `seed`, on one thread.
+fn fleet_point(size: usize, sessions: usize, seed: u64, tiers: Tiers) -> FleetPoint {
+    FleetPoint {
         size,
         sessions,
-        0.5,
-        8.0,
-        &mut rng,
-    )
+        rate: 0.5,
+        seed,
+        threads: 1,
+        tiers,
+    }
 }
 
-/// A member as both fleet binaries build it: watchdog on, `faults`
-/// installed.
-fn push(fleet: &mut Fleet, tb: &Testbed, kind: SystemKind, class: PathClass, faults: FaultPlan) {
-    let engine = tb.build(kind).expect("fleet systems fit the testbed");
-    let driver = Driver::new(GpuSim::from_cluster(&tb.cluster), Vec::new(), tb.slo)
-        .with_watchdog(WatchdogConfig::default())
-        .with_faults(faults);
-    fleet.push(driver, engine, class, String::new());
+fn member(kind: SystemKind, class: PathClass, faults: FaultPlan) -> MemberPlan {
+    MemberPlan {
+        kind,
+        class,
+        faults,
+    }
 }
 
 fn fleet_hash(mut report: FleetReport) -> u64 {
@@ -144,31 +148,30 @@ fn smoke_fleets_keep_their_bits() {
         Box::new(PrefixAffinity::default()),
     ];
     for mut policy in policies {
-        let trace = stream(0xF1EE7, 4, 4);
-        let mut fleet = Fleet::new().with_threads(1);
-        for i in 0..4 {
-            let (kind, class) = if i == 0 {
-                (SystemKind::SglangPd, PathClass::Split)
-            } else {
-                (SystemKind::MuxWise, PathClass::SingleNode)
-            };
-            push(&mut fleet, &tb, kind, class, FaultPlan::none());
-        }
-        got.push(fleet_hash(fleet.run(&trace, policy.as_mut())));
+        let point = fleet_point(4, 4, 0xF1EE7, Tiers::default());
+        let run = point.run(&tb, policy.as_mut(), |i| match i {
+            0 => member(SystemKind::SglangPd, PathClass::Split, FaultPlan::none()),
+            _ => member(
+                SystemKind::MuxWise,
+                PathClass::SingleNode,
+                FaultPlan::none(),
+            ),
+        });
+        got.push(fleet_hash(run.report));
     }
 
     // `fleet_chaos --smoke`: eight MuxWise members, R=2 replication,
     // the first four fail-stop permanently in a staggered wave.
-    let trace = stream(0xC4405, 8, 8);
-    let mut fleet = Fleet::new()
-        .with_threads(1)
-        .with_replication(ReplicationConfig {
+    let tiers = Tiers {
+        replication: Some(ReplicationConfig {
             factor: 2,
             top_k: 16,
             sweep_every: 4,
             ..ReplicationConfig::default()
-        });
-    for i in 0..8 {
+        }),
+        ..Tiers::default()
+    };
+    let run = fleet_point(8, 8, 0xC4405, tiers).run(&tb, &mut PrefixAffinity::default(), |i| {
         let faults = if i < 4 {
             FaultPlan::single(
                 FaultKind::GpuFailStopPermanent { gpu: i as u32 },
@@ -178,25 +181,17 @@ fn smoke_fleets_keep_their_bits() {
         } else {
             FaultPlan::none()
         };
-        push(
-            &mut fleet,
-            &tb,
-            SystemKind::MuxWise,
-            PathClass::SingleNode,
-            faults,
-        );
-    }
-    got.push(fleet_hash(
-        fleet.run(&trace, &mut PrefixAffinity::default()),
-    ));
+        member(SystemKind::MuxWise, PathClass::SingleNode, faults)
+    });
+    got.push(fleet_hash(run.report));
 
     // `fleet_chaos --gray-smoke`: six MuxWise members with hedging, the
     // first three under a gray window (latency spike, HBM degrade).
-    let trace = stream(0xC4405, 6, 8);
-    let mut fleet = Fleet::new()
-        .with_threads(1)
-        .with_hedging(HedgeConfig::default());
-    for i in 0..6 {
+    let tiers = Tiers {
+        hedging: Some(HedgeConfig::default()),
+        ..Tiers::default()
+    };
+    let run = fleet_point(6, 8, 0xC4405, tiers).run(&tb, &mut PrefixAffinity::default(), |i| {
         let window = (SimTime::from_secs(15.0), SimTime::from_secs(105.0));
         let faults = match i {
             0 | 2 => FaultPlan::single(
@@ -217,17 +212,9 @@ fn smoke_fleets_keep_their_bits() {
             ),
             _ => FaultPlan::none(),
         };
-        push(
-            &mut fleet,
-            &tb,
-            SystemKind::MuxWise,
-            PathClass::SingleNode,
-            faults,
-        );
-    }
-    got.push(fleet_hash(
-        fleet.run(&trace, &mut PrefixAffinity::default()),
-    ));
+        member(SystemKind::MuxWise, PathClass::SingleNode, faults)
+    });
+    got.push(fleet_hash(run.report));
 
     assert_eq!(got, FLEETS, "got {}", literal(&got));
 }
