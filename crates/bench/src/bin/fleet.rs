@@ -12,9 +12,9 @@
 //! (`identical_results` in `BENCH_fleet.json`).
 //!
 //! `--smoke` runs a 4-instance fleet and asserts the fleet-wide
-//! robustness invariants (zero KV leaks, `finished + shed == total`,
-//! thread-count identity) — wired into `scripts/check.sh` as
-//! `fleet-smoke`.
+//! robustness invariants (the books of
+//! [`bench::fleet_harness::check_books`], thread-count identity) —
+//! wired into `scripts/check.sh` as `fleet-smoke`.
 
 use bench::fleet_harness::{check_books, FleetPoint, FleetRun, MemberPlan, Tiers, THINK_SECS};
 use bench::sweep::num_threads;

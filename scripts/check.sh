@@ -9,6 +9,8 @@
 #   ./scripts/check.sh crash           # crash and decode goldens, recovery/fault/fleet suites, crash and fleet smokes
 #   ./scripts/check.sh alloc           # every crate's alloc_count test (heap allocations and sizes)
 #   ./scripts/check.sh setup           # estimator and workload tests, the set-up golden, every alloc_count test
+#   ./scripts/check.sh harness         # bench crate tests (harness golden included), chaos, recovery, fleet,
+#                                      # fleet-chaos and gray smokes
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -59,6 +61,16 @@ if [[ "${1:-}" == "setup" ]]; then
     cargo test -q -p estimator -p workload
     cargo test -q -p integration-tests --test setup_golden
     cargo test -q --workspace --test alloc_count
+    exit 0
+fi
+
+if [[ "${1:-}" == "harness" ]]; then
+    cargo test -q -p bench
+    cargo run --release -q -p bench --bin chaos -- --smoke
+    cargo run --release -q -p bench --bin chaos -- --recovery-smoke
+    cargo run --release -q -p bench --bin fleet -- --smoke
+    cargo run --release -q -p bench --bin fleet_chaos -- --smoke
+    cargo run --release -q -p bench --bin fleet_chaos -- --gray-smoke
     exit 0
 fi
 
