@@ -374,3 +374,29 @@ fn main() {
          intensity <= 0.5; no system panics or leaks KV leases at any intensity."
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_row_carries_the_crash_recovery_counters() {
+        let tb = Testbed::llama8b_a100();
+        let crash = CrashSpec {
+            gpu: 0,
+            at_secs: 2.0,
+            down_secs: 5.0,
+        };
+        let point = job(&tb, SystemKind::MuxWise, 40, 3.0, Faults::Crash(crash));
+        let r = stability_run(&point).expect("buildable").report;
+        let row = ChaosRow::from_report("MuxWise", 0.0, &r);
+        assert!(row.crash_victims > 0, "the crash strikes running requests");
+        assert_eq!(row.crash_victims, r.recovery.crash_victims);
+        assert_eq!(row.recovered, r.recovery.recovered);
+        assert_eq!(row.shed_on_crash, r.recovery.shed_on_crash);
+        assert_eq!(row.reprefill_tokens, r.recovery.reprefill_tokens);
+        assert_eq!(row.tbt_p99_ms, r.tbt.p99() * 1e3);
+        assert_eq!((row.finished, row.shed), (r.finished, r.shed));
+        assert_eq!(row.leaked_leases, 0);
+    }
+}

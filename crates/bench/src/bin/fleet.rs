@@ -312,3 +312,51 @@ fn main() {
          zero lost requests; replay is bit-identical across thread counts."
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kth_member_is_a_split_path_sglang_pd() {
+        let tb = Testbed::llama8b_a100();
+        let row = Row {
+            split_every: Some(4),
+            ..Row::new(8, 0.5, "round-robin")
+        };
+        for i in 0..8 {
+            let member = row.member(&tb, i);
+            let split = i.is_multiple_of(4);
+            assert_eq!(member.kind == SystemKind::SglangPd, split, "member {i}");
+            assert_eq!(member.class == PathClass::Split, split, "member {i}");
+            assert_eq!(member.faults, FaultPlan::none(), "member {i}");
+        }
+    }
+
+    #[test]
+    fn crashing_members_rotate_the_failing_gpu() {
+        let tb = Testbed::llama8b_a100();
+        let row = Row {
+            crash_every: Some(3),
+            ..Row::new(10, 0.5, "round-robin")
+        };
+        for i in 0..10usize {
+            let want = if i.is_multiple_of(3) {
+                FaultPlan::crash(
+                    i as u32 % 8,
+                    SimTime::from_secs(5.0),
+                    SimDuration::from_secs(10.0),
+                )
+            } else {
+                FaultPlan::none()
+            };
+            assert_eq!(row.member(&tb, i).faults, want, "member {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown policy random")]
+    fn an_unknown_policy_is_refused() {
+        make_policy("random");
+    }
+}

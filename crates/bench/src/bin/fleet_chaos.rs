@@ -621,3 +621,32 @@ fn main() {
          bit-identical across thread counts."
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_crash_wave_strikes_the_rounded_share_of_members() {
+        assert_eq!(ChaosPoint::new(8, 0.5, true, true).crashed(), 4);
+        assert_eq!(ChaosPoint::new(5, 0.5, true, true).crashed(), 3);
+        assert_eq!(ChaosPoint::new(16, 0.0, true, false).crashed(), 0);
+        assert_eq!(ChaosPoint::new(4, 1.0, false, false).crashed(), 4);
+    }
+
+    #[test]
+    fn the_gray_window_strikes_half_the_members() {
+        assert_eq!(GrayPoint::new(6, 0.5, true).gray_members(), 3);
+        assert_eq!(GrayPoint::new(5, 0.5, false).gray_members(), 3);
+    }
+
+    #[test]
+    fn arms_name_the_tiers_they_run() {
+        assert_eq!(ChaosPoint::new(4, 0.5, false, false).arm(), "failover-off");
+        assert_eq!(ChaosPoint::new(4, 0.5, false, true).arm(), "failover-off");
+        assert_eq!(ChaosPoint::new(4, 0.5, true, false).arm(), "failover");
+        assert_eq!(ChaosPoint::new(4, 0.5, true, true).arm(), "failover+R2");
+        assert_eq!(GrayPoint::new(4, 0.5, false).arm(), "gray");
+        assert_eq!(GrayPoint::new(4, 0.5, true).arm(), "gray+hedge");
+    }
+}

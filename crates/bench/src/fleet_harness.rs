@@ -161,3 +161,272 @@ pub fn check_books(label: &str, report: &FleetReport) {
         "{label}: fleet lost requests"
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fleet::PrefixAffinity;
+    use serving::FaultKind;
+    use simcore::{SimDuration, SimTime};
+
+    /// `size` members of `sessions` sessions each at 0.5 sessions/s,
+    /// on one thread.
+    fn point(size: usize, sessions: usize, tiers: Tiers) -> FleetPoint {
+        FleetPoint {
+            size,
+            sessions,
+            rate: 0.5,
+            seed: 0xF1EE7,
+            threads: 1,
+            tiers,
+        }
+    }
+
+    fn healthy(kind: SystemKind, class: PathClass) -> MemberPlan {
+        MemberPlan {
+            kind,
+            class,
+            faults: FaultPlan::none(),
+        }
+    }
+
+    fn muxwise(_: usize) -> MemberPlan {
+        healthy(SystemKind::MuxWise, PathClass::SingleNode)
+    }
+
+    /// Member 0 is SGLang-PD on the split path, the rest MuxWise.
+    fn mixed(i: usize) -> MemberPlan {
+        match i {
+            0 => healthy(SystemKind::SglangPd, PathClass::Split),
+            _ => muxwise(i),
+        }
+    }
+
+    /// Members 0 and 1 lose GPU 0 for good at `at_secs`.
+    fn wave(at_secs: f64) -> impl Fn(usize) -> MemberPlan {
+        move |i| MemberPlan {
+            faults: if i < 2 {
+                FaultPlan::single(
+                    FaultKind::GpuFailStopPermanent { gpu: 0 },
+                    SimTime::from_secs(at_secs),
+                    SimTime::from_secs(1e9),
+                )
+            } else {
+                FaultPlan::none()
+            },
+            ..muxwise(i)
+        }
+    }
+
+    /// Members 0 and 1 run 20x slow kernels from 15 s to 105 s.
+    fn gray(i: usize) -> MemberPlan {
+        MemberPlan {
+            faults: if i < 2 {
+                FaultPlan::single(
+                    FaultKind::KernelLatencySpike {
+                        mult: 20.0,
+                        duration: SimDuration::from_secs(90.0),
+                    },
+                    SimTime::from_secs(15.0),
+                    SimTime::from_secs(105.0),
+                )
+            } else {
+                FaultPlan::none()
+            },
+            ..muxwise(i)
+        }
+    }
+
+    fn run(point: &FleetPoint, plan: impl Fn(usize) -> MemberPlan) -> FleetReport {
+        let tb = Testbed::llama8b_a100();
+        point.run(&tb, &mut PrefixAffinity::default(), plan).report
+    }
+
+    fn victims(report: &FleetReport) -> u64 {
+        report
+            .reports
+            .iter()
+            .map(|r| r.recovery.crash_victims)
+            .sum()
+    }
+
+    fn r2() -> ReplicationConfig {
+        ReplicationConfig {
+            factor: 2,
+            top_k: 16,
+            sweep_every: 4,
+            ..ReplicationConfig::default()
+        }
+    }
+
+    #[test]
+    fn run_is_thread_count_invariant() {
+        let one = point(4, 4, Tiers::default());
+        let three = FleetPoint { threads: 3, ..one };
+        assert_eq!(run(&one, mixed), run(&three, mixed));
+    }
+
+    #[test]
+    fn the_seed_fixes_the_stream() {
+        let p = point(3, 4, Tiers::default());
+        let other = FleetPoint { seed: 7, ..p };
+        let report = run(&p, muxwise);
+        assert_eq!(report, run(&p, muxwise));
+        assert_ne!(report, run(&other, muxwise));
+    }
+
+    #[test]
+    fn every_member_is_offered_the_drawn_stream() {
+        let p = point(3, 4, Tiers::default());
+        let stream = generate_fleet_stream(
+            WorkloadKind::Conversation,
+            3,
+            4,
+            0.5,
+            THINK_SECS,
+            &mut SimRng::seed_from(p.seed),
+        );
+        let report = run(&p, muxwise);
+        assert_eq!(report.total(), stream.len());
+        assert_eq!(report.routed.iter().sum::<u64>(), stream.len() as u64);
+        check_books("stream", &report);
+    }
+
+    #[test]
+    fn default_tiers_build_what_fleet_new_builds() {
+        // Default tiers add nothing to a bare `Fleet::new` of the same
+        // watchdog-guarded members fed the same stream.
+        let tb = Testbed::llama8b_a100();
+        let p = point(3, 4, Tiers::default());
+        let mut fleet = Fleet::new();
+        for i in 0..p.size {
+            let member = mixed(i);
+            let engine = tb.build(member.kind).expect("fits");
+            let driver = Driver::new(GpuSim::from_cluster(&tb.cluster), Vec::new(), tb.slo)
+                .with_watchdog(WatchdogConfig::default());
+            fleet.push(driver, engine, member.class, format!("member {i}"));
+        }
+        let stream = generate_fleet_stream(
+            WorkloadKind::Conversation,
+            3,
+            4,
+            0.5,
+            THINK_SECS,
+            &mut SimRng::seed_from(p.seed),
+        );
+        let mut bare = fleet.run(&stream, &mut PrefixAffinity::default());
+        let mut harnessed = run(&p, mixed);
+        bare.labels.clear();
+        harnessed.labels.clear();
+        assert_eq!(harnessed, bare);
+    }
+
+    #[test]
+    fn members_are_labelled_by_system_and_index() {
+        let report = run(&point(3, 2, Tiers::default()), mixed);
+        assert_eq!(report.labels, ["SGLang-PD#0", "MuxWise#1", "MuxWise#2"]);
+        assert_eq!(report.reports.len(), 3);
+        assert_eq!(report.events.len(), 3);
+    }
+
+    #[test]
+    fn split_members_take_the_split_path() {
+        let p = point(4, 4, Tiers::default());
+        let both = run(&p, mixed).routing;
+        assert!(both.split_routed > 0 && both.single_routed > 0);
+        let single = run(&p, muxwise).routing;
+        assert_eq!(single.split_routed, 0);
+        assert_eq!(single.single_routed, single.requests);
+    }
+
+    #[test]
+    fn healthy_plans_leave_every_fault_tier_idle() {
+        let tiers = Tiers {
+            failover: true,
+            replication: Some(r2()),
+            hedging: Some(HedgeConfig::default()),
+        };
+        let report = run(&point(4, 4, tiers), muxwise);
+        assert_eq!(report.failover, Default::default());
+        assert_eq!(report.replication, Default::default());
+        assert_eq!(report.health, Default::default());
+        assert_eq!(report.hedge, Default::default());
+        assert_eq!(report.overload, Default::default());
+        assert_eq!(report.routing.rerouted_on_crash, 0);
+        assert_eq!(report.finished(), report.total());
+    }
+
+    #[test]
+    fn failover_migrates_the_victims_of_a_permanent_crash() {
+        let report = run(&point(4, 8, Tiers::default()), wave(3.0));
+        let victims = victims(&report);
+        assert!(victims > 0, "the crash at 3 s strikes in-flight requests");
+        assert_eq!(report.failover.migrated, victims);
+        assert_eq!(report.failover.stranded, 0);
+        check_books("failover", &report);
+    }
+
+    #[test]
+    fn without_failover_the_victims_are_stranded_and_shed() {
+        let tiers = Tiers {
+            failover: false,
+            ..Tiers::default()
+        };
+        let report = run(&point(4, 8, tiers), wave(3.0));
+        let victims = victims(&report);
+        assert!(victims > 0, "the crash at 3 s strikes in-flight requests");
+        assert_eq!(report.failover.migrated, 0);
+        assert_eq!(report.failover.stranded, victims);
+        assert_eq!(report.shed() as u64, victims);
+        check_books("failover-off", &report);
+    }
+
+    #[test]
+    fn replication_pushes_replicas_only_when_set() {
+        let p = point(4, 8, Tiers::default());
+        let on = FleetPoint {
+            tiers: Tiers {
+                replication: Some(r2()),
+                ..p.tiers
+            },
+            ..p
+        };
+        assert!(run(&on, wave(25.0)).replication.replicas_pushed > 0);
+        assert_eq!(run(&p, wave(25.0)).replication, Default::default());
+    }
+
+    #[test]
+    fn hedging_races_slow_members_only_when_set() {
+        let p = point(4, 8, Tiers::default());
+        let on = FleetPoint {
+            tiers: Tiers {
+                hedging: Some(HedgeConfig::default()),
+                ..p.tiers
+            },
+            ..p
+        };
+        let hedged = run(&on, gray);
+        assert!(hedged.hedge.launched > 0);
+        assert!(hedged.cancelled() > 0, "the losing copies are cancelled");
+        check_books("hedged", &hedged);
+        let plain = run(&p, gray);
+        assert_eq!(plain.hedge, Default::default());
+        assert_eq!(plain.cancelled(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lost: fleet lost requests")]
+    fn books_name_a_lost_request() {
+        let mut report = run(&point(2, 2, Tiers::default()), muxwise);
+        report.reports[1].total += 1;
+        check_books("lost", &report);
+    }
+
+    #[test]
+    #[should_panic(expected = "leak: fleet leaked KV leases")]
+    fn books_name_a_leaked_lease() {
+        let mut report = run(&point(2, 2, Tiers::default()), muxwise);
+        report.reports[0].counters.leaked_leases = 1;
+        check_books("leak", &report);
+    }
+}

@@ -349,4 +349,135 @@ mod tests {
             point(&tb, SystemKind::MuxWise, 20, 2.0, 9, Faults::Healthy)
         );
     }
+
+    #[test]
+    fn healthy_points_report_no_fault_activity() {
+        let tb = Testbed::llama8b_a100();
+        let r = point(&tb, SystemKind::MuxWise, 20, 2.0, 9, Faults::Healthy);
+        assert!(r.recovery_secs.is_none());
+        assert_eq!(r.recovery.crash_victims, 0);
+        assert_eq!(r.counters.fault_retries, 0);
+        assert_eq!(r.shed, 0);
+    }
+
+    #[test]
+    fn a_crash_outage_extends_the_grace() {
+        // GPU 0 is down for five minutes, far past the healthy grace;
+        // every request still gets served after the outage.
+        let tb = Testbed::llama8b_a100();
+        let crash = CrashSpec {
+            gpu: 0,
+            at_secs: 2.0,
+            down_secs: 300.0,
+        };
+        let r = point(&tb, SystemKind::MuxWise, 20, 2.0, 5, Faults::Crash(crash));
+        assert_eq!(r.finished, r.total);
+        assert!(r.makespan.as_secs() > 302.0);
+    }
+
+    #[test]
+    fn a_long_outage_marks_a_crash_run_diverged() {
+        let tb = Testbed::llama8b_a100();
+        let crash = |down_secs| {
+            Faults::Crash(CrashSpec {
+                gpu: 0,
+                at_secs: 2.0,
+                down_secs,
+            })
+        };
+        // The trace spans 10 s: a 100 s outage pushes P99 TTFT past
+        // half of it, a 5 s one does not.
+        let long = point(&tb, SystemKind::MuxWise, 20, 2.0, 5, crash(100.0));
+        assert!(long.diverged && !long.is_stable());
+        let short = point(&tb, SystemKind::MuxWise, 20, 2.0, 5, crash(5.0));
+        assert!(!short.diverged && short.is_stable());
+    }
+
+    #[test]
+    fn an_overloaded_point_is_marked_diverged() {
+        // 600 requests in 60 ms: everything finishes, but P99 TTFT
+        // dwarfs the trace span.
+        let tb = Testbed::llama8b_a100();
+        let r = point(&tb, SystemKind::MuxWise, 600, 10_000.0, 5, Faults::Healthy);
+        assert_eq!(r.finished, r.total);
+        assert!(r.diverged);
+        assert!(!r.is_stable());
+    }
+
+    #[test]
+    fn the_intensity_zero_watchdog_sheds_a_burst_the_healthy_point_serves() {
+        let tb = Testbed::llama8b_a100();
+        let healthy = point(&tb, SystemKind::MuxWise, 600, 10_000.0, 5, Faults::Healthy);
+        assert_eq!(healthy.shed, 0);
+        let control = point(
+            &tb,
+            SystemKind::MuxWise,
+            600,
+            10_000.0,
+            5,
+            Faults::Generated(0.0),
+        );
+        assert!(
+            control.shed > 0,
+            "the admission cap sheds part of the burst"
+        );
+        assert_eq!(control.finished + control.shed, control.total);
+    }
+
+    #[test]
+    fn runs_carry_event_and_decode_counts() {
+        let tb = Testbed::llama8b_a100();
+        let job = |kind| SweepJob {
+            tb: &tb,
+            kind,
+            workload: WorkloadKind::ShareGpt,
+            n: 20,
+            rate: 2.0,
+            seed: 9,
+            faults: Faults::Healthy,
+        };
+        let mux = stability_run(&job(SystemKind::MuxWise)).expect("buildable");
+        assert!(mux.events > 0);
+        let (iters, coalesced) = mux.decode_iters;
+        assert!(iters > 0 && coalesced <= iters);
+        // SGLang-PD has no macro-stepped decode path to count.
+        let pd = stability_run(&job(SystemKind::SglangPd)).expect("buildable");
+        assert!(pd.events > 0);
+        assert_eq!(pd.decode_iters, (0, 0));
+    }
+
+    #[test]
+    fn an_unhostable_system_yields_no_run() {
+        let tb = Testbed::qwen235b_h200();
+        let job = SweepJob {
+            tb: &tb,
+            kind: SystemKind::SglangPd,
+            workload: WorkloadKind::ShareGpt,
+            n: 5,
+            rate: 1.0,
+            seed: 1,
+            faults: Faults::Healthy,
+        };
+        assert!(stability_run(&job).is_none());
+    }
+
+    #[test]
+    fn real_world_trace_replays_from_its_seed() {
+        let a = real_world_trace(WorkloadKind::ToolAgent, 120, 1.0, 3);
+        assert_eq!(a, real_world_trace(WorkloadKind::ToolAgent, 120, 1.0, 3));
+        assert_ne!(a, real_world_trace(WorkloadKind::ToolAgent, 120, 1.0, 4));
+    }
+
+    #[test]
+    fn latency_row_reports_token_gaps_in_milliseconds() {
+        let tb = Testbed::llama8b_a100();
+        let rep = run_trace(&tb, SystemKind::Chunked, poisson(20, 2.0, 9)).expect("buildable");
+        let row = LatencyRow::from_report("Chunked", &rep);
+        assert_eq!(row.system, "Chunked");
+        assert_eq!(row.ttft_p99, rep.ttft.p99());
+        assert_eq!(row.tbt_p99_ms, rep.tbt.p99() * 1e3);
+        assert_eq!(row.tpot_avg_ms, rep.tpot.mean() * 1e3);
+        assert_eq!(row.e2e_avg, rep.e2e.mean());
+        assert_eq!((row.finished, row.total), (rep.finished, rep.total));
+    }
 }

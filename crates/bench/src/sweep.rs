@@ -297,4 +297,52 @@ mod tests {
             assert_eq!(got.as_ref(), Some(&want), "mismatch for {}", kind.name());
         }
     }
+
+    #[test]
+    fn wall_timed_returns_the_closure_value() {
+        let (value, secs) = wall_timed(|| (1..=10u64).sum::<u64>());
+        assert_eq!(value, 55);
+        assert!(secs >= 0.0 && secs.is_finite());
+    }
+
+    #[test]
+    fn parallel_map_runs_each_item_once() {
+        let calls = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..40).collect();
+        let out = parallel_map(&items, |&x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x * 2
+        });
+        assert_eq!(calls.into_inner(), items.len());
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_sweep_leaves_unhostable_jobs_empty() {
+        let tb = Testbed::qwen235b_h200();
+        let job = |kind| SweepJob {
+            tb: &tb,
+            kind,
+            workload: WorkloadKind::ShareGpt,
+            n: 4,
+            rate: 1.0,
+            seed: 1,
+            faults: Faults::Healthy,
+        };
+        let runs = run_sweep(&[job(SystemKind::SglangPd), job(SystemKind::MuxWise)]);
+        assert!(runs[0].is_none());
+        assert_eq!(runs[1], stability_run(&job(SystemKind::MuxWise)));
+        assert!(runs[1].is_some());
+    }
+
+    #[test]
+    fn parallel_goodput_skips_unhostable_systems() {
+        let tb = Testbed::qwen235b_h200();
+        let kinds = [SystemKind::SglangPd, SystemKind::MuxWise];
+        let got = parallel_goodput(&tb, &kinds, WorkloadKind::ShareGpt, 4, &[0.5, 1.0], 1);
+        assert_eq!(got.len(), 2);
+        assert!(got[0].is_none());
+        let muxwise = got[1].as_ref().expect("MuxWise hosts Qwen-235B");
+        assert_eq!(muxwise.points.first().map(|p| p.rate), Some(0.5));
+    }
 }

@@ -234,6 +234,17 @@ impl Testbed {
 mod tests {
     use super::*;
 
+    const ALL: [SystemKind; 8] = [
+        SystemKind::MuxWise,
+        SystemKind::MuxWisePreempt,
+        SystemKind::Chunked,
+        SystemKind::NanoFlow,
+        SystemKind::LoongServe,
+        SystemKind::SglangPd,
+        SystemKind::WindServe,
+        SystemKind::TemporalMux,
+    ];
+
     #[test]
     fn headline_lineup_matches_paper() {
         let names: Vec<&str> = SystemKind::headline().iter().map(|s| s.name()).collect();
@@ -250,5 +261,21 @@ mod tests {
         assert!(tb.build(SystemKind::LoongServe).is_none());
         assert!(tb.build(SystemKind::MuxWise).is_some());
         assert!(tb.build(SystemKind::Chunked).is_some());
+    }
+
+    #[test]
+    fn every_system_hosts_llama8b() {
+        let tb = Testbed::llama8b_a100();
+        for kind in ALL {
+            assert!(tb.build(kind).is_some(), "{} fails to build", kind.name());
+        }
+    }
+
+    #[test]
+    fn system_names_are_distinct() {
+        let mut names: Vec<&str> = ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ALL.len());
     }
 }

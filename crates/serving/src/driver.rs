@@ -457,4 +457,59 @@ mod tests {
         assert_eq!(rep.finished, 0);
         assert!(!rep.is_stable());
     }
+
+    fn one_shot() -> OneShot {
+        OneShot {
+            group: None,
+            ctx_id: None,
+        }
+    }
+
+    fn driver(reqs: Vec<RequestSpec>) -> Driver {
+        let gpu = GpuSim::from_cluster(&ClusterSpec::single_a100());
+        Driver::new(gpu, reqs, SloSpec::llama70b())
+    }
+
+    #[test]
+    fn empty_fault_plan_is_a_strict_no_op() {
+        let reqs = || vec![req(0, 0.0, 5), req(1, 0.005, 3), req(2, 0.5, 2)];
+        let plain = driver(reqs()).run_stats(&mut one_shot());
+        let planned = driver(reqs())
+            .with_faults(FaultPlan::none())
+            .run_stats(&mut one_shot());
+        assert_eq!(plain, planned);
+    }
+
+    #[test]
+    fn run_is_run_stats_without_the_event_count() {
+        let reqs = || vec![req(0, 0.0, 5), req(1, 0.005, 3)];
+        let (report, events) = driver(reqs()).run_stats(&mut one_shot());
+        assert!(events > 0);
+        assert_eq!(report, driver(reqs()).run(&mut one_shot()));
+    }
+
+    #[test]
+    fn time_cap_ends_the_run() {
+        // The second request arrives after the cap and never runs.
+        let rep = driver(vec![req(0, 0.0, 5), req(1, 2.0, 3)])
+            .with_max_sim_time(SimTime::from_secs(1.0))
+            .run(&mut one_shot());
+        assert_eq!(rep.finished, 1);
+        assert_eq!(rep.total, 2);
+        assert!(!rep.is_stable());
+    }
+
+    #[test]
+    fn watchdog_sheds_arrivals_past_the_queue_cap() {
+        let cfg = WatchdogConfig {
+            queue_depth_cap: 2,
+            ..WatchdogConfig::default()
+        };
+        let reqs: Vec<RequestSpec> = (0..5).map(|i| req(i, 0.0, 4)).collect();
+        let rep = driver(reqs.clone()).with_watchdog(cfg).run(&mut one_shot());
+        assert_eq!(rep.finished, 2);
+        assert_eq!(rep.shed, 3);
+        // Without the watchdog every request is served.
+        assert_eq!(driver(reqs).run(&mut one_shot()).finished, 5);
+    }
 }

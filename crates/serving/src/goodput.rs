@@ -192,6 +192,20 @@ mod tests {
         )
     }
 
+    /// A point at `rate` that passes a 100 ms TBT target iff `pass`,
+    /// its throughput and utilization tagged with its rate.
+    fn point(rate: f64, pass: bool) -> GoodputPoint {
+        GoodputPoint {
+            rate,
+            p99_tbt: if pass { 0.05 } else { 0.2 },
+            p99_ttft: 1.0,
+            attainment: if pass { 1.0 } else { 0.5 },
+            stable: true,
+            token_throughput: 100.0 * rate,
+            utilization: rate / 100.0,
+        }
+    }
+
     #[test]
     fn finds_knee_rate() {
         let rates = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0];
@@ -250,5 +264,128 @@ mod tests {
         let assembled = super::assemble_goodput(eager, 0.100);
         let sequential = find_goodput(&rates, 0.100, fake_report);
         assert_eq!(assembled, sequential);
+    }
+
+    #[test]
+    fn point_reads_its_columns_off_the_report() {
+        let report = fake_report(4.0);
+        let p = GoodputPoint::from_report(4.0, &report);
+        assert_eq!(p.rate, 4.0);
+        assert_eq!(p.p99_tbt, report.tbt.p99());
+        assert_eq!(p.p99_ttft, report.ttft.p99());
+        assert_eq!(p.attainment, report.tbt_attainment());
+        assert_eq!(p.token_throughput, report.token_throughput());
+        assert_eq!(p.utilization, report.utilization);
+        assert!(p.stable);
+        assert!(!GoodputPoint::from_report(10.0, &fake_report(10.0)).stable);
+    }
+
+    #[test]
+    fn passing_needs_stability_and_p99_tbt_within_target() {
+        let mut p = point(1.0, true);
+        p.p99_tbt = 0.100;
+        assert!(p.passes(0.100));
+        // 0.01 % of slack absorbs float noise at the boundary.
+        p.p99_tbt = 0.100 * 1.00005;
+        assert!(p.passes(0.100));
+        p.p99_tbt = 0.100 * 1.001;
+        assert!(!p.passes(0.100));
+        p.p99_tbt = 0.05;
+        p.stable = false;
+        assert!(!p.passes(0.100));
+    }
+
+    #[test]
+    fn failures_before_the_first_pass_do_not_stop_the_sweep() {
+        let res = assemble_goodput(
+            vec![
+                point(1.0, false),
+                point(2.0, false),
+                point(3.0, true),
+                point(4.0, false),
+                point(5.0, true),
+            ],
+            0.100,
+        );
+        assert_eq!(res.goodput_rate, 3.0);
+        assert_eq!(res.points.len(), 4);
+    }
+
+    #[test]
+    fn a_sweep_with_no_pass_runs_every_rate() {
+        let rates = [2.0, 4.0, 6.0];
+        let mut runs = 0;
+        let res = find_goodput(&rates, 0.001, |rate| {
+            runs += 1;
+            fake_report(rate)
+        });
+        assert_eq!(runs, 3);
+        assert_eq!(res.points.len(), 3);
+        assert_eq!(res.goodput_rate, 0.0);
+    }
+
+    #[test]
+    fn an_all_passing_sweep_keeps_every_point() {
+        let res = find_goodput(&[2.0, 4.0, 6.0], 0.100, fake_report);
+        assert_eq!(res.points.len(), 3);
+        assert_eq!(res.goodput_rate, 6.0);
+    }
+
+    #[test]
+    fn a_pass_beyond_the_stop_is_never_run() {
+        // Rate 4 fails after rate 2 passed; rate 6 would pass again but
+        // the sweep has stopped.
+        let mut ran = Vec::new();
+        let res = find_goodput(&[2.0, 4.0, 6.0], 0.100, |rate| {
+            ran.push(rate);
+            fake_report(if rate == 4.0 { 12.0 } else { 2.0 })
+        });
+        assert_eq!(ran, [2.0, 4.0]);
+        assert_eq!(res.goodput_rate, 2.0);
+        assert_eq!(res.points.len(), 2);
+    }
+
+    #[test]
+    fn assemble_drops_a_pass_beyond_the_stop() {
+        let res = assemble_goodput(
+            vec![point(2.0, true), point(4.0, false), point(6.0, true)],
+            0.100,
+        );
+        assert_eq!(res.goodput_rate, 2.0);
+        assert_eq!(res.points, [point(2.0, true), point(4.0, false)]);
+    }
+
+    #[test]
+    fn goodput_columns_come_from_the_best_passing_point() {
+        let res = assemble_goodput(
+            vec![point(2.0, true), point(4.0, true), point(6.0, false)],
+            0.100,
+        );
+        assert_eq!(res.goodput_rate, 4.0);
+        assert_eq!(res.goodput_tokens_per_sec, 400.0);
+        assert_eq!(res.goodput_utilization, 0.04);
+        assert_eq!(res.points.last().map(|p| p.rate), Some(6.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty rate sweep")]
+    fn assemble_rejects_an_empty_sweep() {
+        assemble_goodput(Vec::new(), 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn assemble_rejects_a_repeated_rate() {
+        assemble_goodput(vec![point(2.0, true), point(2.0, true)], 0.1);
+    }
+
+    #[test]
+    fn faulty_sweep_runs_healthy_first_then_at_the_intensity() {
+        let mut calls = Vec::new();
+        find_goodput_faulty(&[2.0, 4.0], 0.100, 0.5, |rate, intensity| {
+            calls.push((rate, intensity));
+            fake_report(rate)
+        });
+        assert_eq!(calls, [(2.0, 0.0), (4.0, 0.0), (2.0, 0.5), (4.0, 0.5)]);
     }
 }
