@@ -351,7 +351,7 @@ impl MetricsRecorder {
             .iter()
             .zip(&self.cancelled)
             .map(|(r, &c)| (r.gaps, if c { 0 } else { gap_count(r.tokens_emitted) }));
-        let tbt = Summary::from(self.gaps.into_samples(kept));
+        let tbt = self.gaps.into_summary(kept);
         Report {
             ttft,
             tbt,
@@ -421,12 +421,12 @@ fn secs(nanos: u64) -> f64 {
     SimDuration::from_nanos(nanos).as_secs()
 }
 
-/// The gap in `slot` of segment `seg`, whose storage is `words`, in
+/// The gap in `slot` of segment `seg`, whose storage is `data`, in
 /// nanoseconds; `long` is the [`GapLog`]'s table of long gaps.
-fn nanos(words: &[u64], long: &BTreeMap<(usize, usize), u64>, seg: usize, slot: usize) -> u64 {
-    match (words[slot / 2] >> (slot % 2 * 32)) as u32 {
+fn nanos(data: &[u32], long: &BTreeMap<(usize, usize), u64>, seg: usize, slot: usize) -> u64 {
+    match data[slot] {
         LONG_GAP => long[&(seg, slot)],
-        half => u64::from(half),
+        short => u64::from(short),
     }
 }
 
@@ -450,12 +450,12 @@ pub(crate) struct Region {
 /// segments of [`SEGMENT_GAPS`] slots, or one of their own when longer.
 /// A region that fills moves to fresh space.
 ///
-/// A slot holds its gap's integer nanoseconds in 32 bits, two slots to
-/// a 64-bit word. The one segment of a recorder built over a whole trace
-/// is sized for one `f64` sample per slot: a run touches half of it, and
-/// the report widens the samples in place. Other segments hold only the
-/// 32-bit gaps; a report spanning several gathers them into a vector of
-/// its own, and a lone one grows at report time.
+/// A slot holds its gap's integer nanoseconds in 32 bits, and the
+/// report keeps them so: [`Summary::from_nanos`] reads each as
+/// [`SimDuration::as_secs`] gives it. The report takes the one segment
+/// of a recorder built over a whole trace as it is, compacted in place;
+/// a report spanning several segments gathers their gaps into a vector
+/// of its own.
 #[derive(Debug)]
 struct GapLog {
     segs: Vec<Segment>,
@@ -473,31 +473,18 @@ struct Segment {
     len: usize,
     /// Slots handed to regions so far.
     used: usize,
-    /// Words the storage is allocated with: `len`, room to widen every
-    /// slot in place, or `len / 2` rounded up.
-    words: usize,
-    /// Storage from the first gap written here on: slot `i` is the low
-    /// (even `i`) or high (odd `i`) half of word `i / 2`. Filled out as
-    /// far as gaps reach; unallocated before.
-    data: Vec<u64>,
+    /// One gap per slot from the first gap written here on, filled out
+    /// as far as gaps reach; unallocated before.
+    data: Vec<u32>,
 }
 
 impl Segment {
-    /// A segment of `len` slots whose storage can hold them widened
-    /// when `widens`, else only as 32-bit gaps.
-    fn new(len: usize, widens: bool) -> Segment {
+    fn new(len: usize) -> Segment {
         Segment {
             len,
             used: 0,
-            words: if widens { len } else { len.div_ceil(2) },
             data: Vec::new(),
         }
-    }
-
-    fn set_half(&mut self, slot: usize, value: u32) {
-        let shift = slot % 2 * 32;
-        let word = &mut self.data[slot / 2];
-        *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(value) << shift;
     }
 }
 
@@ -506,7 +493,7 @@ impl GapLog {
     fn new(total: usize) -> GapLog {
         GapLog {
             segs: if total > 0 {
-                vec![Segment::new(total, true)]
+                vec![Segment::new(total)]
             } else {
                 Vec::new()
             },
@@ -522,7 +509,7 @@ impl GapLog {
             return Region::default();
         }
         if self.segs.last().is_none_or(|s| s.len - s.used < cap) {
-            self.segs.push(Segment::new(cap.max(SEGMENT_GAPS), false));
+            self.segs.push(Segment::new(cap.max(SEGMENT_GAPS)));
         }
         let seg = self.segs.len() - 1;
         let s = &mut self.segs[seg];
@@ -534,7 +521,7 @@ impl GapLog {
     /// Writes gaps `k..k + n` of `region`, whose first `k` slots hold
     /// its gaps so far: `lead` nanoseconds first when given, then zeros.
     fn record(&mut self, region: &mut Region, k: usize, n: usize, lead: Option<u64>) {
-        if k + n > region.cap || region.start + k + n > 2 * self.segs[region.seg].data.len() {
+        if k + n > region.cap || region.start + k + n > self.segs[region.seg].data.len() {
             self.make_room(region, k, n);
         }
         let at = region.start + k;
@@ -545,16 +532,13 @@ impl GapLog {
             }
             None => at,
         };
-        let seg = &mut self.segs[region.seg];
-        for slot in zeros..at + n {
-            seg.set_half(slot, 0);
-        }
+        self.segs[region.seg].data[zeros..at + n].fill(0);
     }
 
     /// Writes a gap of `nanos` into `slot` of segment `seg`.
     fn put(&mut self, seg: usize, slot: usize, nanos: u64) {
         match u32::try_from(nanos) {
-            Ok(half) if half != LONG_GAP => self.segs[seg].set_half(slot, half),
+            Ok(short) if short != LONG_GAP => self.segs[seg].data[slot] = short,
             _ => self.put_long(seg, slot, nanos),
         }
     }
@@ -562,7 +546,7 @@ impl GapLog {
     #[cold]
     fn put_long(&mut self, seg: usize, slot: usize, nanos: u64) {
         self.long.insert((seg, slot), nanos);
-        self.segs[seg].set_half(slot, LONG_GAP);
+        self.segs[seg].data[slot] = LONG_GAP;
     }
 
     /// Gives `region` room for `k + n` gaps, keeping its first `k`: a
@@ -589,17 +573,16 @@ impl GapLog {
     /// Makes the first `end` slots of segment `seg` writable. Its
     /// storage is allocated whole at the first gap written there, and
     /// zero-filled only as far as gaps reach, a page ahead at a time, so
-    /// words no gap reaches are never touched and the storage never
+    /// slots no gap reaches are never touched and the storage never
     /// reallocates.
     fn fill_to(&mut self, seg: usize, end: usize) {
-        const PAGE_WORDS: usize = 512;
+        const PAGE_SLOTS: usize = 1024;
         let s = &mut self.segs[seg];
         if s.data.capacity() == 0 {
-            s.data = Vec::with_capacity(s.words);
+            s.data = Vec::with_capacity(s.len);
         }
-        let words = end.div_ceil(2);
-        if s.data.len() < words {
-            let to = words.max(s.data.len() + PAGE_WORDS).min(s.len.div_ceil(2));
+        if s.data.len() < end {
+            let to = end.max(s.data.len() + PAGE_SLOTS).min(s.len);
             s.data.resize(to, 0);
         }
     }
@@ -607,45 +590,41 @@ impl GapLog {
     /// The first `n` gaps of `region`, in seconds.
     fn recorded(&self, region: Region, n: usize) -> impl Iterator<Item = f64> + '_ {
         // A region with no gaps may name a segment never opened.
-        let words = self.segs.get(region.seg).map_or(&[][..], |s| &s.data);
+        let data = self.segs.get(region.seg).map_or(&[][..], |s| &s.data);
         (region.start..region.start + n)
-            .map(move |slot| secs(nanos(words, &self.long, region.seg, slot)))
+            .map(move |slot| secs(nanos(data, &self.long, region.seg, slot)))
     }
 
-    /// The first `n` gaps of each `(region, n)` in seconds, concatenated
-    /// in the order given. Regions still back to back in request order
-    /// in one segment are widened and compacted in place, and that
-    /// segment becomes the result; any other layout is gathered into a
-    /// vector of exactly the samples' size.
-    fn into_samples(mut self, regions: impl Iterator<Item = (Region, usize)> + Clone) -> Vec<f64> {
-        if self.segs.len() > 1 || self.moved {
-            let total = regions.clone().map(|(_, n)| n).sum();
+    /// A summary of the first `n` gaps of each `(region, n)`, in the
+    /// order given. It keeps them as 32-bit nanoseconds unless one is a
+    /// long gap; then it holds them all as seconds. Regions still back
+    /// to back in request order in one segment are compacted in place,
+    /// and that segment becomes the summary's store; any other layout
+    /// is gathered into a vector of exactly the samples' size.
+    fn into_summary(mut self, regions: impl Iterator<Item = (Region, usize)> + Clone) -> Summary {
+        let total = regions.clone().map(|(_, n)| n).sum();
+        let keeps_long = !self.long.is_empty()
+            && regions.clone().any(|(r, n)| {
+                self.long
+                    .range((r.seg, r.start)..(r.seg, r.start + n))
+                    .next()
+                    .is_some()
+            });
+        if keeps_long {
             let mut out = Vec::with_capacity(total);
             for (r, n) in regions {
                 out.extend(self.recorded(r, n));
             }
-            return out;
+            return Summary::from(out);
         }
-        // Widen every slot up to the last recorded gap into its own
-        // word, last slot first: word `i` holds slots `2i` and `2i + 1`,
-        // both read by the time slot `i` overwrites it.
-        let end = regions
-            .clone()
-            .map(|(r, n)| if n > 0 { r.start + n } else { 0 })
-            .max()
-            .unwrap_or(0);
-        if end == 0 {
-            return Vec::new();
+        if self.segs.len() != 1 || self.moved {
+            let mut out = Vec::with_capacity(total);
+            for (r, n) in regions.filter(|&(_, n)| n > 0) {
+                out.extend_from_slice(&self.segs[r.seg].data[r.start..r.start + n]);
+            }
+            return Summary::from_nanos(out);
         }
-        let words = &mut self.segs[0].data;
-        words.reserve_exact(end.saturating_sub(words.len()));
-        words.resize(end, 0);
-        for slot in (0..end).rev() {
-            words[slot] = secs(nanos(words, &self.long, 0, slot)).to_bits();
-        }
-        let words = std::mem::take(words);
-        // Same size and alignment: the buffer is reused, not copied.
-        let mut data: Vec<f64> = words.into_iter().map(f64::from_bits).collect();
+        let mut data = std::mem::take(&mut self.segs[0].data);
         let mut len = 0;
         for (r, n) in regions {
             if n > 0 && r.start != len {
@@ -655,7 +634,7 @@ impl GapLog {
         }
         data.truncate(len);
         data.shrink_to_fit();
-        data
+        Summary::from_nanos(data)
     }
 }
 
@@ -999,7 +978,7 @@ mod tests {
             let rep = m.report(&[SimTime::ZERO], SimDuration::from_secs(2.0), &slo());
             // Four tokens, three gaps: the real one, then one zero per
             // further token of the flush.
-            assert_eq!(rep.tbt.samples(), &[0.25, 0.0, 0.0]);
+            assert_eq!(*rep.tbt.samples(), [0.25, 0.0, 0.0]);
         }
     }
 
@@ -1015,7 +994,7 @@ mod tests {
         assert_eq!(m.gaps.segs[0].len, 2 + 3);
         assert!(!m.gaps.moved, "no region outgrew its output length");
         let rep = m.report(&[SimTime::ZERO; 4], SimDuration::from_secs(3.0), &slo());
-        assert_eq!(rep.tbt.samples(), &[1.0, 0.5, 0.5, 1.0, 0.0]);
+        assert_eq!(*rep.tbt.samples(), [1.0, 0.5, 0.5, 1.0, 0.0]);
     }
 
     #[test]
@@ -1034,7 +1013,7 @@ mod tests {
             m.emit_tokens(req, SimTime::from_secs(1.0 + req as f64), 2);
         }
         let rep = m.report(&[SimTime::ZERO; 3], SimDuration::from_secs(4.0), &slo());
-        assert_eq!(rep.tbt.samples(), &[0.0, 0.0, 1.0, 0.0, 2.0, 0.0]);
+        assert_eq!(*rep.tbt.samples(), [0.0, 0.0, 1.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
@@ -1043,7 +1022,7 @@ mod tests {
         let start = SimTime::from_secs(1.0);
         // Request 0: every gap at or just around the 32-bit limit, then
         // a 5 s stall. Request 1: a long gap, cancelled, so it never
-        // reaches the report but sits among the slots that are widened.
+        // reaches the report but sits between the regions it keeps.
         // Request 2: a 5 s gap followed by a 3-token flush.
         let plan: [&[(u64, u64)]; 3] = [
             &[
@@ -1089,7 +1068,7 @@ mod tests {
                 "sized {sized}"
             );
             let rep = m.report(&[SimTime::ZERO; 3], SimDuration::from_secs(30.0), &slo());
-            assert_eq!(bits(rep.tbt.samples()), bits(&kept), "sized {sized}");
+            assert_eq!(bits(&rep.tbt.samples()), bits(&kept), "sized {sized}");
         }
     }
 
@@ -1260,7 +1239,7 @@ mod tests {
             prop_assert_eq!(m.last_tbt_violation(), reference.violation);
             let n = lens.len();
             let rep = m.report(&vec![SimTime::ZERO; n], SimDuration::from_secs(1.0), &slo());
-            prop_assert_eq!(bits(rep.tbt.samples()), bits(&reference.samples()));
+            prop_assert_eq!(bits(&rep.tbt.samples()), bits(&reference.samples()));
         }
     }
 }

@@ -64,7 +64,9 @@ fn recording_gaps_allocates_once_per_trace_not_per_request() {
     const TOKENS: u64 = 200;
     let mut m = MetricsRecorder::with_output_tokens([TOKENS; REQUESTS]);
     let arrivals = vec![SimTime::ZERO; REQUESTS];
+    let gaps = REQUESTS * (TOKENS as usize - 1);
     let before = allocs();
+    LARGEST.with(|m| m.set(0));
     for step in 0..TOKENS {
         let now = SimTime::from_secs(0.5 + 0.02 * step as f64);
         for req in 0..REQUESTS {
@@ -76,23 +78,28 @@ fn recording_gaps_allocates_once_per_trace_not_per_request() {
         m.finish(req, end, SimTime::ZERO);
     }
     let recorded = allocs() - before;
-    // One buffer for every request's gaps, allocated at the first gap.
+    // One buffer for every request's gaps, allocated at the first gap,
+    // with 32 bits a gap.
     assert_eq!(recorded, 1, "{recorded} allocations to record the gaps");
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= gaps * std::mem::size_of::<u32>(),
+        "recording made a {largest}-byte allocation for {gaps} gaps"
+    );
 
     let before = allocs();
     LARGEST.with(|m| m.set(0));
     let report = m.report(&arrivals, SimDuration::from_secs(5.0), &SloSpec::llama8b());
     let reported = allocs() - before;
-    let gaps = REQUESTS * (TOKENS as usize - 1);
     assert_eq!(report.tbt.len(), gaps);
-    // The gaps widen in place and move into the report whole; what
+    // The gaps move into the report whole, still 32 bits each; what
     // allocates is the other summaries (TTFT, TPOT, E2E, one sample per
     // request) growing as they are recorded.
     assert!(reported <= 48, "{reported} allocations to build the report");
     let largest = LARGEST.with(Cell::get);
     assert!(
-        largest < gaps * std::mem::size_of::<f64>(),
-        "building the report made a {largest}-byte allocation: the samples were copied"
+        largest < gaps * std::mem::size_of::<u32>(),
+        "building the report made a {largest}-byte allocation: the samples were copied or widened"
     );
 }
 

@@ -4,9 +4,24 @@
 //! latency, plus CDFs (Fig. 20) and SLO-attainment fractions (Fig. 15).
 //! [`Summary`] collects samples and computes all of these.
 
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
+use std::slice;
+
+use crate::SimDuration;
 
 /// A collection of `f64` samples with percentile and mean queries.
+///
+/// A summary keeps its samples in one of two stores. Recorded samples
+/// are `f64`s. A summary built by [`Summary::from_nanos`] keeps integer
+/// nanoseconds in 32 bits each, half the memory of `f64`s, and reads
+/// each as [`SimDuration::as_secs`] gives it. Every query answers the
+/// same bits from either store: that conversion is monotone, so order
+/// statistics commute with it, and sums, extremes and counts convert
+/// each sample in insertion order. `Debug` and `PartialEq` see only the
+/// `f64` values, so they cannot tell the stores apart either.
 ///
 /// # Examples
 ///
@@ -19,11 +34,82 @@ use std::fmt;
 /// assert_eq!(s.mean(), 2.5);
 /// assert_eq!(s.percentile(50.0), 2.5);
 /// assert_eq!(s.max(), 4.0);
+///
+/// // The same samples as nanoseconds answer the same bits.
+/// let ns = Summary::from_nanos(vec![1_000_000_000, 2_000_000_000, 3_000_000_000, 4_000_000_000]);
+/// assert_eq!(ns, s);
+/// assert_eq!(ns.percentile(50.0), 2.5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Summary {
-    samples: Vec<f64>,
+    samples: Store,
+    /// Whether the store is sorted ascending; only [`Summary::cdf`]
+    /// sorts it.
     sorted: bool,
+}
+
+#[derive(Clone)]
+enum Store {
+    /// Samples as recorded.
+    Secs(Vec<f64>),
+    /// Integer nanoseconds, each read as [`SimDuration::as_secs`].
+    Nanos(Vec<u32>),
+}
+
+impl Default for Store {
+    fn default() -> Store {
+        Store::Secs(Vec::new())
+    }
+}
+
+/// One stored sample.
+trait Sample: Copy + PartialOrd {
+    /// The sample in seconds.
+    fn secs(self) -> f64;
+}
+
+impl Sample for f64 {
+    fn secs(self) -> f64 {
+        self
+    }
+}
+
+impl Sample for u32 {
+    fn secs(self) -> f64 {
+        SimDuration::from_nanos(u64::from(self)).as_secs()
+    }
+}
+
+fn by_value<T: PartialOrd>(a: &T, b: &T) -> Ordering {
+    a.partial_cmp(b).expect("NaN sample")
+}
+
+/// The `lo`-th order statistic of `v` in seconds and, when `need_hi` is
+/// set, the `lo + 1`-th, without reordering `v`. A sorted `v` answers
+/// by direct indexing; an unsorted one runs an O(n) quickselect over a
+/// scratch copy instead of a full sort.
+fn order_stats<T: Sample>(v: &[T], sorted: bool, lo: usize, need_hi: bool) -> (f64, f64) {
+    if sorted {
+        let hi = if need_hi { lo + 1 } else { lo };
+        return (v[lo].secs(), v[hi].secs());
+    }
+    let mut scratch = v.to_vec();
+    let (_, &mut lo_v, rest) = scratch.select_nth_unstable_by(lo, by_value);
+    let hi_v = if need_hi {
+        rest.iter().map(|x| x.secs()).fold(f64::INFINITY, f64::min)
+    } else {
+        lo_v.secs()
+    };
+    (lo_v.secs(), hi_v)
+}
+
+impl Store {
+    fn iter(&self) -> SampleIter<'_> {
+        SampleIter(match self {
+            Store::Secs(v) => Iter::Secs(v.iter()),
+            Store::Nanos(v) => Iter::Nanos(v.iter()),
+        })
+    }
 }
 
 impl Summary {
@@ -32,76 +118,80 @@ impl Summary {
         Summary::default()
     }
 
-    /// Records one sample.
+    /// Takes ownership of samples given as integer nanoseconds without
+    /// copying them, and keeps them at 4 bytes each. The summary equals
+    /// one built by recording each sample's [`SimDuration::as_secs`] in
+    /// order, and answers every query with the same bits.
+    pub fn from_nanos(nanos: Vec<u32>) -> Summary {
+        Summary {
+            samples: Store::Nanos(nanos),
+            sorted: false,
+        }
+    }
+
+    /// Records one sample. A summary of nanoseconds is widened to `f64`
+    /// samples first.
     ///
     /// # Panics
     ///
     /// Panics in debug builds on NaN samples.
     pub fn record(&mut self, v: f64) {
         debug_assert!(!v.is_nan(), "NaN sample");
-        self.samples.push(v);
+        self.secs_mut().push(v);
         self.sorted = false;
+    }
+
+    /// The `f64` store, widening a store of nanoseconds in place of it.
+    fn secs_mut(&mut self) -> &mut Vec<f64> {
+        if let Store::Nanos(v) = &self.samples {
+            self.samples = Store::Secs(v.iter().map(|&n| n.secs()).collect());
+        }
+        let Store::Secs(v) = &mut self.samples else {
+            unreachable!("widened above")
+        };
+        v
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        match &self.samples {
+            Store::Secs(v) => v.len(),
+            Store::Nanos(v) => v.len(),
+        }
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Arithmetic mean; 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.samples.iter().sum::<f64>() / self.len() as f64
         }
     }
 
     /// Maximum sample; 0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
+        self.samples.iter().reduce(f64::max).unwrap_or(0.0)
     }
 
     /// Minimum sample; 0 when empty.
     pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-        }
+        self.samples.iter().reduce(f64::min).unwrap_or(0.0)
     }
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+            match &mut self.samples {
+                Store::Secs(v) => v.sort_by(by_value),
+                Store::Nanos(v) => v.sort_unstable(),
+            }
             self.sorted = true;
         }
-    }
-
-    /// Returns the `lo`-th order statistic and, when `need_hi` is set,
-    /// the `lo + 1`-th, without mutating the sample order. Sorted
-    /// summaries answer by direct indexing; unsorted ones run an O(n)
-    /// quickselect over a scratch copy instead of a full sort.
-    fn order_stats(&self, lo: usize, need_hi: bool) -> (f64, f64) {
-        if self.sorted {
-            let hi = if need_hi { lo + 1 } else { lo };
-            return (self.samples[lo], self.samples[hi]);
-        }
-        let mut scratch = self.samples.clone();
-        let (_, &mut lo_v, rest) =
-            scratch.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("NaN sample"));
-        let hi_v = if need_hi {
-            rest.iter().copied().fold(f64::INFINITY, f64::min)
-        } else {
-            lo_v
-        };
-        (lo_v, hi_v)
     }
 
     /// The `p`-th percentile (0..=100) with linear interpolation; 0 when
@@ -115,17 +205,18 @@ impl Summary {
     /// Panics in debug builds if `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> f64 {
         debug_assert!((0.0..=100.0).contains(&p));
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let n = self.samples.len();
-        if n == 1 {
-            return self.samples[0];
+        let n = self.len();
+        if n <= 1 {
+            return self.samples.iter().next().unwrap_or(0.0);
         }
         let rank = p / 100.0 * (n - 1) as f64;
         let lo = rank.floor() as usize;
         let frac = rank - lo as f64;
-        let (lo_v, hi_v) = self.order_stats(lo, frac > 0.0);
+        let need_hi = frac > 0.0;
+        let (lo_v, hi_v) = match &self.samples {
+            Store::Secs(v) => order_stats(v, self.sorted, lo, need_hi),
+            Store::Nanos(v) => order_stats(v, self.sorted, lo, need_hi),
+        };
         lo_v * (1.0 - frac) + hi_v * frac
     }
 
@@ -142,19 +233,20 @@ impl Summary {
     /// Fraction of samples ≤ `threshold` (the SLO-attainment metric);
     /// 1.0 when empty (an empty window violates nothing).
     pub fn fraction_le(&self, threshold: f64) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 1.0;
         }
-        let ok = self.samples.iter().filter(|&&v| v <= threshold).count();
-        ok as f64 / self.samples.len() as f64
+        let ok = self.samples.iter().filter(|&v| v <= threshold).count();
+        ok as f64 / self.len() as f64
     }
 
     /// Empirical CDF evaluated at `points.len() + 1` evenly spaced
     /// quantiles, returned as `(value, cumulative_fraction)` pairs. Used
-    /// for Fig. 20-style plots.
+    /// for Fig. 20-style plots. Sorts the samples, the only query that
+    /// does.
     pub fn cdf(&mut self, points: usize) -> Vec<(f64, f64)> {
         self.ensure_sorted();
-        if self.samples.is_empty() || points == 0 {
+        if self.is_empty() || points == 0 {
             return Vec::new();
         }
         (0..=points)
@@ -166,22 +258,138 @@ impl Summary {
             .collect()
     }
 
-    /// Merges another summary's samples into this one.
+    /// Merges another summary's samples into this one. Samples stay
+    /// nanoseconds when both summaries hold nanoseconds, or when this
+    /// one is empty; otherwise this summary is widened to `f64` samples
+    /// first.
     pub fn merge(&mut self, other: &Summary) {
-        self.samples.extend_from_slice(&other.samples);
+        if self.is_empty() {
+            self.samples = other.samples.clone();
+        } else if let (Store::Nanos(a), Store::Nanos(b)) = (&mut self.samples, &other.samples) {
+            a.extend_from_slice(b);
+        } else {
+            self.secs_mut().extend(other.samples.iter());
+        }
         self.sorted = false;
     }
 
-    /// Read-only view of the raw samples (unsorted unless a percentile was
-    /// queried).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// Read-only view of the raw samples, in insertion order unless
+    /// [`Summary::cdf`] sorted them. Iterating the view reads each sample
+    /// as `f64` in place; see [`Samples`] for its slice.
+    pub fn samples(&self) -> Samples<'_> {
+        Samples {
+            store: &self.samples,
+            widened: OnceCell::new(),
+        }
+    }
+}
+
+/// Prints what `#[derive(Debug)]` printed when every summary held
+/// `f64`s, from either store: golden tests hash reports' `Debug` text.
+impl fmt::Debug for Summary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Summary")
+            .field("samples", &self.samples())
+            .field("sorted", &self.sorted)
+            .finish()
+    }
+}
+
+/// Compares the samples as `f64` values in order, and the sort state,
+/// as `#[derive(PartialEq)]` did when every summary held `f64`s.
+impl PartialEq for Summary {
+    fn eq(&self, other: &Summary) -> bool {
+        self.sorted == other.sorted
+            && match (&self.samples, &other.samples) {
+                (Store::Secs(a), Store::Secs(b)) => a == b,
+                // `as_secs` is one-to-one on 32-bit nanoseconds.
+                (Store::Nanos(a), Store::Nanos(b)) => a == b,
+                _ => self.len() == other.len() && self.samples.iter().eq(other.samples.iter()),
+            }
+    }
+}
+
+/// A read-only view of a [`Summary`]'s samples, from
+/// [`Summary::samples`].
+///
+/// Iterating the view yields each sample as `f64` without copying the
+/// store. It also derefs to `[f64]`: a summary of `f64` samples lends
+/// its own slice, while one of nanoseconds is widened into a vector the
+/// view holds, at the first slice access and only then.
+pub struct Samples<'a> {
+    store: &'a Store,
+    widened: OnceCell<Vec<f64>>,
+}
+
+impl Deref for Samples<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self.store {
+            Store::Secs(v) => v,
+            Store::Nanos(v) => self
+                .widened
+                .get_or_init(|| v.iter().map(|&n| n.secs()).collect()),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Samples<'a> {
+    type Item = f64;
+    type IntoIter = SampleIter<'a>;
+
+    fn into_iter(self) -> SampleIter<'a> {
+        self.store.iter()
+    }
+}
+
+/// Prints the samples as a list of `f64`s, as `Vec<f64>` does.
+impl fmt::Debug for Samples<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.store.iter()).finish()
+    }
+}
+
+/// The samples of a [`Summary`] as `f64`, in stored order.
+#[derive(Clone)]
+pub struct SampleIter<'a>(Iter<'a>);
+
+#[derive(Clone)]
+enum Iter<'a> {
+    Secs(slice::Iter<'a, f64>),
+    Nanos(slice::Iter<'a, u32>),
+}
+
+impl Iterator for SampleIter<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        match &mut self.0 {
+            Iter::Secs(it) => it.next().map(|&v| v.secs()),
+            Iter::Nanos(it) => it.next().map(|&v| v.secs()),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Iter::Secs(it) => it.size_hint(),
+            Iter::Nanos(it) => it.size_hint(),
+        }
+    }
+
+    // Picks the store once, not per sample: sums, counts and extremes
+    // fold.
+    fn fold<B, F: FnMut(B, f64) -> B>(self, init: B, f: F) -> B {
+        match self.0 {
+            Iter::Secs(it) => it.map(|&v| v.secs()).fold(init, f),
+            Iter::Nanos(it) => it.map(|&v| v.secs()).fold(init, f),
+        }
     }
 }
 
 impl Extend<f64> for Summary {
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        self.samples.extend(iter);
+        self.secs_mut().extend(iter);
         self.sorted = false;
     }
 }
@@ -200,7 +408,7 @@ impl From<Vec<f64>> for Summary {
     fn from(samples: Vec<f64>) -> Summary {
         debug_assert!(samples.iter().all(|v| !v.is_nan()), "NaN sample");
         Summary {
-            samples,
+            samples: Store::Secs(samples),
             sorted: false,
         }
     }
@@ -306,11 +514,14 @@ mod tests {
 
     #[test]
     fn percentile_does_not_reorder_samples() {
-        let s: Summary = [5.0, 1.0, 4.0, 2.0, 3.0].into_iter().collect();
-        let before = s.samples().to_vec();
-        let _ = s.p99();
-        let _ = s.percentile(37.5);
-        assert_eq!(s.samples(), before.as_slice());
+        let secs: Summary = [5.0, 1.0, 4.0, 2.0, 3.0].into_iter().collect();
+        let nanos = Summary::from_nanos(vec![5, 1, 4, 2, 3]);
+        for s in [secs, nanos] {
+            let before = s.samples().to_vec();
+            let _ = s.p99();
+            let _ = s.percentile(37.5);
+            assert_eq!(*s.samples(), *before);
+        }
     }
 
     #[test]
@@ -322,6 +533,48 @@ mod tests {
         for p in [0.0, 1.0, 12.5, 50.0, 90.0, 99.0, 100.0] {
             assert_eq!(unsorted.percentile(p), sorted.percentile(p));
         }
+    }
+
+    #[test]
+    fn max_of_negative_samples_is_the_largest() {
+        let s: Summary = [-3.0, -1.0].into_iter().collect();
+        assert_eq!(s.max(), -1.0);
+        assert_eq!(s.min(), -3.0);
+        assert_eq!(Summary::new().max(), 0.0);
+    }
+
+    #[test]
+    fn nanos_read_as_duration_seconds() {
+        let ns = [1_500_000_000, 0, 7, u32::MAX];
+        let mut nanos = Summary::from_nanos(ns.to_vec());
+        let mut secs: Summary = ns
+            .iter()
+            .map(|&n| SimDuration::from_nanos(u64::from(n)).as_secs())
+            .collect();
+        assert_eq!(nanos, secs);
+        assert_eq!(format!("{nanos:?}"), format!("{secs:?}"));
+        assert_eq!(format!("{nanos:#?}"), format!("{secs:#?}"));
+        assert_eq!(nanos.cdf(4), secs.cdf(4));
+        assert_eq!(format!("{nanos:?}"), format!("{secs:?}"), "both sorted");
+        assert_eq!(*nanos.samples(), [0.0, 7e-9, 1.5, 4.294967295]);
+    }
+
+    #[test]
+    fn merge_and_record_choose_the_store() {
+        let nanos = || Summary::from_nanos(vec![3, 1]);
+        let mut a = nanos();
+        a.merge(&nanos());
+        assert!(matches!(a.samples, Store::Nanos(_)), "nanos + nanos");
+        let mut empty = Summary::new();
+        empty.merge(&nanos());
+        assert!(matches!(empty.samples, Store::Nanos(_)), "empty + nanos");
+        let mut secs: Summary = [2e-9].into_iter().collect();
+        secs.merge(&nanos());
+        assert!(matches!(secs.samples, Store::Secs(_)), "secs + nanos");
+        assert_eq!(*secs.samples(), [2e-9, 3e-9, 1e-9]);
+        a.record(5e-9);
+        assert!(matches!(a.samples, Store::Secs(_)), "recorded");
+        assert_eq!(*a.samples(), [3e-9, 1e-9, 3e-9, 1e-9, 5e-9]);
     }
 
     #[test]

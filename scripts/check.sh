@@ -11,6 +11,8 @@
 #   ./scripts/check.sh setup           # estimator and workload tests, the set-up golden, every alloc_count test
 #   ./scripts/check.sh harness         # bench crate tests (harness golden included), chaos, recovery, fleet,
 #                                      # fleet-chaos and gray smokes
+#   ./scripts/check.sh stats           # simcore and serving tests, every alloc_count test, the refactor and
+#                                      # harness goldens, perfbench's tests (it reads Summary samples)
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -71,6 +73,15 @@ if [[ "${1:-}" == "harness" ]]; then
     cargo run --release -q -p bench --bin fleet -- --smoke
     cargo run --release -q -p bench --bin fleet_chaos -- --smoke
     cargo run --release -q -p bench --bin fleet_chaos -- --gray-smoke
+    exit 0
+fi
+
+if [[ "${1:-}" == "stats" ]]; then
+    cargo test -q -p simcore -p serving
+    cargo test -q --workspace --test alloc_count
+    cargo test -q -p integration-tests --test refactor_invariance
+    cargo test -q -p bench --test harness_golden
+    cargo test --release --manifest-path perfbench/Cargo.toml
     exit 0
 fi
 
