@@ -57,11 +57,11 @@ pub struct ChunkedPrefill {
     /// Spare pieces buffer cycled through `inflight` so assembling an
     /// iteration never reallocates.
     pieces_spare: Vec<(ReqId, u64)>,
-    /// Macro-stepped decode (mirrors `MuxWiseConfig::macro_steps`):
-    /// during quiescent decode-only stretches the chunk-assembly prelude
-    /// is skipped behind cheap invariant checks. Schedules are
-    /// bit-identical either way; the flag exists so equivalence tests
-    /// can A/B the two paths.
+    /// Macro-stepped decode (as in MuxWise): during quiescent
+    /// decode-only stretches the chunk-assembly prelude is skipped
+    /// behind cheap invariant checks. Schedules are bit-identical either
+    /// way; equivalence tests switch it off through
+    /// `Scheduler::set_macro_steps` to A/B the two paths.
     macro_steps: bool,
     /// The previous launch proved the engine quiescent (decode-only,
     /// nothing waiting or prefilling), so this launch may coalesce.
@@ -117,12 +117,6 @@ impl ChunkedPrefill {
             decode_iters: 0,
             coalesced_iters: 0,
         }
-    }
-
-    /// Toggles macro-stepped decode (for A/B equivalence tests).
-    pub fn set_macro_steps(&mut self, on: bool) {
-        self.macro_steps = on;
-        self.macro_armed = false;
     }
 
     /// Creates the scheduler with the SARATHI-Serve methodology: the
@@ -434,7 +428,8 @@ impl Scheduler for ChunkedPrefill {
     }
 
     fn set_macro_steps(&mut self, on: bool) {
-        ChunkedPrefill::set_macro_steps(self, on);
+        self.macro_steps = on;
+        self.macro_armed = false;
     }
 
     fn lease_tables(&self) -> Vec<&LeaseTable> {

@@ -13,22 +13,14 @@
 use std::collections::{HashMap, VecDeque};
 
 use estimator::{ContentionGuard, GuardQuery, SoloPredictor};
-use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
+use gpusim::{ClusterSpec, CtxId, GroupId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
-use serving::lease::{KvLease, LeaseTable};
+use serving::lease::{LeaseTable, LeasedPrompt};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeSide, FaultKind, Handoff, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, launch_prefill_phase, CrashVictim, DecodeSide, FaultKind, Handoff,
+    ReqId, Scheduler, ServeCtx, SloSpec, MAX_PREFILL_BATCH_REQUESTS, MAX_PREFILL_BATCH_TOKENS,
 };
-use simcore::SimDuration;
-
-#[derive(Debug)]
-struct PrefillReq {
-    id: ReqId,
-    seq: SeqState,
-    lease: KvLease,
-}
 
 /// Tag name space.
 const TAG_DECODE: u64 = u64::MAX;
@@ -54,15 +46,14 @@ pub struct HybridPd {
     d_decode_ctx: Option<CtxId>,
     d_prefill_ctx: Option<CtxId>,
     decode_sms: u32,
-    link: Option<LinkId>,
     p_table: Option<LeaseTable>,
     d_table: Option<LeaseTable>,
     lifecycle: Lifecycle,
 
     waiting: VecDeque<ReqId>,
-    p_inflight: Option<Vec<PrefillReq>>,
+    p_inflight: Option<Vec<LeasedPrompt>>,
     /// Overflow prefill running multiplexed on the decode instance.
-    mux_inflight: Option<PrefillReq>,
+    mux_inflight: Option<LeasedPrompt>,
     next_mux_tag: u64,
     mux_tags: HashMap<u64, ()>,
     /// The decode instance; while it is down, decode and overflow
@@ -109,7 +100,6 @@ impl HybridPd {
             d_decode_ctx: None,
             d_prefill_ctx: None,
             decode_sms: 0,
-            link: None,
             p_table: None,
             d_table: None,
             lifecycle: Lifecycle::default(),
@@ -160,17 +150,17 @@ impl HybridPd {
         let mut reqs = Vec::new();
         let mut new_total = 0u64;
         while let Some(&id) = self.waiting.front() {
-            if reqs.len() >= 32 || new_total > 16_384 {
+            // The batch stops once it holds more than the token cap, so
+            // its last prompt may overshoot it.
+            if reqs.len() >= MAX_PREFILL_BATCH_REQUESTS || new_total > MAX_PREFILL_BATCH_TOKENS {
                 break;
             }
-            let spec = ctx.request(id).clone();
+            let spec = ctx.request(id);
+            let input = spec.input_tokens();
             let table = self.p_table.as_mut().expect("table");
             let blocks = spec.content.blocks(table.block_size());
-            let reused = table.peek_prefix(&blocks);
-            let new_tokens = spec.input_tokens() - reused;
-            let Some(lease) =
-                table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
-            else {
+            let new_tokens = input - table.peek_prefix(&blocks);
+            let Some(r) = table.lease_prompt(id, &blocks, input, new_tokens, ctx.now()) else {
                 if reqs.is_empty() && self.decode.batch().is_empty() && self.mux_inflight.is_none()
                 {
                     self.waiting.pop_front();
@@ -180,27 +170,17 @@ impl HybridPd {
                 }
                 break;
             };
-            table.readmit(id, &blocks);
-            let seq = SeqState::new(
-                spec.input_tokens() - lease.matched_tokens(),
-                lease.matched_tokens(),
-            );
-            new_total += seq.new_tokens;
+            new_total += r.seq.new_tokens;
             self.waiting.pop_front();
             self.lifecycle.admit(id);
-            reqs.push(PrefillReq { id, seq, lease });
+            reqs.push(r);
         }
         if reqs.is_empty() {
             return;
         }
         let batch: Vec<SeqState> = reqs.iter().map(|r| r.seq).collect();
-        let work = self.model.prefill_full_work(&batch, &self.par);
-        let launch = SimDuration::from_secs(
-            ctx.gpu.spec().layer_graph_launch.as_secs() * self.model.num_layers as f64,
-        );
-        let ready = ctx.now() + launch;
         let (g, c) = (self.p_group.expect("started"), self.p_ctx.expect("started"));
-        ctx.gpu.submit(g, c, work, ready, TAG_P_INSTANCE);
+        launch_prefill_phase(ctx, &self.model, g, c, &batch, &self.par, TAG_P_INSTANCE);
         self.p_inflight = Some(reqs);
     }
 
@@ -213,24 +193,19 @@ impl HybridPd {
         let Some(&id) = self.waiting.front() else {
             return;
         };
-        let spec = ctx.request(id).clone();
+        let input = ctx.request(id).input_tokens();
         let table = self.d_table.as_mut().expect("table");
         // The multiplexed prefill computes into the decode pool directly
         // (no migration needed afterwards); +1 covers the first generated
         // token's KV entry.
-        let Some(lease) = table.try_lease_private(spec.input_tokens() + 1, ctx.now()) else {
+        let Some(lease) = table.try_lease_private(input + 1, ctx.now()) else {
             return;
         };
         self.waiting.pop_front();
         self.lifecycle.admit(id);
         // No cross-instance cache: the decode side recomputes the full
         // input.
-        let seq = SeqState::new(spec.input_tokens(), 0);
-        let work = self.model.prefill_full_work(&[seq], &self.par);
-        let launch = SimDuration::from_secs(
-            ctx.gpu.spec().layer_graph_launch.as_secs() * self.model.num_layers as f64,
-        );
-        let ready = ctx.now() + launch;
+        let seq = SeqState::new(input, 0);
         let (g, c) = (
             self.d_group.expect("started"),
             self.d_prefill_ctx.expect("started"),
@@ -238,33 +213,22 @@ impl HybridPd {
         let tag = self.next_mux_tag;
         self.next_mux_tag += 1;
         self.mux_tags.insert(tag, ());
-        ctx.gpu.submit(g, c, work, ready, tag);
-        self.mux_inflight = Some(PrefillReq { id, seq, lease });
+        launch_prefill_phase(ctx, &self.model, g, c, &[seq], &self.par, tag);
+        self.mux_inflight = Some(LeasedPrompt { id, seq, lease });
         self.overflow_count += 1;
     }
 
     fn on_instance_prefill_done(&mut self, ctx: &mut ServeCtx) {
         let reqs = self.p_inflight.take().expect("in flight");
         for r in reqs {
-            let spec = ctx.request(r.id).clone();
-            if ctx.tokens_emitted(r.id) == 0 {
-                ctx.emit_tokens(r.id, 1);
-            }
             let table = self.p_table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
+            let blocks = ctx.request(r.id).content.blocks(table.block_size());
             table.release_and_commit(r.lease, &blocks, ctx.now());
-            let context = spec.input_tokens() + 1;
-            let bytes = context as f64 * self.model.kv_bytes_per_token() / self.par.tp as f64;
             let tag = self.next_transfer_tag;
             self.next_transfer_tag += 1;
             // The decode pool allocates a migrated context at admission.
-            let handoff = Handoff {
-                id: r.id,
-                context,
-                reserved: false,
-            };
-            let link = self.link.expect("link");
-            self.decode.send(ctx, link, tag, bytes, handoff);
+            self.decode
+                .send(ctx, tag, r.id, &self.model, self.par.tp, false);
         }
         self.try_dispatch_prefills(ctx);
     }
@@ -294,7 +258,8 @@ impl HybridPd {
             return configs[0];
         }
         let batch = self.decode.batch();
-        let budget = self.slo.tbt.as_secs() * 0.9 - ctx.gpu.spec().graph_launch.as_secs();
+        let budget =
+            self.slo.tbt.as_secs() * SloSpec::TBT_MARGIN - ctx.gpu.spec().graph_launch.as_secs();
         for &sms in &configs {
             let solo = self
                 .predictor
@@ -389,7 +354,7 @@ impl Scheduler for HybridPd {
         self.d_prefill_ctx = Some(ctx.gpu.set_context(dg, sms - self.decode_sms));
         self.p_group = Some(pg);
         self.d_group = Some(dg);
-        self.link = Some(ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0)));
+        self.decode.connect(ctx);
         self.p_table = Some(LeaseTable::new(self.p_pool_capacity, 64));
         self.d_table = Some(LeaseTable::new(self.d_pool_capacity, 64));
     }

@@ -33,14 +33,20 @@
 //! request-lifecycle mechanics live in the `serving` substrate. Hold KV
 //! through a [`serving::LeaseTable`] (created in `on_start`, reported via
 //! `Scheduler::lease_tables` so the driver's end-of-run leak detector
-//! covers you): admit a prompt with `try_lease_prompt` sized from
-//! `peek_prefix` (or `try_lease_private` for lock-less slots), grow with
-//! `absorb_private`, and finish through
-//! `release` or `release_and_commit`
-//! — never touch the raw pool lock API. Crash victims return their
-//! leases through `revoke` (their prefix stays protected) and lift the
-//! protection with `readmit` right after re-admission leases again;
-//! report them as `serving::CrashVictim`s. Track stages with a
+//! covers you): admit a prompt with one call, `lease_prompt`, sized from
+//! `peek_prefix`, which returns it as a [`serving::LeasedPrompt`] (or
+//! `try_lease_private` for lock-less slots); grow with
+//! `absorb_private`, and finish through `release` or
+//! `release_and_commit` — never touch the raw pool lock API. Crash
+//! victims return their leases through `revoke` (their prefix stays
+//! protected); `lease_prompt` lifts the protection when they are
+//! admitted again. Report them as `serving::CrashVictim`s. A batching
+//! engine keeps only its batching policy: which waiting prompts it
+//! takes, in what order, when it stops a batch (the caps are
+//! [`serving::MAX_PREFILL_BATCH_REQUESTS`] and
+//! [`serving::MAX_PREFILL_BATCH_TOKENS`]) and when it drops a prompt
+//! that can never fit. A whole prefill phase launches through
+//! [`serving::launch_prefill_phase`]. Track stages with a
 //! [`serving::Lifecycle`] (`admit`/`begin_decode`/`requeue`/`finish`/
 //! `drop_request`, and `shed_waiting` for the watchdog's deadline shed;
 //! illegal orders panic) and return its counters from
@@ -57,13 +63,14 @@
 //!   decode slot — or retirement when nothing is left to generate), and
 //!   retire finished slots with [`serving::retire`] (commit prompt plus
 //!   output, release, finish).
-//! * **A separate decode instance**: keep a [`serving::DecodeSide`] and
-//!   pass it [`serving::Handoff`]s — over a KV transfer (`send`, then
-//!   `landed` in `on_transfer_done`) or directly (`queue`). Say in each
-//!   handoff whether the decode pool already holds its space. The decode
-//!   side admits, grows with requeue, launches, retires and drains on a
-//!   crash; the engine keeps only where prefill runs and what it
-//!   submits.
+//! * **A separate decode instance**: keep a [`serving::DecodeSide`]
+//!   (`connect` it in `on_start`) and hand it each prefilled context —
+//!   over a KV transfer with `send`, which emits the first token and
+//!   sizes the context, then `landed` in `on_transfer_done`, or directly
+//!   as a [`serving::Handoff`] with `queue`. Say in each handoff whether
+//!   the decode pool already holds its space. The decode side admits,
+//!   grows with requeue, launches, retires and drains on a crash; the
+//!   engine keeps only where prefill runs and what it submits.
 //!
 //! Capacity can also come back without a completion to announce it:
 //! when a KV-shrink window closes, only `Scheduler::on_fault` fires.

@@ -10,15 +10,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
+use gpusim::{ClusterSpec, CtxId, GroupId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
 use serving::lease::LeaseTable;
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeSide, FaultKind, Handoff, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, launch_prefill_phase, CrashVictim, DecodeSide, FaultKind, ReqId,
+    Scheduler, ServeCtx, SloSpec,
 };
-use simcore::SimDuration;
 
 /// A prefill job running on an elastic group.
 #[derive(Debug)]
@@ -41,7 +40,6 @@ pub struct LoongServe {
     num_gpus: u32,
     d_group: Option<GroupId>,
     d_ctx: Option<CtxId>,
-    link: Option<LinkId>,
     d_table: Option<LeaseTable>,
     lifecycle: Lifecycle,
     free_gpus: Vec<u32>,
@@ -77,7 +75,6 @@ impl LoongServe {
             num_gpus: cluster.num_gpus,
             d_group: None,
             d_ctx: None,
-            link: None,
             d_table: None,
             lifecycle: Lifecycle::new(),
             free_gpus: Vec::new(),
@@ -104,8 +101,8 @@ impl LoongServe {
         while let Some(&id) = self.waiting.front() {
             // Elastic sizing: long inputs take more GPU groups; the
             // decode half can be borrowed while decode is idle.
-            let spec = ctx.request(id).clone();
-            let input = spec.input_tokens();
+            let spec = ctx.request(id);
+            let (input, prior) = (spec.input_tokens(), spec.prior_context);
             let wanted_groups = (1 + input / 32_768).min(4) as usize;
             // Elasticity lives on the prefill side: jobs size their
             // groups from the free pool. The decode group keeps serving
@@ -127,19 +124,14 @@ impl LoongServe {
             let sp = (gpus.len() as u32) / self.tp;
             let par = Parallelism::tp_sp(self.tp, sp, self.nvlink_gbs);
             // No cross-request reuse: the full input is recomputed.
-            self.recomputed_tokens += spec.prior_context;
+            self.recomputed_tokens += prior;
             let seq = SeqState::new(input, 0);
-            let work = self.model.prefill_full_work(&[seq], &par);
             let group = ctx.gpu.create_group(gpus.clone());
             let sms = ctx.gpu.spec().sm_count;
             let c = ctx.gpu.set_context(group, sms);
-            let launch = SimDuration::from_secs(
-                ctx.gpu.spec().layer_graph_launch.as_secs() * self.model.num_layers as f64,
-            );
-            let ready = ctx.now() + launch;
             let tag = self.next_tag;
             self.next_tag += 1;
-            ctx.gpu.submit(group, c, work, ready, tag);
+            launch_prefill_phase(ctx, &self.model, group, c, &[seq], &par, tag);
             self.jobs.insert(
                 tag,
                 Job {
@@ -162,23 +154,13 @@ impl LoongServe {
             }
         }
         self.free_gpus.sort_unstable();
-        if ctx.tokens_emitted(job.id) == 0 {
-            ctx.emit_tokens(job.id, 1);
-        }
         // Migrate to the decode group, whose pool allocates the context
         // at admission; the source copy is released immediately
         // (LoongServe keeps no spare KV).
-        let context = ctx.request(job.id).input_tokens() + 1;
-        let bytes = context as f64 * self.model.kv_bytes_per_token() / self.tp as f64;
         let t = self.next_tag;
         self.next_tag += 1;
-        let handoff = Handoff {
-            id: job.id,
-            context,
-            reserved: false,
-        };
-        let link = self.link.expect("link");
-        self.decode.send(ctx, link, t, bytes, handoff);
+        self.decode
+            .send(ctx, t, job.id, &self.model, self.tp, false);
         self.try_start_prefills(ctx);
     }
 
@@ -217,7 +199,7 @@ impl Scheduler for LoongServe {
         self.d_ctx = Some(ctx.gpu.set_context(dg, sms));
         self.d_group = Some(dg);
         self.free_gpus = (self.tp..self.num_gpus).collect();
-        self.link = Some(ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0)));
+        self.decode.connect(ctx);
         self.d_table = Some(LeaseTable::new(self.d_pool_capacity, 64));
     }
 

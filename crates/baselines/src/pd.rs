@@ -10,28 +10,14 @@
 
 use std::collections::VecDeque;
 
-use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
+use gpusim::{ClusterSpec, CtxId, GroupId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
-use serving::lease::{KvLease, LeaseTable};
+use serving::lease::{LeaseTable, LeasedPrompt};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    kv_pool_capacity_tokens, CrashVictim, DecodeSide, FaultKind, Handoff, ReqId, Scheduler,
-    ServeCtx, SloSpec,
+    kv_pool_capacity_tokens, launch_prefill_phase, CrashVictim, DecodeSide, FaultKind, ReqId,
+    Scheduler, ServeCtx, SloSpec, MAX_PREFILL_BATCH_REQUESTS, MAX_PREFILL_BATCH_TOKENS,
 };
-use simcore::SimDuration;
-
-/// One request in the prefill instance.
-#[derive(Debug)]
-struct PrefillReq {
-    id: ReqId,
-    seq: SeqState,
-    lease: KvLease,
-    /// Decode-pool tokens reserved up front (§4.3: "the system must
-    /// still reserve slots for KV caches during prefill and decode";
-    /// prefill stalls when the decode pool cannot host the context).
-    /// Held raw in the decode table until the transfer lands.
-    reserved: u64,
-}
 
 /// The static-disaggregation scheduler. See the [module docs](self).
 #[derive(Debug)]
@@ -44,15 +30,18 @@ pub struct SglangPd {
     p_ctx: Option<CtxId>,
     d_group: Option<GroupId>,
     d_ctx: Option<CtxId>,
-    link: Option<LinkId>,
     p_table: Option<LeaseTable>,
     d_table: Option<LeaseTable>,
     lifecycle: Lifecycle,
     waiting: VecDeque<ReqId>,
-    prefill: Option<Vec<PrefillReq>>,
+    /// The prefill batch in flight. Each prompt also holds its decode
+    /// slot, prompt plus first token, reserved raw in the decode table
+    /// until its transfer lands (§4.3: "the system must still reserve
+    /// slots for KV caches during prefill and decode"; prefill stalls
+    /// when the decode pool cannot host the context).
+    prefill: Option<Vec<LeasedPrompt>>,
     decode: DecodeSide,
     next_tag: u64,
-    max_prefill_batch_tokens: u64,
     /// The prefill instance lost a device; prefill launches halt.
     p_down: bool,
 }
@@ -82,7 +71,6 @@ impl SglangPd {
             p_ctx: None,
             d_group: None,
             d_ctx: None,
-            link: None,
             p_table: None,
             d_table: None,
             lifecycle: Lifecycle::new(),
@@ -90,7 +78,6 @@ impl SglangPd {
             prefill: None,
             decode: DecodeSide::new(),
             next_tag: 1,
-            max_prefill_batch_tokens: 16_384,
             p_down: false,
         }
     }
@@ -116,30 +103,29 @@ impl SglangPd {
         let mut reqs = Vec::new();
         let mut new_total = 0u64;
         while let Some(&id) = self.waiting.front() {
-            if reqs.len() >= 32 {
+            if reqs.len() >= MAX_PREFILL_BATCH_REQUESTS {
                 break;
             }
-            let spec = ctx.request(id).clone();
+            let spec = ctx.request(id);
+            let input = spec.input_tokens();
             let table = self.p_table.as_mut().expect("table");
             let blocks = spec.content.blocks(table.block_size());
-            let reused = table.peek_prefix(&blocks);
-            let new_tokens = spec.input_tokens() - reused;
-            if !reqs.is_empty() && new_total + new_tokens > self.max_prefill_batch_tokens {
+            let new_tokens = input - table.peek_prefix(&blocks);
+            if !reqs.is_empty() && new_total + new_tokens > MAX_PREFILL_BATCH_TOKENS {
                 break;
             }
-            // Reserve the decode-instance slot before prefilling; when
-            // the decode pool is exhausted, prefill stalls (the
-            // OpenThoughts pathology of §4.3).
-            let reserved = spec.input_tokens() + 1;
+            // Reserve the decode-instance slot, prompt plus first token,
+            // before prefilling; when the decode pool is exhausted,
+            // prefill stalls (the OpenThoughts pathology of §4.3).
             let d_table = self.d_table.as_mut().expect("table");
-            let mut lease = None;
-            if d_table.try_alloc_private(reserved, ctx.now()) {
-                lease = table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now());
-                if lease.is_none() {
-                    d_table.free_private(reserved);
+            let mut leased = None;
+            if d_table.try_alloc_private(input + 1, ctx.now()) {
+                leased = table.lease_prompt(id, &blocks, input, new_tokens, ctx.now());
+                if leased.is_none() {
+                    d_table.free_private(input + 1);
                 }
             }
-            let Some(lease) = lease else {
+            let Some(r) = leased else {
                 if reqs.is_empty() && self.prefill.is_none() && self.decode.is_idle() {
                     self.waiting.pop_front();
                     ctx.finish_request(id);
@@ -148,62 +134,34 @@ impl SglangPd {
                 }
                 break;
             };
-            table.readmit(id, &blocks);
-            let seq = SeqState::new(
-                spec.input_tokens() - lease.matched_tokens(),
-                lease.matched_tokens(),
-            );
-            new_total += seq.new_tokens;
+            new_total += r.seq.new_tokens;
             self.waiting.pop_front();
             self.lifecycle.admit(id);
-            reqs.push(PrefillReq {
-                id,
-                seq,
-                lease,
-                reserved,
-            });
+            reqs.push(r);
         }
         if reqs.is_empty() {
             return;
         }
         let batch: Vec<SeqState> = reqs.iter().map(|r| r.seq).collect();
-        let work = self.model.prefill_full_work(&batch, &self.par);
-        let spec = ctx.gpu.spec();
-        let launch = SimDuration::from_secs(
-            spec.layer_graph_launch.as_secs() * self.model.num_layers as f64,
-        );
-        let ready = ctx.now() + launch;
         let (g, c) = (self.p_group.expect("started"), self.p_ctx.expect("started"));
-        ctx.gpu.submit(g, c, work, ready, 0);
+        launch_prefill_phase(ctx, &self.model, g, c, &batch, &self.par, 0);
         self.prefill = Some(reqs);
     }
 
     fn on_prefill_done(&mut self, ctx: &mut ServeCtx) {
         let reqs = self.prefill.take().expect("prefill in flight");
         for r in reqs {
-            let spec = ctx.request(r.id).clone();
-            if ctx.tokens_emitted(r.id) == 0 {
-                ctx.emit_tokens(r.id, 1);
-            }
             // Cache the computed prompt in the prefill pool for future
             // turns, then release the working allocation.
             let table = self.p_table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
+            let blocks = ctx.request(r.id).content.blocks(table.block_size());
             table.release_and_commit(r.lease, &blocks, ctx.now());
-            // Migrate the KV cache to the decode instance (sharded over
-            // the instance's NVLink pairs).
-            let context = spec.input_tokens() + 1;
-            let bytes = context as f64 * self.model.kv_bytes_per_token() / self.par.tp as f64;
+            // Migrate the KV cache into the decode slot reserved at
+            // admission (sharded over the instance's NVLink pairs).
             let tag = self.next_tag;
             self.next_tag += 1;
-            debug_assert_eq!(r.reserved, context, "reservation covers the context");
-            let handoff = Handoff {
-                id: r.id,
-                context,
-                reserved: true,
-            };
-            let link = self.link.expect("link");
-            self.decode.send(ctx, link, tag, bytes, handoff);
+            self.decode
+                .send(ctx, tag, r.id, &self.model, self.par.tp, true);
         }
         self.try_start_prefill(ctx);
     }
@@ -261,7 +219,7 @@ impl Scheduler for SglangPd {
         self.d_ctx = Some(ctx.gpu.set_context(dg, sms));
         self.p_group = Some(pg);
         self.d_group = Some(dg);
-        self.link = Some(ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0)));
+        self.decode.connect(ctx);
         self.p_table = Some(LeaseTable::new(self.p_pool_capacity, 64));
         self.d_table = Some(LeaseTable::new(self.d_pool_capacity, 64));
     }
@@ -332,12 +290,13 @@ impl Scheduler for SglangPd {
             // lost; migrated contexts and the decode instance carry on.
             self.p_down = true;
             for r in self.prefill.take().into_iter().flatten() {
+                let spec = ctx.request(r.id);
                 let p_table = self.p_table.as_mut().expect("table");
-                p_table.revoke(r.id, r.lease, &ctx.request(r.id).content);
+                p_table.revoke(r.id, r.lease, &spec.content);
                 self.d_table
                     .as_mut()
                     .expect("table")
-                    .free_private(r.reserved);
+                    .free_private(spec.input_tokens() + 1);
                 self.lifecycle.requeue(r.id);
                 victims.push(CrashVictim::reprefill(r.id, r.seq.new_tokens));
             }

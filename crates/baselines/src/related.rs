@@ -16,21 +16,14 @@ use std::collections::{HashMap, VecDeque};
 
 use estimator::SoloPredictor;
 use gpusim::{ClusterSpec, CtxId, GroupId, KernelKind, WorkItem};
-use modelspec::{ModelSpec, Parallelism, SeqState};
-use serving::lease::{KvLease, LeaseTable};
+use modelspec::{ModelSpec, Parallelism};
+use serving::lease::{KvLease, LeaseTable, LeasedPrompt};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
-    join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch, FaultKind,
-    RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
+    join_decode, kv_pool_capacity_tokens, launch_prefill_phase, retire, CrashVictim, DecodeBatch,
+    FaultKind, RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
 };
 use simcore::SimDuration;
-
-#[derive(Debug)]
-struct PrefillReq {
-    id: ReqId,
-    seq: SeqState,
-    lease: KvLease,
-}
 
 /// Shared plumbing of the two variants (single pool, simple decode
 /// batch, whole-request prefill bookkeeping).
@@ -76,19 +69,19 @@ impl Common {
         self.model.decode_iter_work(&self.ctx_scratch, &self.par)
     }
 
-    fn admit_one(&mut self, ctx: &mut ServeCtx) -> Option<PrefillReq> {
+    /// Admits the head of the queue, or drops it when it can never fit
+    /// (at most one prompt per call).
+    fn admit_one(&mut self, ctx: &mut ServeCtx) -> Option<LeasedPrompt> {
         if self.down {
             return None;
         }
         let &id = self.waiting.front()?;
-        let spec = ctx.request(id).clone();
+        let spec = ctx.request(id);
+        let input = spec.input_tokens();
         let table = self.table.as_mut().expect("table");
         let blocks = spec.content.blocks(table.block_size());
-        let reused = table.peek_prefix(&blocks);
-        let new_tokens = spec.input_tokens() - reused;
-        let Some(lease) =
-            table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
-        else {
+        let new_tokens = input - table.peek_prefix(&blocks);
+        let Some(r) = table.lease_prompt(id, &blocks, input, new_tokens, ctx.now()) else {
             if self.decode.is_empty() && !self.decode_inflight {
                 self.waiting.pop_front();
                 ctx.finish_request(id);
@@ -96,14 +89,9 @@ impl Common {
             }
             return None;
         };
-        table.readmit(id, &blocks);
         self.waiting.pop_front();
         self.lifecycle.admit(id);
-        let seq = SeqState::new(
-            spec.input_tokens() - lease.matched_tokens(),
-            lease.matched_tokens(),
-        );
-        Some(PrefillReq { id, seq, lease })
+        Some(r)
     }
 
     /// Allocates the per-iteration decode KV growth, requeueing victims
@@ -155,7 +143,7 @@ pub struct WindServe {
     group: Option<GroupId>,
     d_ctx: Option<CtxId>,
     p_ctx: Option<CtxId>,
-    prefill: Option<PrefillReq>,
+    prefill: Option<LeasedPrompt>,
 }
 
 impl WindServe {
@@ -177,22 +165,9 @@ impl WindServe {
         let Some(r) = self.common.admit_one(ctx) else {
             return;
         };
-        let work = self
-            .common
-            .model
-            .prefill_full_work(&[r.seq], &self.common.par);
-        let spec = ctx.gpu.spec();
-        let launch = SimDuration::from_secs(
-            spec.layer_graph_launch.as_secs() * self.common.model.num_layers as f64,
-        );
-        let ready = ctx.now() + launch;
-        ctx.gpu.submit(
-            self.group.expect("started"),
-            self.p_ctx.expect("started"),
-            work,
-            ready,
-            1,
-        );
+        let (g, c) = (self.group.expect("started"), self.p_ctx.expect("started"));
+        let common = &self.common;
+        launch_prefill_phase(ctx, &common.model, g, c, &[r.seq], &common.par, 1);
         self.prefill = Some(r);
     }
 
@@ -331,7 +306,7 @@ pub struct TemporalMux {
     predictor: SoloPredictor,
     group: Option<GroupId>,
     ctx_id: Option<CtxId>,
-    prefill: Option<PrefillReq>,
+    prefill: Option<LeasedPrompt>,
     layers_done: u32,
     layers_inflight: u32,
     sm_count: u32,
@@ -393,7 +368,7 @@ impl TemporalMux {
             let t_phase = self.predictor.prefill_latency(self.sm_count, &[r.seq]);
             let t_layer = (t_phase / total_layers as f64).max(1e-6);
             let slack = if have_decode {
-                (self.slo.tbt.as_secs() * 0.9 - t_decode).max(0.0)
+                (self.slo.tbt.as_secs() * SloSpec::TBT_MARGIN - t_decode).max(0.0)
             } else {
                 f64::INFINITY
             };

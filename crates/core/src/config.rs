@@ -73,19 +73,6 @@ pub struct MuxWiseConfig {
     /// Use the contention guard for worst-case partitioning. Off = trust
     /// solo-run predictions alone (risking SLO violations).
     pub contention_guard: bool,
-    /// Maximum decode batch size (matches frameworks' captured graphs).
-    pub max_decode_batch: usize,
-    /// Maximum new (uncached) tokens batched into one prefill phase.
-    pub max_prefill_batch_tokens: u64,
-    /// Safety margin on the TBT budget when choosing partitions.
-    pub tbt_margin: f64,
-    /// Macro-stepped decode: during provably quiescent stretches (no
-    /// prefill anywhere, nothing waiting or joining), successive decode
-    /// launches skip the merge/partition/prefill prelude behind cheap
-    /// cached invariant checks, deflating to the full path at the first
-    /// deviation. Schedules are bit-identical either way; the flag
-    /// exists so equivalence tests can A/B the two paths.
-    pub macro_steps: bool,
     /// The spatial-sharing mechanism (§3.2.1): green contexts by
     /// default; MPS/static model the inter-process alternatives.
     pub backend: PartitionBackend,
@@ -98,10 +85,6 @@ impl Default for MuxWiseConfig {
             query_sync: true,
             preemption: Preemption::TtftRescue,
             contention_guard: true,
-            max_decode_batch: 256,
-            max_prefill_batch_tokens: 16_384,
-            tbt_margin: 0.9,
-            macro_steps: true,
             backend: PartitionBackend::GreenContext,
         }
     }

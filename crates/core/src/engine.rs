@@ -7,42 +7,32 @@ use estimator::GuardQuery;
 use gpusim::{CtxId, GroupId};
 use kvcache::{Block, KvPool};
 use modelspec::{ModelSpec, Parallelism, SeqState};
-use serving::lease::{KvLease, LeaseTable};
+use serving::lease::{LeaseTable, LeasedPrompt};
 use serving::lifecycle::{EngineCounters, Lifecycle};
 use serving::{
     computed_in_batch, join_decode, kv_pool_capacity_tokens, retire, CrashVictim, DecodeBatch,
     DecodeSlot, FaultKind, RecoveryClass, ReqId, Scheduler, ServeCtx, SloSpec,
+    MAX_PREFILL_BATCH_REQUESTS, MAX_PREFILL_BATCH_TOKENS,
 };
 use simcore::{SimDuration, SimTime};
 
 use crate::config::{Estimators, MuxWiseConfig, Preemption};
 
-/// What a kernel-completion tag refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    /// One prefill layer (or whole-phase launch) of prefill job `gen`.
-    PrefillLayer { gen: u64 },
-}
-
-/// Reserved tag for decode-iteration kernels. Exactly one decode kernel
-/// is ever in flight, so its completion is recognized by value instead
-/// of a per-iteration `tags` map insert/remove. `next_tag` counts up
-/// from 1 and can never collide.
+/// Tag of decode-iteration kernels. Every other kernel is a prefill
+/// layer (or whole-phase launch), tagged with its job's generation,
+/// which counts up from 1 and can never collide.
 const DECODE_TAG: u64 = u64::MAX;
 
-/// One request being prefilled.
-#[derive(Debug)]
-struct PrefillReq {
-    id: ReqId,
-    seq: SeqState,
-    lease: KvLease,
-}
+/// Most requests one decode iteration runs (frameworks' largest
+/// captured graph).
+const MAX_DECODE_BATCH: usize = 256;
 
 /// A batched prefill phase in flight.
 #[derive(Debug)]
 struct PrefillJob {
+    /// The job's generation, which tags its kernels.
     gen: u64,
-    reqs: Vec<PrefillReq>,
+    reqs: Vec<LeasedPrompt>,
     /// Cached `Σ new_tokens` / `Σ reused_tokens` over `reqs` (fixed at
     /// admission), so guard queries need no per-request fold.
     new_sum: u64,
@@ -127,9 +117,7 @@ pub struct MuxWise {
     resume_layers: HashMap<ReqId, u32>,
 
     host_busy_until: SimTime,
-    next_tag: u64,
     next_gen: u64,
-    tags: HashMap<u64, Tag>,
 
     /// Reused per-iteration scratch (hot-loop allocation freedom): the
     /// decode context slice handed to the cost model, eviction victims,
@@ -138,6 +126,14 @@ pub struct MuxWise {
     victim_scratch: Vec<ReqId>,
     retired_scratch: Vec<DecodeSlot>,
 
+    /// Macro-stepped decode: during provably quiescent stretches (no
+    /// prefill anywhere, nothing waiting or joining), successive decode
+    /// launches skip the merge/partition/prefill prelude behind cheap
+    /// cached invariant checks, deflating to the full path at the first
+    /// deviation. Schedules are bit-identical either way; equivalence
+    /// tests switch it off through `Scheduler::set_macro_steps` to A/B
+    /// the two paths.
+    macro_steps: bool,
     /// Macro-step (coalesced decode) state: armed when the previous
     /// launch proved the engine quiescent — no prefill anywhere, nothing
     /// waiting or joining — so the next launch may skip the full prelude
@@ -214,12 +210,11 @@ impl MuxWise {
             down: false,
             resume_layers: HashMap::new(),
             host_busy_until: SimTime::ZERO,
-            next_tag: 1,
             next_gen: 1,
-            tags: HashMap::new(),
             ctx_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
+            macro_steps: true,
             macro_armed: false,
             macro_cands: Vec::new(),
             macro_key: (u8::MAX, 0),
@@ -281,15 +276,6 @@ impl MuxWise {
         self.est.guard.num_cells()
     }
 
-    // ---- tag helpers -------------------------------------------------------
-
-    fn alloc_tag(&mut self, tag: Tag) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        self.tags.insert(t, tag);
-        t
-    }
-
     /// Serializes host-side launch work; returns the kernel's ready time.
     fn host_submit(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
         let start = now.max(self.host_busy_until);
@@ -323,7 +309,7 @@ impl MuxWise {
         }
         let batch = self.decode.len() + self.pending_join.len();
         let mut budget =
-            self.slo.tbt.as_secs() * self.cfg.tbt_margin - ctx.gpu.spec().graph_launch.as_secs();
+            self.slo.tbt.as_secs() * SloSpec::TBT_MARGIN - ctx.gpu.spec().graph_launch.as_secs();
         if self.prefill.is_none() && self.preempted.is_none() && self.waiting.is_empty() {
             // No prefill work: spend the idle SMs on decode by targeting
             // a much faster iteration than the SLO requires.
@@ -480,7 +466,7 @@ impl MuxWise {
         // Same ops in the same order as `desired_decode_sms`; the 0.3
         // no-prefill scaling always applies in the quiescent regime.
         let mut budget =
-            self.slo.tbt.as_secs() * self.cfg.tbt_margin - ctx.gpu.spec().graph_launch.as_secs();
+            self.slo.tbt.as_secs() * SloSpec::TBT_MARGIN - ctx.gpu.spec().graph_launch.as_secs();
         budget *= 0.3;
         self.macro_budget = budget;
         for i in 0..self.macro_cands.len() {
@@ -530,10 +516,10 @@ impl MuxWise {
         // batch.
         let mut pos = 0;
         while let Some(&id) = self.waiting.get(pos) {
-            if reqs.len() >= 32 {
+            if reqs.len() >= MAX_PREFILL_BATCH_REQUESTS {
                 break;
             }
-            let spec = ctx.request(id).clone();
+            let spec = ctx.request(id);
             let table = self.table.as_ref().expect("table");
             let blocks = spec.content.blocks(table.block_size());
             let cached = table.export_prefix(&blocks);
@@ -549,15 +535,16 @@ impl MuxWise {
                 pos += 1;
                 continue;
             }
-            let reused = Block::total_tokens(cached);
-            let new_tokens = spec.input_tokens() - reused;
-            if !reqs.is_empty() && new_total + new_tokens > self.cfg.max_prefill_batch_tokens {
+            let input = spec.input_tokens();
+            let new_tokens = input - Block::total_tokens(cached);
+            if !reqs.is_empty() && new_total + new_tokens > MAX_PREFILL_BATCH_TOKENS {
                 break;
             }
             let table = self.table.as_mut().expect("table");
-            let Some(lease) =
-                table.try_lease_prompt(&blocks, spec.input_tokens(), new_tokens, ctx.now())
-            else {
+            // The lock is taken after the peek; eviction in between can
+            // only shrink the match (more recompute, reserved by the
+            // lease).
+            let Some(r) = table.lease_prompt(id, &blocks, input, new_tokens, ctx.now()) else {
                 // Pool pressure: wait for running requests to release
                 // space — unless nothing is running, in which case the
                 // request can never fit and must be dropped to stay live.
@@ -576,15 +563,10 @@ impl MuxWise {
                 }
                 break;
             };
-            // The lock is taken after the peek; eviction in between can
-            // only shrink the match (more recompute, reserved above).
-            let reused = lease.matched_tokens();
-            table.readmit(id, &blocks);
-            let seq = SeqState::new(spec.input_tokens() - reused, reused);
-            new_total += seq.new_tokens;
+            new_total += r.seq.new_tokens;
             self.waiting.remove(pos);
             self.lifecycle.admit(id);
-            reqs.push(PrefillReq { id, seq, lease });
+            reqs.push(r);
             batch_blocks.push(blocks);
         }
         if reqs.is_empty() {
@@ -604,29 +586,38 @@ impl MuxWise {
             }
             0
         };
+        self.prefill = Some(self.new_job(reqs, resume, false, ctx));
+        self.launch_prefill_layers(ctx);
+    }
+
+    /// A prefill job of `reqs` starting at layer `layers_done`, under the
+    /// next generation, with its token sums, arrival bounds and solo
+    /// estimate on the current prefill partition fixed now.
+    fn new_job(
+        &mut self,
+        reqs: Vec<LeasedPrompt>,
+        layers_done: u32,
+        is_preemptor: bool,
+        ctx: &ServeCtx,
+    ) -> PrefillJob {
         let batch: Vec<SeqState> = reqs.iter().map(|r| r.seq).collect();
-        let est_full = self.est.predictor.prefill_latency(self.prefill_sms, &batch);
         let arrivals = reqs.iter().map(|r| ctx.request(r.id).arrival);
-        let earliest = arrivals.clone().min().expect("non-empty");
-        let latest = arrivals.max().expect("non-empty");
+        let earliest_arrival = arrivals.clone().min().expect("non-empty");
+        let latest_arrival = arrivals.max().expect("non-empty");
         let gen = self.next_gen;
         self.next_gen += 1;
-        let (new_sum, reused_sum) = reqs.iter().fold((0, 0), |(n, r), pr| {
-            (n + pr.seq.new_tokens, r + pr.seq.reused_tokens)
-        });
-        self.prefill = Some(PrefillJob {
+        PrefillJob {
             gen,
             reqs,
-            new_sum,
-            reused_sum,
-            layers_done: resume,
+            new_sum: batch.iter().map(|s| s.new_tokens).sum(),
+            reused_sum: batch.iter().map(|s| s.reused_tokens).sum(),
+            layers_done,
             layers_inflight: 0,
-            earliest_arrival: earliest,
-            latest_arrival: latest,
-            est_full,
-            is_preemptor: false,
-        });
-        self.launch_prefill_layers(ctx);
+            earliest_arrival,
+            latest_arrival,
+            est_full: self.est.predictor.prefill_latency(self.prefill_sms, &batch),
+            is_preemptor,
+        }
     }
 
     /// Launches the next group of prefill layers, sized by the paper's
@@ -665,8 +656,7 @@ impl MuxWise {
                     // Fold the LM head into the final layer.
                     work = work.plus(&self.model.lm_head_work(batch.len() as f64, &self.par));
                 }
-                let tag = self.alloc_tag(Tag::PrefillLayer { gen });
-                ctx.gpu.submit(group, p_ctx, work, ready, tag);
+                ctx.gpu.submit(group, p_ctx, work, ready, gen);
             }
             self.prefill.as_mut().expect("checked").layers_inflight = n_pl;
         } else {
@@ -678,8 +668,7 @@ impl MuxWise {
             let ready = self.host_submit(now, launch_cost);
             let frac = remaining as f64 / self.model.num_layers as f64;
             let work = self.model.prefill_full_work(&batch, &self.par).scaled(frac);
-            let tag = self.alloc_tag(Tag::PrefillLayer { gen });
-            ctx.gpu.submit(group, p_ctx, work, ready, tag);
+            ctx.gpu.submit(group, p_ctx, work, ready, gen);
             let job = self.prefill.as_mut().expect("checked");
             job.layers_inflight = remaining;
             job.layers_done = self.model.num_layers - remaining;
@@ -704,9 +693,10 @@ impl MuxWise {
         n_pl.clamp(1, remaining)
     }
 
-    /// Handles completion of one prefill layer (or whole-phase launch).
+    /// Handles completion of one prefill layer (or whole-phase launch) of
+    /// job `gen`. A generation that is neither the running job's nor the
+    /// preempted one's is ignored.
     fn on_prefill_layer_done(&mut self, gen: u64, ctx: &mut ServeCtx) {
-        self.macro_armed = false;
         let in_current = self.prefill.as_ref().map(|j| j.gen) == Some(gen);
         let job = if in_current {
             self.prefill.as_mut()
@@ -716,6 +706,7 @@ impl MuxWise {
             None
         };
         let Some(job) = job else { return };
+        self.macro_armed = false;
         if self.cfg.layer_wise {
             job.layers_done += 1;
             job.layers_inflight -= 1;
@@ -778,7 +769,7 @@ impl MuxWise {
         if !fast {
             // Query-based sync: merge finished prefills at the launch
             // boundary.
-            while self.decode.len() < self.cfg.max_decode_batch && !self.pending_join.is_empty() {
+            while self.decode.len() < MAX_DECODE_BATCH && !self.pending_join.is_empty() {
                 self.decode.push(self.pending_join.remove(0));
             }
             if self.decode.is_empty() {
@@ -853,7 +844,7 @@ impl MuxWise {
             corun,
         });
         // Re-arm for the next iteration only in the quiescent regime.
-        self.macro_armed = self.cfg.macro_steps
+        self.macro_armed = self.macro_steps
             && self.prefill.is_none()
             && self.preempted.is_none()
             && self.waiting.is_empty()
@@ -922,10 +913,11 @@ impl MuxWise {
             return false;
         }
         let spec = ctx.request(id);
+        let input_tokens = spec.input_tokens();
         let table = self.table.as_ref().expect("table");
         let blocks = spec.content.blocks(table.block_size());
         let reused = table.peek_prefix(&blocks);
-        let new_tokens = spec.input_tokens() - reused;
+        let new_tokens = input_tokens - reused;
         // Solo times on the prefill share the phase holds now.
         let predictor = &self.est.predictor;
         let psms = self.prefill_sms;
@@ -943,22 +935,18 @@ impl MuxWise {
         if !(phase_misses && arrival_meets && phase_keeps_deadline) {
             return false;
         }
-        let (input_tokens, arrival) = (spec.input_tokens(), spec.arrival);
         let table = self.table.as_mut().expect("table");
-        let Some(lease) = table.try_lease_prompt(&blocks, input_tokens, new_tokens, now) else {
+        let Some(r) = table.lease_prompt(id, &blocks, input_tokens, new_tokens, now) else {
             return false;
         };
-        table.readmit(id, &blocks);
-        // Preempt: drop queued (not-running) layers; the running head
-        // finishes (non-preemptive GPU execution).
+        // Preempt: drop queued (not-running) layers, which never
+        // complete; the running head finishes (non-preemptive GPU
+        // execution).
         let (group, p_ctx) = (
             self.group.expect("started"),
             self.prefill_ctx.expect("started"),
         );
         let cancelled = ctx.gpu.cancel_queued(group, p_ctx);
-        for (_, tag) in &cancelled {
-            self.tags.remove(tag);
-        }
         let mut job = self.prefill.take().expect("checked");
         job.layers_inflight -= cancelled.len() as u32;
         debug_assert!(self.preempted.is_none(), "preemption nested");
@@ -966,27 +954,9 @@ impl MuxWise {
         self.lifecycle.record_preemption();
 
         // Start the preemptor with just this request.
-        let seq = SeqState::new(
-            input_tokens - lease.matched_tokens(),
-            lease.matched_tokens(),
-        );
         self.waiting.retain(|&w| w != id);
         self.lifecycle.admit(id);
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let est_full = self.est.predictor.prefill_latency(psms, &[seq]);
-        self.prefill = Some(PrefillJob {
-            gen,
-            new_sum: seq.new_tokens,
-            reused_sum: seq.reused_tokens,
-            reqs: vec![PrefillReq { id, seq, lease }],
-            layers_done: 0,
-            layers_inflight: 0,
-            earliest_arrival: arrival,
-            latest_arrival: arrival,
-            est_full,
-            is_preemptor: true,
-        });
+        self.prefill = Some(self.new_job(vec![r], 0, true, ctx));
         // Launch begins once the old head drains (`on_prefill_layer_done`
         // launches it otherwise).
         if ctx.gpu.is_idle(group, p_ctx) {
@@ -1027,20 +997,17 @@ impl Scheduler for MuxWise {
     }
 
     fn on_kernel_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+        // A stale completion (none exist today — crashes and preemption
+        // cancel queued kernels — but cheap to guard) is ignored: a
+        // decode tag with no iteration in flight, or a generation that
+        // is no job's.
         if tag == DECODE_TAG {
-            // The reserved decode tag never enters the `tags` map. A
-            // stale decode completion (none exist today — crashes cancel
-            // in-flight kernels — but cheap to guard) is ignored exactly
-            // as a cleared map entry used to be.
             if self.decode_inflight.is_some() {
                 self.on_decode_done(ctx);
             }
             return;
         }
-        match self.tags.remove(&tag) {
-            Some(Tag::PrefillLayer { gen }) => self.on_prefill_layer_done(gen, ctx),
-            None => {}
-        }
+        self.on_prefill_layer_done(tag, ctx);
     }
 
     fn groups(&self) -> Vec<GroupId> {
@@ -1063,7 +1030,7 @@ impl Scheduler for MuxWise {
     }
 
     fn set_macro_steps(&mut self, on: bool) {
-        self.cfg.macro_steps = on;
+        self.macro_steps = on;
         self.macro_armed = false;
     }
 
@@ -1107,7 +1074,6 @@ impl Scheduler for MuxWise {
         // device-resident KV.
         self.macro_armed = false;
         self.down = true;
-        self.tags.clear();
         self.decode_inflight = None;
         self.decode_blocked = false;
         let mut victims = Vec::new();
@@ -1414,8 +1380,8 @@ mod tests {
             turn(1, 1.0, 7, prompt, out),
             second,
         ];
+        assert!(2 * prompt + out + new <= MAX_PREFILL_BATCH_TOKENS);
         let cfg = MuxWiseConfig::default();
-        assert!(2 * prompt + out + new <= cfg.max_prefill_batch_tokens);
         let mut engine = MuxWise::new(&ModelSpec::llama8b(), &cluster, 8, slo, est, cfg);
         let mut inst =
             Driver::new(GpuSim::from_cluster(&cluster), reqs, slo).into_instance(&mut engine);

@@ -191,13 +191,6 @@ impl SoloPredictor {
         predict(&self.coef(sms).prefill, &f).max(0.0)
     }
 
-    /// Predicted solo latency (seconds) of a span of `layers` prefill
-    /// layers (the phase latency scaled by `layers / N_T`; launch
-    /// constants are per-phase and scale accordingly).
-    pub fn prefill_layers_latency(&self, sms: u32, batch: &[SeqState], layers: u32) -> f64 {
-        self.prefill_latency(sms, batch) * layers as f64 / self.fitted.model_layers as f64
-    }
-
     /// Predicted solo latency (seconds) of **one decode iteration** with
     /// the given per-request context lengths (Eq. 2).
     pub fn decode_latency(&self, sms: u32, context_lens: &[u64]) -> f64 {
@@ -294,15 +287,6 @@ mod tests {
         let batch = [SeqState::new(8192, 8192)];
         assert!(pred.prefill_latency(108, &batch) < pred.prefill_latency(48, &batch));
         assert!(pred.prefill_latency(48, &batch) < pred.prefill_latency(16, &batch));
-    }
-
-    #[test]
-    fn layer_latency_scales_with_layer_count() {
-        let (model, _, _, pred) = setup();
-        let batch = [SeqState::new(4096, 0)];
-        let full = pred.prefill_latency(92, &batch);
-        let half = pred.prefill_layers_latency(92, &batch, model.num_layers / 2);
-        assert!((half * 2.0 - full).abs() / full < 1e-9);
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl ClusterSpec {
             ..ClusterSpec::dgx_a100()
         }
     }
-
-    /// Total HBM across the server, in bytes.
-    pub fn total_hbm_bytes(&self) -> u64 {
-        (self.gpu.hbm_capacity_gib * self.num_gpus as f64 * 1024.0 * 1024.0 * 1024.0) as u64
-    }
 }
 
 #[cfg(test)]
@@ -324,8 +319,6 @@ mod tests {
 
     #[test]
     fn cluster_totals() {
-        let c = ClusterSpec::dgx_a100();
-        assert_eq!(c.total_hbm_bytes(), 8 * 80 * 1024 * 1024 * 1024);
         assert_eq!(ClusterSpec::single_a100().num_gpus, 1);
     }
 }

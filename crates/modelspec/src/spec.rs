@@ -101,43 +101,6 @@ impl ModelSpec {
         }
     }
 
-    /// Mixtral-8x7B (a smaller MoE reference point).
-    pub fn mixtral8x7b() -> ModelSpec {
-        ModelSpec {
-            name: "Mixtral-8x7B",
-            num_layers: 32,
-            hidden: 4096,
-            num_q_heads: 32,
-            num_kv_heads: 8,
-            head_dim: 128,
-            ffn_inter: 14336,
-            vocab: 32000,
-            dtype_bytes: 2.0,
-            max_context: 32768,
-            moe: Some(MoeSpec {
-                num_experts: 8,
-                top_k: 2,
-            }),
-        }
-    }
-
-    /// Llama-2-13B (a mid-size dense reference point).
-    pub fn llama13b() -> ModelSpec {
-        ModelSpec {
-            name: "Llama-13B",
-            num_layers: 40,
-            hidden: 5120,
-            num_q_heads: 40,
-            num_kv_heads: 40,
-            head_dim: 128,
-            ffn_inter: 13824,
-            vocab: 32000,
-            dtype_bytes: 2.0,
-            max_context: 4096,
-            moe: None,
-        }
-    }
-
     /// CodeLlama-34B-Instruct (the artifact-appendix model).
     pub fn codellama34b() -> ModelSpec {
         ModelSpec {
@@ -246,21 +209,6 @@ mod tests {
         let active = m.active_params() as f64 / 1e9;
         assert!((225.0..245.0).contains(&total), "total {total}B");
         assert!((20.0..24.0).contains(&active), "active {active}B");
-    }
-
-    #[test]
-    fn mixtral_params() {
-        let m = ModelSpec::mixtral8x7b();
-        let total = m.total_params() as f64 / 1e9;
-        let active = m.active_params() as f64 / 1e9;
-        assert!((44.0..48.0).contains(&total), "total {total}B");
-        assert!((12.0..14.5).contains(&active), "active {active}B");
-    }
-
-    #[test]
-    fn llama13b_params() {
-        let p = ModelSpec::llama13b().total_params() as f64 / 1e9;
-        assert!((12.0..13.8).contains(&p), "got {p}B");
     }
 
     #[test]

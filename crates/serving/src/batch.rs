@@ -14,14 +14,21 @@
 //! pool, [`join_decode`] emits its first token, migrates its prompt into
 //! the radix tree and returns its slot, and [`retire`] commits prompt
 //! plus output when it finishes. A disaggregated engine hands it to its
-//! [`DecodeSide`] as a [`Handoff`], which admits, grows, launches,
-//! retires and, on a crash, drains it; the engine keeps only where
-//! prefill runs. Either way, the engine must retry admission when a
-//! KV-shrink window closes ([`crate::Scheduler::on_fault`]): no
-//! completion announces the restored capacity.
+//! [`DecodeSide`]: [`DecodeSide::send`] emits the first token and
+//! transfers the context, and the side admits, grows, launches, retires
+//! and, on a crash, drains it; the engine keeps only where prefill runs.
+//! Either way, the engine must retry admission when a KV-shrink window
+//! closes ([`crate::Scheduler::on_fault`]): no completion announces the
+//! restored capacity.
 //!
-//! [`computed_in_batch`] is the prefill-side counterpart: the overlap
-//! test an engine applies while forming a prefill batch.
+//! The prefill side shares what every batching engine repeats: the batch
+//! caps ([`MAX_PREFILL_BATCH_REQUESTS`], [`MAX_PREFILL_BATCH_TOKENS`]),
+//! admission of one prompt ([`LeaseTable::lease_prompt`]), the
+//! whole-phase launch ([`launch_prefill_phase`]) and
+//! [`computed_in_batch`], the overlap test an engine applies while
+//! forming a batch. The engine keeps its batching policy: which waiting
+//! prompts it takes, in what order, when it stops a batch and when it
+//! drops a prompt that can never fit.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -32,8 +39,35 @@ use crate::order::drain_sorted;
 use crate::request::ReqId;
 use gpusim::{CtxId, GroupId, LinkId, WorkItem};
 use kvcache::Block;
-use modelspec::{ModelSpec, Parallelism};
-use simcore::SimTime;
+use modelspec::{ModelSpec, Parallelism, SeqState};
+use simcore::{SimDuration, SimTime};
+
+/// Most prompts one prefill batch takes.
+pub const MAX_PREFILL_BATCH_REQUESTS: usize = 32;
+
+/// Most new (uncached) tokens one prefill batch computes. A prompt
+/// longer than this still runs, alone.
+pub const MAX_PREFILL_BATCH_TOKENS: u64 = 16_384;
+
+/// Submits a whole prefill phase of `batch` under `par` on
+/// `group`/`ctx_id`, completing with `tag`. The phase is ready once the
+/// host has launched the graph of every layer of `model`.
+pub fn launch_prefill_phase(
+    ctx: &mut ServeCtx,
+    model: &ModelSpec,
+    group: GroupId,
+    ctx_id: CtxId,
+    batch: &[SeqState],
+    par: &Parallelism,
+    tag: u64,
+) {
+    let work = model.prefill_full_work(batch, par);
+    let launch = SimDuration::from_secs(
+        ctx.gpu.spec().layer_graph_launch.as_secs() * model.num_layers as f64,
+    );
+    let ready = ctx.now() + launch;
+    ctx.gpu.submit(group, ctx_id, work, ready, tag);
+}
 
 /// Whether a prompt already admitted to a prefill batch computes the
 /// first uncached block of `blocks`: some `batch` prompt holds that
@@ -280,13 +314,15 @@ pub struct Handoff {
     pub reserved: bool,
 }
 
-/// The decode side of a disaggregated engine: the decode batch, the KV
-/// transfers in flight toward it, the contexts waiting for a slot, and
-/// the in-flight and down flags. It holds only private decode-pool
-/// space under lock-less leases, so it needs no engine policy.
+/// The decode side of a disaggregated engine: the decode batch, the link
+/// and the KV transfers in flight toward it, the contexts waiting for a
+/// slot, and the in-flight and down flags. It holds only private
+/// decode-pool space under lock-less leases, so it needs no engine
+/// policy.
 #[derive(Debug, Default)]
 pub struct DecodeSide {
     batch: DecodeBatch,
+    link: Option<LinkId>,
     transfers: HashMap<u64, Handoff>,
     queue: VecDeque<Handoff>,
     inflight: bool,
@@ -328,17 +364,40 @@ impl DecodeSide {
         self.down = false;
     }
 
-    /// Sends `handoff`'s KV to the decode instance over `link` as
-    /// transfer `tag`; [`DecodeSide::landed`] queues it on completion.
+    /// Creates the link that carries KV to the decode instance: the
+    /// cluster's NVLink bandwidth, 5 µs latency. Call it once, from
+    /// `on_start`.
+    pub fn connect(&mut self, ctx: &mut ServeCtx) {
+        self.link = Some(ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0)));
+    }
+
+    /// Hands prefilled request `id` to the decode instance as transfer
+    /// `tag`: emits its first token unless an earlier attempt did, and
+    /// sends its context, the prompt plus that token, at `model`'s KV
+    /// bytes per token sharded over `tp` GPUs. `reserved` says whether
+    /// the decode pool already holds the context's space.
+    /// [`DecodeSide::landed`] queues it on completion.
     pub fn send(
         &mut self,
         ctx: &mut ServeCtx,
-        link: LinkId,
         tag: u64,
-        bytes: f64,
-        handoff: Handoff,
+        id: ReqId,
+        model: &ModelSpec,
+        tp: u32,
+        reserved: bool,
     ) {
-        ctx.gpu.submit_transfer(link, bytes, tag);
+        if ctx.tokens_emitted(id) == 0 {
+            ctx.emit_tokens(id, 1);
+        }
+        let context = ctx.request(id).input_tokens() + 1;
+        let bytes = context as f64 * model.kv_bytes_per_token() / tp as f64;
+        ctx.gpu
+            .submit_transfer(self.link.expect("connected"), bytes, tag);
+        let handoff = Handoff {
+            id,
+            context,
+            reserved,
+        };
         self.transfers.insert(tag, handoff);
     }
 
@@ -488,7 +547,6 @@ mod tests {
     use crate::request::SloSpec;
     use gpusim::{ClusterSpec, GpuSim};
     use kvcache::Block;
-    use simcore::SimDuration;
     use workload::{ContentSpec, RequestSpec};
 
     fn t(s: f64) -> SimTime {
@@ -665,22 +723,24 @@ mod tests {
     #[test]
     fn crash_drains_batch_then_queue_then_transfers_by_tag_freeing_reserved_space() {
         let (mut ctx, mut lifecycle) = served(&[5, 5, 5, 5, 5]);
-        let link = ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0));
+        let model = ModelSpec::llama8b();
         let mut table = LeaseTable::new(10_000, 64);
         let mut side = DecodeSide::new();
+        side.connect(&mut ctx);
         // Request 0 decodes; 1 (reserved) and 2 wait; 3 (reserved) and 4
-        // are in transit, 4 under the lower tag.
+        // are in transit with their 101-token contexts, 4 under the
+        // lower tag.
         side.queue(handoff(0, 100, false));
         side.admit(&mut table, &mut lifecycle, &mut ctx);
-        assert!(table.try_alloc_private(101 + 103, t(0.0)));
+        assert!(table.try_alloc_private(101 + 101, t(0.0)));
         side.queue(handoff(1, 101, true));
         side.queue(handoff(2, 102, false));
-        side.send(&mut ctx, link, 9, 1.0, handoff(3, 103, true));
-        side.send(&mut ctx, link, 4, 1.0, handoff(4, 104, false));
+        side.send(&mut ctx, 9, 3, &model, 1, true);
+        side.send(&mut ctx, 4, 4, &model, 1, false);
         let victims = side.crash(&mut table);
         assert_eq!(
             victims,
-            vec![(0, 100), (1, 101), (2, 102), (4, 104), (3, 103)]
+            vec![(0, 100), (1, 101), (2, 102), (4, 101), (3, 101)]
         );
         assert_eq!(table.pool().private_tokens(), 0);
         assert_eq!(table.outstanding(), 0);
@@ -699,11 +759,12 @@ mod tests {
     #[test]
     fn an_orphaned_transfer_lands_as_a_no_op() {
         let (mut ctx, _) = served(&[5, 5]);
-        let link = ctx.gpu.create_link(0.0, SimDuration::from_micros(5.0));
+        let model = ModelSpec::llama8b();
         let mut table = LeaseTable::new(1_000, 64);
         let mut side = DecodeSide::new();
-        side.send(&mut ctx, link, 1, 1.0, handoff(0, 101, false));
-        side.send(&mut ctx, link, 2, 1.0, handoff(1, 101, false));
+        side.connect(&mut ctx);
+        side.send(&mut ctx, 1, 0, &model, 1, false);
+        side.send(&mut ctx, 2, 1, &model, 1, false);
         assert!(side.landed(1));
         assert!(!side.landed(1), "a tag lands once");
         side.crash(&mut table);
@@ -712,13 +773,32 @@ mod tests {
     }
 
     #[test]
+    fn send_emits_a_missing_first_token_and_carries_the_prompt_plus_it() {
+        let (mut ctx, mut lifecycle) = served(&[5, 5]);
+        // An earlier attempt already emitted request 1's first token.
+        ctx.emit_tokens(1, 1);
+        let model = ModelSpec::llama8b();
+        let mut table = LeaseTable::new(1_000, 64);
+        let mut side = DecodeSide::new();
+        side.connect(&mut ctx);
+        side.send(&mut ctx, 1, 0, &model, 4, false);
+        side.send(&mut ctx, 2, 1, &model, 4, false);
+        assert_eq!((ctx.tokens_emitted(0), ctx.tokens_emitted(1)), (1, 1));
+        assert!(side.landed(1) && side.landed(2));
+        side.admit(&mut table, &mut lifecycle, &mut ctx);
+        assert_eq!(side.batch().contexts().collect::<Vec<_>>(), [101, 101]);
+        assert_eq!(table.pool().private_tokens(), 202);
+    }
+
+    #[test]
     fn join_decode_retires_a_one_token_request_committing_prompt_plus_token() {
         let (mut ctx, mut lifecycle) = served(&[1]);
         let mut table = LeaseTable::new(10_000, 64);
         let prompt = ctx.request(0).content.blocks(64);
         let lease = table
-            .try_lease_prompt(&prompt, 100, 100, t(0.0))
-            .expect("fits");
+            .lease_prompt(0, &prompt, 100, 100, t(0.0))
+            .expect("fits")
+            .lease;
         assert!(join_decode(&mut table, &mut lifecycle, &mut ctx, 0, lease).is_none());
         assert_eq!(ctx.tokens_emitted(0), 1);
         assert!(ctx.is_finished(0));
@@ -736,8 +816,9 @@ mod tests {
         let mut table = LeaseTable::new(10_000, 64);
         let prompt = ctx.request(0).content.blocks(64);
         let lease = table
-            .try_lease_prompt(&prompt, 100, 100, t(0.0))
-            .expect("fits");
+            .lease_prompt(0, &prompt, 100, 100, t(0.0))
+            .expect("fits")
+            .lease;
         let slot = join_decode(&mut table, &mut lifecycle, &mut ctx, 0, lease).expect("decodes");
         assert_eq!((slot.context, slot.remaining_out), (101, 3));
         assert_eq!(slot.lease.matched_tokens(), 100, "locks the radix copy");

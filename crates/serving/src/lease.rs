@@ -18,10 +18,16 @@
 //! a crash victim's lease and eviction-protects its cached prefix, and
 //! [`LeaseTable::readmit`] lifts that protection once the victim's next
 //! lease holds the prefix, so no engine keeps its own victim set.
+//!
+//! Every engine that batches whole prompts admits one through
+//! [`LeaseTable::lease_prompt`], which reserves its uncached suffix,
+//! locks its cached prefix, lifts its crash protection and returns it as
+//! a [`LeasedPrompt`].
 
 use std::collections::HashSet;
 
 use kvcache::{Block, KvPool, MatchOutcome, PoolStats};
+use modelspec::SeqState;
 use simcore::SimTime;
 use workload::ContentSpec;
 
@@ -58,6 +64,18 @@ impl KvLease {
     pub fn absorb_private(&mut self, tokens: u64) {
         self.private += tokens;
     }
+}
+
+/// A prompt admitted to prefill: the request, the tokens its prefill
+/// computes over the prefix its lease matched, and that lease.
+#[derive(Debug)]
+pub struct LeasedPrompt {
+    /// The request.
+    pub id: ReqId,
+    /// New (uncached) and reused tokens of its prefill.
+    pub seq: SeqState,
+    /// The KV resources it holds.
+    pub lease: KvLease,
 }
 
 /// Owns an engine's [`KvPool`] and tracks every lease drawn from it.
@@ -204,17 +222,38 @@ impl LeaseTable {
         KvLease { lock, private: 0 }
     }
 
-    /// Admits a prompt to prefill: reserves the `new_tokens` of private
+    /// Admits prompt `id` to prefill: reserves the `new_tokens` of private
     /// space its uncached suffix needs, sized by the caller as
     /// `input_tokens` minus [`LeaseTable::peek_prefix`] of its `blocks`,
-    /// and locks the cached prefix into a lease holding that space.
+    /// locks the cached prefix into a lease holding that space, and lifts
+    /// the crash protection of `id` ([`LeaseTable::readmit`]). The
+    /// prefill computes every token the lock does not cover.
     ///
     /// The reservation's own LRU eviction can remove part of the peeked
     /// prefix before the lock is taken. The shortfall is reserved too, so
     /// the lease holds exactly the private tokens its request will
     /// compute. When the pool cannot fit the prompt, nothing stays held
     /// and the result is `None`.
-    pub fn try_lease_prompt(
+    pub fn lease_prompt(
+        &mut self,
+        id: ReqId,
+        blocks: &[Block],
+        input_tokens: u64,
+        new_tokens: u64,
+        now: SimTime,
+    ) -> Option<LeasedPrompt> {
+        let lease = self.try_lease_prompt(blocks, input_tokens, new_tokens, now)?;
+        self.readmit(id, blocks);
+        let reused = lease.matched_tokens();
+        Some(LeasedPrompt {
+            id,
+            seq: SeqState::new(input_tokens - reused, reused),
+            lease,
+        })
+    }
+
+    /// The lease half of [`LeaseTable::lease_prompt`].
+    fn try_lease_prompt(
         &mut self,
         blocks: &[Block],
         input_tokens: u64,
@@ -379,6 +418,25 @@ mod tests {
             .is_none());
         assert_eq!(table.outstanding(), 0);
         assert_eq!(table.pool().private_tokens(), 0);
+        table.pool().check_invariants();
+    }
+
+    #[test]
+    fn lease_prompt_sizes_the_prefill_from_its_lock_and_readmits() {
+        let mut table = LeaseTable::new(10_000, 64);
+        let content = ContentSpec::single(1, 1_000);
+        let prompt = content.blocks(64);
+        table.insert(&prompt[..10], t(0.0));
+        let crashed = table.lease_prefix(&prompt, t(0.5));
+        table.revoke(1, crashed, &content);
+        let r = table
+            .lease_prompt(1, &prompt, 1_000, 1_000 - 640, t(1.0))
+            .expect("fits");
+        assert_eq!((r.id, r.seq.new_tokens, r.seq.reused_tokens), (1, 360, 640));
+        assert_eq!(r.lease.private_tokens(), 360);
+        assert!(table.protected.is_empty(), "protection outlived the lease");
+        table.release(r.lease);
+        assert_eq!(table.outstanding(), 0);
         table.pool().check_invariants();
     }
 

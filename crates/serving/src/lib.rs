@@ -17,8 +17,10 @@
 //! container with the per-iteration grow/advance loops, the
 //! prefill-to-decode handoff of the shared-pool engines
 //! ([`join_decode`], [`retire`]), the disaggregated engines' one decode
-//! side ([`DecodeSide`]), and the in-batch prefix test engines apply
-//! while forming a prefill batch.
+//! side ([`DecodeSide`]), and the prefill steps every batching engine
+//! shares: the batch caps, one prompt's admission
+//! ([`LeaseTable::lease_prompt`]), the whole-phase launch
+//! ([`launch_prefill_phase`]) and the in-batch prefix test.
 //!
 //! Metrics follow the paper (§4.1):
 //!
@@ -58,7 +60,8 @@ pub mod recovery;
 pub mod request;
 
 pub use batch::{
-    computed_in_batch, join_decode, retire, DecodeBatch, DecodeSide, DecodeSlot, Handoff,
+    computed_in_batch, join_decode, launch_prefill_phase, retire, DecodeBatch, DecodeSide,
+    DecodeSlot, Handoff, MAX_PREFILL_BATCH_REQUESTS, MAX_PREFILL_BATCH_TOKENS,
 };
 pub use capacity::kv_pool_capacity_tokens;
 pub use driver::{Driver, Scheduler, ServeCtx, WatchdogConfig};
@@ -67,7 +70,7 @@ pub use goodput::{
     assemble_goodput, find_goodput, find_goodput_faulty, FaultyGoodput, GoodputPoint, GoodputResult,
 };
 pub use instance::{CancelOutcome, Instance, StepOutcome};
-pub use lease::{KvLease, LeaseTable};
+pub use lease::{KvLease, LeaseTable, LeasedPrompt};
 pub use lifecycle::{EngineCounters, IllegalTransition, Lifecycle, Stage};
 pub use metrics::{MetricsRecorder, RecoveryStats, Report};
 pub use order::drain_sorted;

@@ -307,7 +307,32 @@ impl MetricsRecorder {
     /// time; `makespan` the simulated span used for throughput. The
     /// recorded gaps move into [`Report::tbt`] in request order, without
     /// a copy when they still sit in one buffer in that order.
+    /// [`Report::ttft_per_token`] stays empty: it needs the input lengths
+    /// [`MetricsRecorder::report_with_inputs`] takes.
     pub fn report(self, arrivals: &[SimTime], makespan: SimDuration, slo: &SloSpec) -> Report {
+        self.build_report(arrivals, None, makespan, slo)
+    }
+
+    /// Like [`MetricsRecorder::report`] but also fills the
+    /// TTFT-per-input-token distribution used by the preemption study
+    /// (Fig. 20).
+    pub fn report_with_inputs(
+        self,
+        arrivals: &[SimTime],
+        input_tokens: &[u64],
+        makespan: SimDuration,
+        slo: &SloSpec,
+    ) -> Report {
+        self.build_report(arrivals, Some(input_tokens), makespan, slo)
+    }
+
+    fn build_report(
+        self,
+        arrivals: &[SimTime],
+        input_tokens: Option<&[u64]>,
+        makespan: SimDuration,
+        slo: &SloSpec,
+    ) -> Report {
         assert_eq!(arrivals.len(), self.runtimes.len());
         let mut ttft = Summary::new();
         let mut tpot = Summary::new();
@@ -328,11 +353,9 @@ impl MetricsRecorder {
             if let Some(first) = r.first_token_at {
                 let t = (first - arr).as_secs();
                 ttft.record(t);
-                // TTFT normalized by input length is only meaningful with
-                // the input length, which the caller folds in; here we
-                // record raw TTFT and let callers divide (Fig. 20 uses
-                // `ttft_per_token` filled by `report_with_inputs`).
-                ttft_per_token.record(t);
+                if let Some(inputs) = input_tokens {
+                    ttft_per_token.record(t / inputs[i].max(1) as f64);
+                }
             }
             if let (Some(first), Some(last)) = (r.first_token_at, r.last_token_at) {
                 if r.tokens_emitted > 1 {
@@ -373,35 +396,6 @@ impl MetricsRecorder {
             recovery: RecoveryStats::default(),
             counters: EngineCounters::default(),
         }
-    }
-
-    /// Like [`MetricsRecorder::report`] but fills the TTFT-per-input-token
-    /// distribution used by the preemption study (Fig. 20).
-    pub fn report_with_inputs(
-        self,
-        arrivals: &[SimTime],
-        input_tokens: &[u64],
-        makespan: SimDuration,
-        slo: &SloSpec,
-    ) -> Report {
-        let mut per_token = Summary::new();
-        for (i, ((r, &arr), &inp)) in self
-            .runtimes
-            .iter()
-            .zip(arrivals)
-            .zip(input_tokens)
-            .enumerate()
-        {
-            if self.cancelled[i] {
-                continue;
-            }
-            if let Some(first) = r.first_token_at {
-                per_token.record((first - arr).as_secs() / inp.max(1) as f64);
-            }
-        }
-        let mut rep = self.report(arrivals, makespan, slo);
-        rep.ttft_per_token = per_token;
-        rep
     }
 }
 
@@ -876,6 +870,16 @@ mod tests {
         );
         let per = rep.ttft_per_token.clone();
         assert!((per.p50() - 0.002).abs() < 1e-9);
+    }
+
+    #[test]
+    fn report_keeps_no_per_token_ttft() {
+        let mut m = MetricsRecorder::new(2);
+        m.emit_tokens(0, SimTime::from_secs(0.4), 1);
+        m.emit_tokens(1, SimTime::from_secs(0.6), 1);
+        let rep = m.report(&[SimTime::ZERO; 2], SimDuration::from_secs(1.0), &slo());
+        assert_eq!(rep.ttft.len(), 2);
+        assert!(rep.ttft_per_token.is_empty(), "{:?}", rep.ttft_per_token);
     }
 
     #[test]

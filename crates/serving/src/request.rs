@@ -20,6 +20,11 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
+    /// Share of the TBT target the multiplexing engines plan a decode
+    /// iteration (or the prefill slack beside one) against; the rest is
+    /// headroom for estimation error.
+    pub const TBT_MARGIN: f64 = 0.9;
+
     /// Creates an SLO spec.
     pub fn new(ttft: SimDuration, tbt: SimDuration) -> SloSpec {
         SloSpec { ttft, tbt }

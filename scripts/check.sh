@@ -4,8 +4,10 @@
 #
 # Fast paths while iterating:
 #   ./scripts/check.sh serving         # just the serving crate's tests
-#   ./scripts/check.sh engine          # MuxWise tests + the goldens a dispatcher change must keep
-#                                      # (decode_golden: requeues, overflow prefills, KV shrink)
+#   ./scripts/check.sh engine          # MuxWise, baselines and serving tests + the goldens an engine change
+#                                      # must keep (decode_golden: requeues, overflow prefills, KV shrink;
+#                                      # prefill_golden: batch caps, drops, launches, handoffs), the
+#                                      # faults suite and the harness golden
 #   ./scripts/check.sh crash           # crash and decode goldens, recovery/fault/fleet suites, crash and fleet smokes
 #   ./scripts/check.sh alloc           # every crate's alloc_count test (heap allocations and sizes)
 #   ./scripts/check.sh setup           # estimator and workload tests, the set-up golden, every alloc_count test
@@ -38,10 +40,11 @@ if [[ "${1:-}" == "serving" ]]; then
 fi
 
 if [[ "${1:-}" == "engine" ]]; then
-    cargo test -q -p muxwise
+    cargo test -q -p muxwise -p baselines -p serving
     cargo test -q -p integration-tests --test refactor_invariance \
         --test macro_equivalence --test recovery --test crash_golden \
-        --test decode_golden
+        --test decode_golden --test prefill_golden --test faults
+    cargo test -q -p bench --test harness_golden
     exit 0
 fi
 
